@@ -7,7 +7,7 @@ finite-topology oracle, and an exact-real representation-repair demo.
 """
 
 from .kernel import (EncodingError, EnumSet, Name, NameReader, decode_enum,
-                     dovetail, dovetail_bound, literal_name, delayed_name,
+                     dovetail_bound, literal_name, delayed_name,
                      pair, project, tuple_names, unpair)
 from .sierpinski import (DEFAULT_FUEL, NEGATIVE_FUEL, SValue, accept_at,
                          after, and_finite, bot, or_countable, top)

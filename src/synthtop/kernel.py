@@ -17,6 +17,7 @@ raise `EncodingError`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -316,18 +317,35 @@ class Dovetail:
     The engine accepts as soon as any task accepts; ``winner`` records
     which.  The slice size is fixed at one step, and which tasks ever
     accept does not depend on it.
+
+    A task instantiated as a ``never`` stepper holds a dead slot.  `run`
+    jumps over dead slots by arithmetic but still counts each as one
+    step, so schedules, ``dovetail_bound`` landings and step counts are
+    those of one-at-a-time `step` calls, which stay the reference.  A
+    finite family whose tasks are all instantiated and all dead is itself
+    ``never``.
     """
 
-    __slots__ = ("family", "size", "steppers", "rnd", "pos", "done", "winner")
+    __slots__ = ("family", "size", "steppers", "live", "rnd", "pos", "done",
+                 "winner", "never")
 
     def __init__(self, family: Callable[[int], object], size: Optional[int] = None):
         self.family = family
         self.size = size
         self.steppers: list = []
+        # indices of the live instantiated tasks; None while none is dead
+        self.live: Optional[list[int]] = None
         self.rnd = 0
         self.pos = 0
         self.done = False  # an empty family stays pending forever
         self.winner: Optional[int] = None
+        self.never = size == 0
+
+    @property
+    def steps(self) -> int:
+        """Global steps taken so far, read off the schedule position (an
+        empty family never moves, so it reads 0)."""
+        return dovetail_bound(self.pos, self.rnd - self.pos, self.size) - 1
 
     def step(self) -> bool:
         size = self.size
@@ -342,11 +360,18 @@ class Dovetail:
                 self.done = True
                 self.winner = i
                 return True
-        else:
-            if ss[i].step():
-                self.done = True
-                self.winner = i
-                return True
+            live = self.live
+            if s.never:
+                if live is None:
+                    live = self.live = list(range(i))
+                if i + 1 == size and not live:
+                    self.never = True
+            elif live is not None:
+                live.append(i)
+        elif ss[i].step():
+            self.done = True
+            self.winner = i
+            return True
         i += 1
         limit = self.rnd + 1
         if size is not None and limit > size:
@@ -359,19 +384,64 @@ class Dovetail:
 
     def run(self, budget: int) -> Optional[int]:
         """Advance up to ``budget`` steps; return how many were used if the
-        engine accepted, else None.  (Bulk loop: same schedule, less
-        dispatch overhead.)"""
+        engine accepted, else None.  Same schedule as `step`, with dead
+        slots skipped in bulk; while there is none it is the plain loop."""
         used = 0
+        size = self.size
+        ss = self.steppers
+        step = self.step
         while used < budget:
-            used += 1
-            if self.step():
-                return used
+            if self.never:
+                if size:  # every round now has ``size`` slots
+                    self.rnd, self.pos = divmod(
+                        self.rnd * size + self.pos + budget - used, size)
+                return None
+            live = self.live
+            n = len(ss)
+            i = self.pos
+            if live is None or i == n:
+                # dead slots appear only at instantiation: step plainly up
+                # to and including the next one, or to the budget once
+                # every task is instantiated
+                stop = budget
+                if n != size and used + n - i < budget:
+                    stop = used + n - i + 1
+                while used < stop:
+                    used += 1
+                    if step():
+                        return used
+                continue
+            r = self.rnd
+            limit = r + 1 if size is None or r < size else size
+            end = n if n < limit else limit  # slot n, if in this round, spawns
+            k = bisect_left(live, i)
+            nl = len(live)
+            while k < nl:
+                j = live[k]
+                if j >= end:
+                    break
+                used += j - i  # the dead slots before j
+                if used >= budget:
+                    self.pos = j - (used - budget)
+                    return None
+                used += 1
+                self.pos = j
+                if ss[j].step():
+                    self.done = True
+                    self.winner = j
+                    return used
+                i = j + 1
+                k += 1
+            used += end - i
+            if used > budget:
+                self.pos = end - (used - budget)
+                return None
+            if end == limit:
+                self.rnd = r + 1
+                self.pos = 0
+            else:
+                self.pos = end
         return None
-
-
-def dovetail(tasks: Callable[[int], object], size: Optional[int] = None) -> Dovetail:
-    """Schedule countably many steppers fairly; see `Dovetail`."""
-    return Dovetail(tasks, size)
 
 
 def dovetail_bound(i: int, k: int, size: Optional[int] = None) -> int:

@@ -164,6 +164,7 @@ class _IntervalStepper:
     endpoints so only magnitude comparisons remain."""
 
     __slots__ = ("reader", "a", "b", "phase", "lo", "hi", "done")
+    never = False
 
     def __init__(self, reader: NameReader, a: Fraction, b: Fraction):
         self.reader = reader

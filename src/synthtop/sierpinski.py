@@ -47,7 +47,7 @@ class SValue:
     accepts, it accepts within ``bound`` steps.  A sound bound turns
     "pending at bound" into "pending forever"."""
 
-    __slots__ = ("make", "bound", "_runner", "_ran", "_at")
+    __slots__ = ("make", "bound", "_runner", "_ran", "_at", "_err")
 
     def __init__(self, make: Callable[[], object], bound: Optional[int] = None):
         self.make = make
@@ -55,6 +55,7 @@ class SValue:
         self._runner = None
         self._ran = 0
         self._at: Optional[int] = None
+        self._err: Optional[tuple[Exception, int]] = None
 
     def fresh(self):
         return self.make()
@@ -62,28 +63,54 @@ class SValue:
     def status(self, fuel: int) -> Optional[int]:
         """Accepted step count if acceptance happens within ``fuel`` steps
         of a fresh run, else None (pending).  Progress is cached and the
-        cache is replay-exact, so repeated queries agree with fresh runs."""
+        cache is replay-exact, so repeated queries agree with fresh runs.
+
+        A ``never`` runner is pending at once; a `Dovetail` runner is
+        advanced by `Dovetail.run`, which skips its dead slots.  Either way
+        ``TALLY`` is charged every logical step, as if stepped one by one.
+        An exception raised at step s is sticky: it is raised again for
+        every ``fuel >= s`` and the query is pending below s."""
         at = self._at
         if at is not None:
             return at if at <= fuel else None
-        if self._runner is None:
-            self._runner = self.make()
-            if self._runner.done:
+        err = self._err
+        if err is not None:
+            if fuel >= err[1]:
+                raise err[0]
+            return None
+        r = self._runner
+        if r is None:
+            r = self._runner = self.make()
+            if r.done:
                 self._at = 0
                 return 0
-        r = self._runner
         ran = start = self._ran
+        if ran >= fuel:
+            return None
         try:
-            while ran < fuel:
-                ran += 1
-                if r.step():
-                    self._ran = ran
-                    self._at = ran
-                    return ran
+            if r.never:
+                ran = fuel
+            elif isinstance(r, Dovetail):
+                used = r.run(fuel - start)
+                if used is None:
+                    ran = fuel
+                else:
+                    ran = self._at = start + used
+            else:
+                while ran < fuel:
+                    ran += 1
+                    if r.step():
+                        self._at = ran
+                        break
+        except Exception as exc:
+            if isinstance(r, Dovetail):
+                ran = r.steps + 1
+            self._err = (exc, ran)
+            raise
         finally:
+            self._ran = ran
             TALLY.add(ran - start)
-        self._ran = ran
-        return None
+        return self._at
 
     def accepted(self, fuel: int) -> bool:
         return self.status(fuel) is not None
@@ -103,6 +130,7 @@ class SValue:
 class _Never:
     __slots__ = ()
     done = False
+    never = True
 
     def step(self) -> bool:
         return False
@@ -113,6 +141,7 @@ _NEVER = _Never()  # stateless, safe to share
 
 class _AcceptAt:
     __slots__ = ("left", "done")
+    never = False
 
     def __init__(self, n: int):
         self.left = n
@@ -132,6 +161,7 @@ class _All:
     per own step; accepted children leave the rotation."""
 
     __slots__ = ("live", "pos", "done")
+    never = False
 
     def __init__(self, steppers):
         self.live = [s for s in steppers if not s.done]
@@ -158,6 +188,7 @@ class _Seq:
     """``delay`` silent steps, then the inner stepper."""
 
     __slots__ = ("delay", "inner", "done")
+    never = False
 
     def __init__(self, delay: int, inner):
         self.delay = delay
@@ -183,6 +214,7 @@ class _BindValue:
     a born-accepted continuation is observed on that same step."""
 
     __slots__ = ("reader", "k", "inner", "done")
+    never = False
 
     def __init__(self, reader: NameReader, k):
         self.reader = reader

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from synthtop.kernel import (EncodingError, Dovetail, decode_enum, dovetail,
+from synthtop.kernel import (EncodingError, Dovetail, decode_enum,
                              dovetail_bound, delayed_name, enum_name,
                              literal_name, pair, project, tuple_names, unpair,
                              zigzag, zigzag_inv)
-from synthtop.sierpinski import accept_at, bot
+from synthtop.sierpinski import (TALLY, accept_at, after, bot, or_countable,
+                                 top)
 
 
 def test_pair_base_case():
@@ -117,13 +118,13 @@ def test_decode_enum_monotone_and_planted():
 
 def test_dovetail_accepts_any_accepting_task():
     tasks = [bot(), accept_at(1), bot()]
-    engine = dovetail(lambda i: tasks[i].fresh(), 3)
+    engine = Dovetail(lambda i: tasks[i].fresh(), 3)
     assert engine.run(100) is not None
     assert engine.winner == 1
 
 
 def test_dovetail_all_divergent_pends():
-    engine = dovetail(lambda i: bot().fresh(), None)
+    engine = Dovetail(lambda i: bot().fresh(), None)
     assert engine.run(10 ** 4) is None
 
 
@@ -133,7 +134,7 @@ def test_dovetail_planted_meets_fairness_bound():
     for _ in range(5):
         idx = rng.randrange(0, 500)
         k = rng.randrange(1, 40)
-        engine = dovetail(
+        engine = Dovetail(
             lambda i, _i=idx, _k=k: (accept_at(_k) if i == _i else bot()).fresh(),
             None)
         bound = dovetail_bound(idx, k)
@@ -154,7 +155,7 @@ def test_dovetail_bound_finite_family_cap():
 
 def test_dovetail_outcome_independent_of_probe_granularity():
     def make():
-        return dovetail(
+        return Dovetail(
             lambda i: (accept_at(5) if i == 7 else bot()).fresh(), None)
 
     coarse = make()
@@ -165,3 +166,129 @@ def test_dovetail_outcome_independent_of_probe_granularity():
         used_fine += 1
     assert used_coarse == used_fine + 1
     assert coarse.winner == fine.winner == 7
+
+
+# ---------------------------------------------------------------------------
+# Dead-slot skipping: `run` against the `step` reference
+
+
+def _task(kind):
+    """None is a dead bot(), -1 a live task that never accepts, 0 is top(),
+    k > 0 is accept_at(k)."""
+    if kind is None:
+        return bot()
+    if kind < 0:
+        return after(1, bot())
+    return top() if kind == 0 else accept_at(kind)
+
+
+def _family(kinds):
+    return lambda i: _task(kinds[i] if i < len(kinds) else None)
+
+
+def _reference(kinds, size, cuts):
+    """Plain `step` loop: (accepted step or None, winner, (rnd, pos) after
+    each pending cut)."""
+    engine = Dovetail(lambda i: _family(kinds)(i).fresh(), size)
+    used = 0
+    marks = []
+    for cut in cuts:
+        for _ in range(cut):
+            used += 1
+            if engine.step():
+                return used, engine.winner, marks
+        marks.append((engine.rnd, engine.pos))
+    return None, None, marks
+
+
+_KINDS = st.lists(st.one_of(st.none(), st.integers(-1, 30)), max_size=12)
+_CUTS = st.lists(st.one_of(st.integers(0, 12), st.integers(0, 300)),
+                 min_size=1, max_size=6)
+
+
+@given(_KINDS, st.booleans(), _CUTS)
+@settings(max_examples=300, deadline=None)
+def test_run_skipping_dead_slots_matches_step(kinds, infinite, cuts):
+    size = None if infinite else len(kinds)
+    want_at, want_winner, want_marks = _reference(kinds, size, cuts)
+    engine = Dovetail(lambda i: _family(kinds)(i).fresh(), size)
+    used = 0
+    marks = []
+    got_at = None
+    for cut in cuts:
+        got = engine.run(cut)
+        if got is not None:
+            got_at = used + got
+            break
+        used += cut
+        marks.append((engine.rnd, engine.pos))
+        assert engine.steps == (used if size != 0 else 0)
+    assert got_at == want_at
+    assert marks == want_marks
+    if want_at is not None:
+        assert engine.winner == want_winner
+
+
+@given(_KINDS, st.booleans(), _CUTS)
+@settings(max_examples=300, deadline=None)
+def test_status_on_dovetail_matches_step_and_tally(kinds, infinite, cuts):
+    size = None if infinite else len(kinds)
+    want_at, _, _ = _reference(kinds, size, cuts)
+    v = or_countable(_family(kinds), size)
+    fuel = 0
+    before = TALLY.n
+    for cut in cuts:
+        fuel += cut
+        got = v.status(fuel)
+        assert got == (want_at if want_at is not None and want_at <= fuel
+                       else None)
+    charged = fuel if want_at is None else min(want_at, fuel)
+    assert TALLY.n - before == charged
+
+
+def test_all_dead_finite_family_is_never():
+    engine = Dovetail(lambda i: bot().fresh(), 5)
+    assert not engine.never
+    assert engine.run(15) is None  # rounds 0..4 instantiate all five
+    assert engine.never
+    assert engine.run(10 ** 12) is None
+    assert engine.steps == 15 + 10 ** 12
+    assert Dovetail(lambda i: bot().fresh(), 0).never
+    assert or_countable([bot(), bot()]).status(10 ** 12) is None
+
+
+class _Counted:
+    """A stepper that counts every step it is given; ``left=None`` never
+    accepts and says so."""
+
+    def __init__(self, left, counter):
+        self.left = left
+        self.counter = counter
+        self.done = left == 0
+        self.never = left is None
+
+    def step(self):
+        self.counter[0] += 1
+        if self.counter[0] > 10 ** 5:
+            raise AssertionError("dead slots are stepped one by one")
+        if self.left is None:
+            return False
+        self.left -= 1
+        self.done = self.left <= 0
+        return self.done
+
+
+def test_planted_acceptor_costs_work_linear_in_index():
+    idx, k = 10 ** 4, 3
+    counter = [0]
+
+    def family(i):
+        counter[0] += 1
+        return _Counted(k if i == idx else None, counter)
+
+    engine = Dovetail(family, None)
+    bound = dovetail_bound(idx, k)
+    assert engine.run(bound) == bound
+    assert engine.winner == idx
+    # about idx + k family calls and live steps, not ~5 * 10^7 dead steps
+    assert counter[0] <= 2 * (idx + k)

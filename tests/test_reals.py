@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from synthtop.kernel import EncodingError, decode_enum
-from synthtop.reals import (FuelExhausted,
+from synthtop.kernel import EncodingError, decode_enum, dovetail_bound, literal_name
+from synthtop.reals import (DECIMAL, FuelExhausted,
                             decimal_point, decimal_to_cauchy_direct,
                             enum_subbase_name, index_for_interval,
                             interval_for_index, interval_open_decimal,
                             parse_decimal, rational_interval_subbase,
                             repair_decimal)
-from synthtop.sierpinski import NEGATIVE_FUEL
-from synthtop.spaces import nat_point
+from synthtop.sierpinski import NEGATIVE_FUEL, accept_at, bot, or_countable
+from synthtop.spaces import Point, nat_point
 
 
 def val(text):
@@ -51,6 +51,44 @@ def test_boundary_query_pends():
     d = decimal_point(parse_decimal("0.3(3)"))
     sv = interval_open_decimal(Fraction(1, 3), Fraction(1)).chi(d)
     assert sv.status(10 ** 4) is None
+
+
+def _bad_digit_query():
+    # sign 0, integer part 0, digit 0, then the invalid digit 12 on step 4
+    d = Point(DECIMAL, literal_name([0, 0, 0, 12, 5], tail=5))
+    return interval_open_decimal(Fraction(1, 100), Fraction(1)).chi(d)
+
+
+def test_encoding_error_is_sticky():
+    sv = _bad_digit_query()
+    for _ in range(2):
+        with pytest.raises(EncodingError):
+            sv.status(100)
+    assert sv.status(3) is None  # pending below the raising step
+    with pytest.raises(EncodingError):
+        sv.status(4)
+    with pytest.raises(EncodingError):
+        _bad_digit_query().status(4)
+
+
+@pytest.mark.parametrize("before", [
+    [bot(), bot()],       # dead slots: skipped in bulk
+    [accept_at(50)],      # every slot live: stepped one by one
+])
+def test_encoding_error_is_sticky_through_dovetail(before):
+    n = len(before)
+    at = dovetail_bound(n, 4, n + 1)  # the bad query's fourth step raises
+    sv = or_countable(before + [_bad_digit_query()])
+    for _ in range(2):
+        with pytest.raises(EncodingError):
+            sv.status(10 ** 4)
+    assert sv.status(at - 1) is None
+    with pytest.raises(EncodingError):
+        sv.status(at)
+    fresh = or_countable(before + [_bad_digit_query()])
+    assert fresh.status(at - 1) is None
+    with pytest.raises(EncodingError):
+        fresh.status(at)
 
 
 def test_trailing_nines_denote_the_limit():
