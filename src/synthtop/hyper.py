@@ -17,17 +17,21 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .kernel import Dovetail, Name
-from .sierpinski import SValue, and_finite, bot, or_countable, top
+from .sierpinski import SValue, and_finite, or_countable, read_table, top
 from .spaces import (NAT, Point, SIERP, Space, SpaceMismatch,
                      MissingWitnessError, apply_fun, check_space, compacts,
-                     fun_point, nat_point, on_value, opens, overts,
+                     fun_point, nat_point, opens, overts,
                      pair_point, same_shape, sierp_point, sierp_value)
 
 
 class OpenSet:
     """An open subset of a space: a continuous chi into Sierpinski.
     chi must be extensional -- points with extensionally equal payloads
-    get the same acceptance-ever outcome."""
+    get the same acceptance-ever outcome.
+
+    An `OpenSet` is its own payload as a point of O(X): calling it is the
+    function-space transformer x |-> chi(x) as a Sierpinski point, and
+    `as_open` hands such a point back as this very object."""
 
     __slots__ = ("space", "chi_fn")
 
@@ -38,8 +42,11 @@ class OpenSet:
     def chi(self, x: Point) -> SValue:
         return self.chi_fn(x)
 
+    def __call__(self, x: Point) -> Point:
+        return sierp_point(self.chi_fn(x))
+
     def as_point(self) -> Point:
-        return Point(opens(self.space), lambda x: sierp_point(self.chi_fn(x)))
+        return Point(opens(self.space), self)
 
     def __repr__(self):
         return f"OpenSet({self.space!r})"
@@ -112,6 +119,8 @@ class CompactBoth:
 
 
 def as_open(u, space: Optional[Space] = None) -> OpenSet:
+    if isinstance(u, Point) and isinstance(u.payload, OpenSet):
+        u = u.payload
     if isinstance(u, OpenSet):
         o = u
     elif isinstance(u, Point) and u.space.tag == "function" and u.space.parts[1] is SIERP:
@@ -437,8 +446,7 @@ def sierp_accepting_open() -> OpenSet:
 
 
 def nat_singleton_open(n: int) -> OpenSet:
-    return OpenSet(NAT, lambda p: on_value(
-        p, lambda v: top() if v == n else bot(), inner_bound=0))
+    return OpenSet(NAT, lambda p: read_table((p.payload,), lambda v: v == n))
 
 
 def _install_ground_witnesses() -> None:

@@ -75,9 +75,14 @@ class Name:
     ``cost``, where given, maps value index -> exact step count of that
     emission on a fresh run.  Combinators use it to certify acceptance
     horizons, so it must be exact, never optimistic.
+
+    An exception raised at a canonical step (a negative emission, say) is
+    recorded with that step and raised again in every reader reaching it,
+    so replay stays exact on error paths too.
     """
 
-    __slots__ = ("_factory", "_vals", "_costs", "_gen", "_steps", "_dead", "cost")
+    __slots__ = ("_factory", "_vals", "_costs", "_gen", "_steps", "_dead",
+                 "_errs", "cost")
 
     def __init__(self, factory: Callable[[], Iterator[Optional[int]]],
                  cost: Optional[Callable[[int], Optional[int]]] = None):
@@ -87,6 +92,8 @@ class Name:
         self._gen: Optional[Iterator[Optional[int]]] = None
         self._steps = 0
         self._dead = False
+        # canonical step -> exception raised there; None while there is none
+        self._errs: Optional[dict[int, Exception]] = None
         self.cost = cost
 
     @property
@@ -106,14 +113,30 @@ class Name:
             return
         try:
             out = next(self._gen)
+            if out is not None and (not isinstance(out, int) or out < 0):
+                raise EncodingError(f"name emitted {out!r}; naturals only")
         except StopIteration:
             self._dead = True
             return
+        except Exception as exc:
+            if self._errs is None:
+                self._errs = {}
+            self._errs[self._steps] = exc
+            raise
         if out is not None:
-            if not isinstance(out, int) or out < 0:
-                raise EncodingError(f"name emitted {out!r}; naturals only")
             self._vals.append(out)
             self._costs.append(self._steps)
+
+    def first_clean(self) -> Optional[tuple[int, int]]:
+        """(value, cost) of the first emission if the canonical run has
+        already produced it with no error before it, else None."""
+        if not self._vals:
+            return None
+        c = self._costs[0]
+        errs = self._errs
+        if errs is not None and min(errs) < c:
+            return None
+        return self._vals[0], c
 
     def prefix(self, k: int, max_steps: int) -> list[int]:
         """First k values, driving the canonical run to at most max_steps."""
@@ -134,12 +157,14 @@ class NameReader:
         self.idx = 0
 
     def step(self) -> Optional[int]:
-        self.steps += 1
+        s = self.steps = self.steps + 1
         nm = self.name
-        if nm._steps < self.steps:
+        if nm._steps < s:
             nm.advance()
+        elif nm._errs is not None and s in nm._errs:
+            raise nm._errs[s]
         i = self.idx
-        if i < len(nm._vals) and nm._costs[i] <= self.steps:
+        if i < len(nm._vals) and nm._costs[i] <= s:
             self.idx += 1
             return nm._vals[i]
         return None

@@ -38,7 +38,8 @@ from .oracle import (FiniteSpace, FiniteSubbase, bits, budgeted, closure,
                      mask_of, monotone_families, open_members, overt_members,
                      continuous_maps, product_space, saturate,
                      specialization, tau_K, up_sets)
-from .sierpinski import DEFAULT_FUEL, SValue, TALLY, accept_at, bot, or_countable
+from .sierpinski import (DEFAULT_FUEL, SValue, TALLY, accept_at, bot,
+                         or_countable, read_table)
 from .spaces import Point, apply_fun, fun_point, pair_point, product, read_first
 
 
@@ -305,19 +306,13 @@ def _hyper_unary(s: _Suite, f: FiniteSpace, fuel: int) -> bool:
 def _product_leaf_open(spx, spy, g_n: int, mask: int) -> OpenSet:
     """An arbitrary subset of a product carrier as a membership
     semidecider: read both coordinates, then decide."""
-    from .sierpinski import bind_name_value, top as _top, bot as _bot
+
+    def member(i: int, j: int) -> int:
+        return mask >> (i * g_n + j) & 1
 
     def chi(p: Point) -> SValue:
         xp, yp = p.payload
-
-        def cont(i: int) -> SValue:
-            return bind_name_value(
-                yp.payload,
-                lambda j: _top() if mask >> (i * g_n + j) & 1 else _bot(),
-                inner_bound=0)
-
-        hy = yp.payload.cost(0) if yp.payload.cost else None
-        return bind_name_value(xp.payload, cont, inner_bound=hy)
+        return read_table((xp.payload, yp.payload), member)
 
     return OpenSet(product(spx, spy), chi)
 
@@ -656,20 +651,12 @@ def _rep_to_base_witness(f: FiniteSpace, fam: tuple, spx, isp) -> GaloisWitness:
     """The canonical point-side witness: read the point, emit its transpose
     set over the index space."""
 
+    def member(yv: int, xv: int) -> int:
+        return fam[yv] >> xv & 1
+
     def t(x: Point) -> OpenSet:
-        def chi(y: Point) -> SValue:
-            from .sierpinski import bind_name_value, top as _top, bot as _bot
-
-            def cont(yv: int) -> SValue:
-                return bind_name_value(
-                    x.payload,
-                    lambda xv: _top() if fam[yv] >> xv & 1 else _bot(),
-                    inner_bound=0)
-
-            hx = x.payload.cost(0) if x.payload.cost else None
-            return bind_name_value(y.payload, cont, inner_bound=hx)
-
-        return OpenSet(isp, chi)
+        return OpenSet(isp, lambda y: read_table((y.payload, x.payload),
+                                                 member))
 
     return GaloisWitness("rep_to_base", spx, isp, t)
 

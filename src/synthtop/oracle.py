@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .kernel import delayed_name, literal_name
-from .sierpinski import NEGATIVE_FUEL, SValue, and_finite, bot, or_countable, top
-from .spaces import Point, Space, on_value
+from .sierpinski import NEGATIVE_FUEL, SValue, and_finite, or_countable, read_table
+from .spaces import Point, Space
 from .hyper import CompactSat, OpenSet, OvertClosed, as_open
 
 
@@ -114,17 +115,27 @@ def is_topology(n: int, fam: frozenset) -> bool:
 
 
 def minimal_open(space: FiniteSpace, x: int) -> int:
-    m = full_mask(space.n)
-    for u in space.opens:
-        if u >> x & 1:
-            m &= u
-    return m
+    return specialization(space)[x]
 
 
+@lru_cache(maxsize=None)
 def specialization(space: FiniteSpace) -> tuple[int, ...]:
     """Row i is the mask {j : i <= j}, i.e. the minimal open of i:
-    i <= j iff every open containing i contains j."""
-    return tuple(minimal_open(space, i) for i in range(space.n))
+    i <= j iff every open containing i contains j.  Computed once per
+    space (spaces are frozen); saturation, closure, up-sets and minimal
+    opens all read these rows."""
+    rows = [full_mask(space.n)] * space.n
+    for u in space.opens:
+        for x in bits(u):
+            rows[x] &= u
+    return tuple(rows)
+
+
+def _up_closure(rows: tuple[int, ...], a: int) -> int:
+    out = 0
+    for x in bits(a):
+        out |= rows[x]
+    return out
 
 
 def is_T0(space: FiniteSpace) -> bool:
@@ -135,11 +146,7 @@ def is_T0(space: FiniteSpace) -> bool:
 def saturate(space: FiniteSpace, a: int) -> int:
     """Intersection of all opens containing a = up-closure under the
     specialization order."""
-    rows = specialization(space)
-    out = 0
-    for x in bits(a):
-        out |= rows[x]
-    return out
+    return _up_closure(specialization(space), a)
 
 
 def closure(space: FiniteSpace, a: int) -> int:
@@ -158,8 +165,8 @@ def interior(space: FiniteSpace, a: int) -> int:
 def up_sets(space: FiniteSpace) -> tuple[int, ...]:
     """All up-closed subsets = all saturated sets = all compact saturated
     sets of a finite space."""
-    n = space.n
-    return tuple(s for s in range(1 << n) if saturate(space, s) == s)
+    rows = specialization(space)
+    return tuple(s for s in range(1 << space.n) if _up_closure(rows, s) == s)
 
 
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
@@ -606,8 +613,11 @@ def leaf_open(sp: Space, mask: int) -> OpenSet:
     """Membership semidecider of a subset given as a bitmask (only opens of
     the topology denote opens, but the semidecider is definable for any
     mask; validity is the caller's concern)."""
-    return OpenSet(sp, lambda p: on_value(
-        p, lambda v: top() if mask >> v & 1 else bot(), inner_bound=0))
+
+    def member(v: int) -> int:
+        return mask >> v & 1
+
+    return OpenSet(sp, lambda p: read_table((p.payload,), member))
 
 
 def leaf_overt(sp: Space, mask: int) -> OvertClosed:
@@ -762,15 +772,12 @@ def finite_presubbase(sub: FiniteSubbase,
     ctop = carrier_topology if carrier_topology is not None else tau_K(sub)
     csp = finite_repr(ctop)
 
-    def family(ypt: Point) -> OpenSet:
-        def chi(x: Point) -> SValue:
-            hint = x.payload.cost(0) if x.payload.cost else None
-            return on_value(
-                ypt,
-                lambda yv: leaf_open(csp, sub.sets[yv]).chi(x),
-                inner_bound=hint)
+    def member(yv: int, xv: int) -> int:
+        return sub.sets[yv] >> xv & 1
 
-        return OpenSet(csp, chi)
+    def family(ypt: Point) -> OpenSet:
+        return OpenSet(csp, lambda x: read_table((ypt.payload, x.payload),
+                                                 member))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         accepted = mask_of(
@@ -785,15 +792,6 @@ def finite_presubbase(sub: FiniteSubbase,
 
     return Presubbase(index=isp, carrier=csp, family=family,
                       transpose_inverse=transpose_inverse)
-
-
-def run_law_suite(law: str, max_size: int = 3, fuel: Optional[int] = None,
-                  seed: int = 0):
-    """Run a registered exhaustive law suite (see the laws module, which
-    owns the registry) and return its report."""
-    from .laws import run_law_suite as _run
-    kwargs = {} if fuel is None else {"fuel": fuel}
-    return _run(law, max_size=max_size, seed=seed, **kwargs)
 
 
 def decode_finite(point: Point, sub: FiniteSubbase, fuel: int) -> int:

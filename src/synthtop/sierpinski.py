@@ -240,6 +240,43 @@ class _BindValue:
         return False
 
 
+class _ReadTable:
+    """Read the first value of each name in turn, one reader step per own
+    step, then accept or go dead by the table.  The step after an arrival
+    goes to the next name's reader; on the last arrival ``decide`` runs
+    and the stepper accepts on that step or becomes ``never``."""
+
+    __slots__ = ("names", "decide", "reader", "vals", "done", "never")
+
+    def __init__(self, names: Sequence[Name], decide):
+        self.names = names
+        self.decide = decide
+        self.reader = NameReader(names[0])
+        self.vals: list[int] = []
+        self.done = False
+        self.never = False
+
+    def step(self) -> bool:
+        r = self.reader
+        if r is None:
+            return False
+        v = r.step()
+        if v is None:
+            return False
+        vals = self.vals
+        vals.append(v)
+        names = self.names
+        if len(vals) < len(names):
+            self.reader = NameReader(names[len(vals)])
+            return False
+        self.reader = None
+        if self.decide(*vals):
+            self.done = True
+            return True
+        self.never = True
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Constants and combinators
 
@@ -308,6 +345,45 @@ def bind_name_value(name: Name, k: Callable[[int], SValue],
         if c0 is not None:
             bound = c0 + inner_bound
     return SValue(lambda: _BindValue(NameReader(name), k), bound=bound)
+
+
+def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
+    """Read the first value of each name in turn, then accept iff
+    ``decide(*values)``: the leaf of every finite-table open.
+
+    Acceptance lands at the sum of the names' first-emission step counts,
+    as for nested `bind_name_value` reads continuing with `top`/`bot`, and
+    ``bound`` is the sum of their ``cost(0)`` (None if any is unknown).  A
+    rejected read goes ``never``.  When every name's first value is
+    already cached, error-free, instantiation answers from the cache
+    without building a reader; an exception from ``decide`` is left to the
+    stepping run, so it surfaces at the arrival step.
+    """
+    names = tuple(names)
+    bound: Optional[int] = 0
+    for nm in names:
+        c0 = nm.cost(0) if nm.cost is not None else None
+        if c0 is None:
+            bound = None
+            break
+        bound += c0
+
+    def make():
+        vals = []
+        at = 0
+        for nm in names:
+            hit = nm.first_clean()
+            if hit is None:
+                return _ReadTable(names, decide)
+            vals.append(hit[0])
+            at += hit[1]
+        try:
+            ok = decide(*vals)
+        except Exception:
+            return _ReadTable(names, decide)
+        return _AcceptAt(at) if ok else _NEVER
+
+    return SValue(make, bound=bound)
 
 
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],

@@ -1,6 +1,6 @@
 import pytest
 
-from synthtop.hyper import (box_embed, box_invert, compact_image,
+from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
                             compact_intersection, compact_open_embed,
                             compact_open_invert, compact_union, closed_image,
                             exists_eval, filter_embed, filter_invert,
@@ -12,7 +12,7 @@ from synthtop.oracle import (budgeted, compact_members, family_compact,
                              family_overt, finite_point, finite_repr,
                              leaf_compact, leaf_open, leaf_overt, make_space,
                              open_members)
-from synthtop.sierpinski import NEGATIVE_FUEL
+from synthtop.sierpinski import NEGATIVE_FUEL, SValue
 from synthtop.spaces import (MissingWitnessError, SpaceMismatch, apply_fun,
                              fun_point, identity_fun, pair_point, read_first)
 
@@ -255,3 +255,23 @@ def test_two_sided_views_of_one_set():
     assert open_members(sp, neg.complement) == 0b10
     two = ClosedBoth(pos=leaf_overt(sp, a_mask), neg=neg)
     assert overt_members(sp, two.pos) == 0b11 & ~open_members(sp, two.neg.complement)
+
+
+def test_open_point_round_trip_is_free(monkeypatch):
+    sp = finite_repr(SIERP2)
+    x = finite_point(sp, 1)
+    lo = leaf_open(sp, 0b10)
+    assert as_open(lo.as_point()) is lo
+    assert budgeted(lo.chi(x))  # the point's first value is now cached
+    flt = neighborhood_filter(x)
+    upt = lo.as_point()
+    built = []
+    init = SValue.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SValue, "__init__", counting)
+    assert budgeted(flt.chi(upt))
+    assert len(built) <= 1

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthtop.kernel import (EncodingError, Dovetail, decode_enum,
-                             dovetail_bound, delayed_name, enum_name,
-                             literal_name, pair, project, tuple_names, unpair,
-                             zigzag, zigzag_inv)
+from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
+                             decode_enum, dovetail_bound, delayed_name,
+                             enum_name, literal_name, pair, project,
+                             tuple_names, unpair, zigzag, zigzag_inv)
 from synthtop.sierpinski import (TALLY, accept_at, after, bot, or_countable,
                                  top)
 
@@ -292,3 +292,29 @@ def test_planted_acceptor_costs_work_linear_in_index():
     assert engine.winner == idx
     # about idx + k family calls and live steps, not ~5 * 10^7 dead steps
     assert counter[0] <= 2 * (idx + k)
+
+
+def _reader_trace(nm, steps):
+    r = NameReader(nm)
+    out = []
+    for _ in range(steps):
+        try:
+            out.append(r.step())
+        except EncodingError:
+            out.append("error")
+    return out
+
+
+def test_name_error_replays_in_every_reader():
+    nm = Name(lambda: iter([3, -1, 7, None]))
+    assert _reader_trace(nm, 5) == [3, "error", 7, None, None]
+    # a later reader served from the cache meets the error at the same step
+    assert _reader_trace(nm, 5) == [3, "error", 7, None, None]
+    assert nm.first_clean() == (3, 1)
+
+
+def test_first_clean_refuses_a_value_behind_an_error():
+    nm = Name(lambda: iter([None, -1, 4]))
+    assert _reader_trace(nm, 3) == [None, "error", 4]
+    assert nm.first_clean() is None
+    assert Name(lambda: iter([5])).first_clean() is None  # nothing cached yet

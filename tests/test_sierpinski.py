@@ -3,10 +3,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from synthtop.kernel import dovetail_bound, literal_name
-from synthtop.sierpinski import (NEGATIVE_FUEL, accept_at, after, and_finite,
-                                 bind_name_value, bot, first_accepting,
-                                 or_countable, top)
+from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
+                             dovetail_bound, literal_name)
+from synthtop.sierpinski import (NEGATIVE_FUEL, TALLY, accept_at, after,
+                                 and_finite, bind_name_value, bot,
+                                 first_accepting, or_countable, read_table,
+                                 top)
 
 
 def test_top_accepts_at_zero():
@@ -174,3 +176,116 @@ def test_first_accepting_reports_winner():
     idx, used = got
     assert idx in (1, 2)
     assert first_accepting(lambda i: bot(), 4, 500) is None
+
+
+# --- read_table against the nested bind_name_value construction ---------
+
+
+def _nested_reads(names, decide):
+    """The reference: one bind_name_value per name, continuing with
+    top()/bot() by the table after the last read."""
+
+    def go(i, vals):
+        rest = names[i + 1:]
+        hint = 0
+        for nm in rest:
+            c0 = nm.cost(0) if nm.cost is not None else None
+            if c0 is None:
+                hint = None
+                break
+            hint += c0
+        if not rest:
+            return bind_name_value(
+                names[i], lambda v: top() if decide(*vals, v) else bot(),
+                inner_bound=0)
+        return bind_name_value(names[i], lambda v: go(i + 1, vals + (v,)),
+                               inner_bound=hint)
+
+    return go(0, ())
+
+
+def _make_name(spec):
+    kind, d, v = spec
+    if kind == "delayed":
+        return delayed_name([(d, v)], tail=v)
+    if kind == "silent":
+        return delayed_name([], tail=None)
+    if kind == "error":  # a negative emission before the first value
+        return Name(lambda: iter([None] * d + [-1, v]))
+    return Name(lambda: iter([None] * d + [v, -1]))  # error after it
+
+
+_NAME_SPECS = st.tuples(st.sampled_from(["delayed", "silent", "error",
+                                         "late-error"]),
+                        st.integers(0, 3), st.integers(0, 3))
+
+
+def _warm(nm, steps):
+    r = NameReader(nm)
+    for _ in range(steps):
+        try:
+            r.step()
+        except EncodingError:
+            pass
+
+
+def _observe(sv, fuels):
+    out = []
+    for f in fuels:
+        t0 = TALLY.n
+        try:
+            got = ("ok", sv.status(f))
+        except Exception as exc:
+            got = ("raised", type(exc).__name__, str(exc))
+        out.append((got, TALLY.n - t0))
+    return out
+
+
+@given(st.lists(_NAME_SPECS, min_size=1, max_size=3),
+       st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.integers(0, 3))),
+       st.booleans(), st.integers(0, 6),
+       st.sampled_from(["alone", "or", "and"]),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_read_table_matches_nested_reads(specs, table, raises, warm, ctx,
+                                         cuts):
+    def decide(*vals):
+        if raises and vals[0] == 2:
+            raise LookupError("no row for 2")
+        return (vals + (0, 0))[:3] in table
+
+    def build(reads):
+        names = [_make_name(sp) for sp in specs]
+        for nm in names:
+            _warm(nm, warm)
+        leaf = reads(names, decide)
+        if ctx == "or":
+            return leaf, or_countable([bot(), leaf, accept_at(25)])
+        if ctx == "and":
+            return leaf, and_finite([accept_at(2), leaf])
+        return leaf, leaf
+
+    new_leaf, new = build(read_table)
+    ref_leaf, ref = build(_nested_reads)
+    assert new_leaf.bound == ref_leaf.bound
+    assert new.bound == ref.bound
+    fuels = list(itertools.accumulate(cuts)) + [60]
+    assert _observe(new, fuels) == _observe(ref, fuels)
+    # the step where acceptance or an error first shows, fuel by fuel
+    _, new = build(read_table)
+    _, ref = build(_nested_reads)
+    assert _observe(new, range(61)) == _observe(ref, range(61))
+
+
+def test_read_table_answers_cached_names_without_a_reader():
+    x, y = literal_name([2], tail=2), delayed_name([(2, 1)], tail=1)
+    _warm(x, 1)
+    _warm(y, 3)
+    v = read_table((x, y), lambda a, b: (a, b) == (2, 1))
+    assert v.bound == 4
+    assert type(v.make()).__name__ == "_AcceptAt"
+    assert v.status(3) is None and v.status(4) == 4
+    dead = read_table((x, y), lambda a, b: False)
+    assert dead.make().never
+    assert dead.status(NEGATIVE_FUEL) is None
