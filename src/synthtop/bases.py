@@ -24,18 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .sierpinski import DEFAULT_FUEL, SValue, and_finite, bot, or_countable, top
+from .sierpinski import (DEFAULT_FUEL, SValue, and_finite, bot,
+                         first_accepting, or_countable, top)
 from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
-                     fun_point, meet, meet_left, meet_point, meet_right,
-                     opens, pair_point, product, coproduct, proj1, proj2,
-                     seq_at, seq_point, sequence)
+                     compacts, fun_point, inj0, inj1, meet, meet_left,
+                     meet_point, meet_right, opens, pair_point, product,
+                     coproduct, proj1, proj2, same_shape, seq_at, seq_point,
+                     sequence)
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
                     as_overt, compact_image, compact_intersection,
-                    compact_union, neighborhood_filter, overt_union,
-                    point_to_closed, point_to_compact, product_closed,
-                    product_open, section, section_right,
-                    attach_product_witnesses, coproduct_overt)
-from .kernel import Dovetail
+                    compact_union, coproduct_closed, neighborhood_filter,
+                    overt_union, point_to_closed, point_to_compact,
+                    product_closed, product_open, section, section_right,
+                    attach_product_witnesses)
 
 
 @dataclass(eq=False)
@@ -122,7 +123,6 @@ def dsub_point(bspace: Space, transpose_open: OpenSet) -> Point:
     point of the induced space."""
     b: Presubbase = bspace.parts[0]
     if transpose_open.space is not b.index:
-        from .spaces import same_shape
         if not same_shape(transpose_open.space, b.index):
             raise SpaceMismatch(
                 f"payload over {transpose_open.space!r}, index is {b.index!r}")
@@ -154,14 +154,6 @@ def tau_k_open(bspace: Space, k: CompactSat) -> OpenSet:
     return OpenSet(bspace, lambda p: k.forall_(point_transpose(p)))
 
 
-def decode_point(b: Presubbase, p: Point, fuel: Optional[int] = None) -> Point:
-    """Recover the carrier point behind an induced-space point, through the
-    presubbase's embedding witness."""
-    if b.transpose_inverse is None:
-        raise MissingWitnessError("presubbase carries no transpose inverse")
-    return b.transpose_inverse(point_transpose(p), fuel)
-
-
 # ---------------------------------------------------------------------------
 # Prebases
 
@@ -185,7 +177,7 @@ def prebase_from_presubbase(b: BaseLike) -> Prebase:
                        lambda y: w.chi(point_to_compact(y).as_point()))
         return base.transpose_inverse(orig, fuel)
 
-    inter = Presubbase(index=_compacts(index), carrier=base.carrier,
+    inter = Presubbase(index=compacts(index), carrier=base.carrier,
                        family=family, transpose_inverse=transpose_inverse)
 
     def resolver(kk: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
@@ -193,11 +185,6 @@ def prebase_from_presubbase(b: BaseLike) -> Prebase:
         return point_to_closed(z.as_point())
 
     return Prebase(inter, resolver)
-
-
-def _compacts(sp: Space) -> Space:
-    from .spaces import compacts
-    return compacts(sp)
 
 
 def prebase_from_point_closure(b: BaseLike,
@@ -271,19 +258,23 @@ def _need_overt(sp: Space, who: str) -> OvertClosed:
     return sp.overt
 
 
-def product_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
-    """Pairwise products of members, indexed by the product of the index
-    spaces (both overt).  Compact intersections resolve componentwise."""
+def _pairwise_prebase(bx: BaseLike, by: BaseLike, who: str,
+                      carrier_of: Callable[[Space, Space], Space],
+                      combine: Callable[[Space, OpenSet, OpenSet], OpenSet],
+                      point_of: Callable[[Point, Point], Point]) -> BaseLike:
+    """Members of two presubbases combined pairwise over the product of
+    their (overt) indices.  A transpose is inverted componentwise through
+    overt projections, and compact intersections resolve componentwise."""
     basex, resx = _split(bx)
     basey, resy = _split(by)
-    _need_overt(basex.index, "product_prebase")
-    _need_overt(basey.index, "product_prebase")
+    _need_overt(basex.index, who)
+    _need_overt(basey.index, who)
     index = attach_product_witnesses(product(basex.index, basey.index))
-    carrier = product(basex.carrier, basey.carrier)
+    carrier = carrier_of(basex.carrier, basey.carrier)
 
     def family(rs: Point) -> OpenSet:
-        r, s = proj1(rs), proj2(rs)
-        return product_open(basex.family(r), basey.family(s))
+        return combine(carrier, basex.family(proj1(rs)),
+                       basey.family(proj2(rs)))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         if basex.transpose_inverse is None or basey.transpose_inverse is None:
@@ -292,8 +283,8 @@ def product_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
                      lambda r: basey.index.overt.exists_(section(r, w)))
         ws = OpenSet(basey.index,
                      lambda s: basex.index.overt.exists_(section_right(s, w)))
-        return pair_point(basex.transpose_inverse(wr, fuel),
-                          basey.transpose_inverse(ws, fuel))
+        return point_of(basex.transpose_inverse(wr, fuel),
+                        basey.transpose_inverse(ws, fuel))
 
     base = Presubbase(index, carrier, family, transpose_inverse)
     if resx is None or resy is None:
@@ -308,6 +299,26 @@ def product_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
         return product_closed(a1, a2)
 
     return Prebase(base, resolver)
+
+
+def product_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
+    """Pairwise products of members, indexed by the product of the index
+    spaces (both overt).  Compact intersections resolve componentwise."""
+    return _pairwise_prebase(bx, by, "product_prebase", product,
+                             lambda _carrier, u, v: product_open(u, v),
+                             pair_point)
+
+
+def _meet_open(carrier: Space, ux: OpenSet, uy: OpenSet) -> OpenSet:
+    return OpenSet(carrier, lambda z: and_finite(
+        [ux.chi(meet_left(z)), uy.chi(meet_right(z))]))
+
+
+def meet_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
+    """Pairwise intersections of members of two presubbases of the same
+    carrier set, as a presubbase of the meet space."""
+    return _pairwise_prebase(bx, by, "meet_prebase", meet, _meet_open,
+                             meet_point)
 
 
 def subspace_prebase(bx: BaseLike, zspace: Space) -> BaseLike:
@@ -334,8 +345,7 @@ def subspace_prebase(bx: BaseLike, zspace: Space) -> BaseLike:
     return _rejoin(base, resx)
 
 
-def coproduct_prebase(bx: BaseLike, by: BaseLike,
-                      search_fuel: int = DEFAULT_FUEL) -> BaseLike:
+def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
     """Tagged union of two families over the coproduct of their (overt)
     indices."""
     basex, resx = _split(bx)
@@ -343,9 +353,8 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike,
     wx = _need_overt(basex.index, "coproduct_prebase")
     wy = _need_overt(basey.index, "coproduct_prebase")
     index = coproduct(basex.index, basey.index)
-    index.overt = coproduct_overt(index)
+    index.overt = coproduct_closed(index, wx, wy)
     carrier = coproduct(basex.carrier, basey.carrier)
-    from .spaces import inj0, inj1
 
     def family(t: Point) -> OpenSet:
         tag, inner = t.payload
@@ -366,11 +375,11 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike,
         w1 = OpenSet(basey.index, lambda s: w.chi(inj1(basex.index, s)))
         # exactly one section is nonempty on the image; race the two
         races = [wx.exists_(w0), wy.exists_(w1)]
-        engine = Dovetail(lambda i: races[i].fresh(), 2)
-        budget = fuel if fuel is not None else search_fuel
-        if engine.run(budget) is None:
+        hit = first_accepting(races.__getitem__, 2,
+                              fuel if fuel is not None else DEFAULT_FUEL)
+        if hit is None:
             raise ValueError("transpose inverse search exhausted its fuel")
-        if engine.winner == 0:
+        if hit[0] == 0:
             return inj0(basex.transpose_inverse(w0, fuel), basey.carrier)
         return inj1(basex.carrier, basey.transpose_inverse(w1, fuel))
 
@@ -383,56 +392,7 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike,
             OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 0 else top())))
         k1 = CompactSat(basey.index, lambda u: k.forall_(
             OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 1 else top())))
-        a0 = resx(k0, fuel)
-        a1 = resy(k1, fuel)
-
-        def ex(w: OpenSet) -> SValue:
-            w0 = OpenSet(basex.index, lambda r: w.chi(inj0(r, basey.index)))
-            w1 = OpenSet(basey.index, lambda s: w.chi(inj1(basex.index, s)))
-            return or_countable([a0.exists_(w0), a1.exists_(w1)])
-
-        return OvertClosed(index, ex)
-
-    return Prebase(base, resolver)
-
-
-def meet_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
-    """Pairwise intersections of members of two presubbases of the same
-    carrier set, as a presubbase of the meet space."""
-    basex, resx = _split(bx)
-    basey, resy = _split(by)
-    _need_overt(basex.index, "meet_prebase")
-    _need_overt(basey.index, "meet_prebase")
-    index = attach_product_witnesses(product(basex.index, basey.index))
-    carrier = meet(basex.carrier, basey.carrier)
-
-    def family(rs: Point) -> OpenSet:
-        r, s = proj1(rs), proj2(rs)
-        ux, uy = basex.family(r), basey.family(s)
-        return OpenSet(carrier, lambda z: and_finite(
-            [ux.chi(meet_left(z)), uy.chi(meet_right(z))]))
-
-    def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if basex.transpose_inverse is None or basey.transpose_inverse is None:
-            raise MissingWitnessError("factor presubbase has no inverse")
-        wr = OpenSet(basex.index,
-                     lambda r: basey.index.overt.exists_(section(r, w)))
-        ws = OpenSet(basey.index,
-                     lambda s: basex.index.overt.exists_(section_right(s, w)))
-        return meet_point(basex.transpose_inverse(wr, fuel),
-                          basey.transpose_inverse(ws, fuel))
-
-    base = Presubbase(index, carrier, family, transpose_inverse)
-    if resx is None or resy is None:
-        return base
-
-    pr1 = fun_point(index, basex.index, proj1)
-    pr2 = fun_point(index, basey.index, proj2)
-
-    def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
-        a1 = resx(compact_image(pr1, k), fuel)
-        a2 = resy(compact_image(pr2, k), fuel)
-        return product_closed(a1, a2)
+        return coproduct_closed(index, resx(k0, fuel), resy(k1, fuel))
 
     return Prebase(base, resolver)
 
@@ -462,8 +422,12 @@ def star_point(star_space: Space, points: tuple) -> Point:
     return Point(star_space, tuple(points))
 
 
-def sequence_prebase(by: BaseLike, length_cap: int = 64,
-                     search_fuel: int = DEFAULT_FUEL) -> BaseLike:
+# Longest index tuple the sequence resolver tries as a certified length
+# bound of a compact index set.
+SEQUENCE_LENGTH_CAP = 64
+
+
+def sequence_prebase(by: BaseLike) -> BaseLike:
     """Cylinder opens over the sequence space: a tuple of indices
     constrains that many leading components and leaves the tail free."""
     basey, resy = _split(by)
@@ -499,10 +463,10 @@ def sequence_prebase(by: BaseLike, length_cap: int = 64,
         return base
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
-        budget = fuel if fuel is not None else search_fuel
+        budget = fuel if fuel is not None else DEFAULT_FUEL
         # certify an upper bound on the tuple lengths occurring in k
         m = None
-        for cap in range(length_cap + 1):
+        for cap in range(SEQUENCE_LENGTH_CAP + 1):
             short = OpenSet(index, lambda t, _c=cap: top() if len(t.payload) <= _c else bot())
             sv = k.forall_(short)
             lim = budget if sv.bound is None else min(sv.bound, budget)

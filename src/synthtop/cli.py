@@ -14,11 +14,13 @@ import json
 import sys
 from fractions import Fraction
 
+from .bases import embed_point
 from .kernel import EncodingError
 from .laws import LAWS, run_law_suite
-from .oracle import (SchemaError, bits, decode_finite, finite_point,
-                     finite_presubbase, is_T0, load_json, space_from_json,
-                     specialization, subbase_from_json, tau_K)
+from .oracle import (MAX_EXHAUSTIVE, SchemaError, bits, decode_finite,
+                     finite_point, finite_presubbase, is_T0, load_json,
+                     space_from_json, specialization, subbase_from_json,
+                     tau_K)
 from .sierpinski import DEFAULT_FUEL
 
 
@@ -55,7 +57,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import MAX_EXHAUSTIVE
     if not 0 <= args.max_size <= MAX_EXHAUSTIVE:
         print(f"--max-size must be between 0 and {MAX_EXHAUSTIVE}",
               file=sys.stderr)
@@ -86,6 +87,9 @@ def cmd_verify(args) -> int:
 def cmd_repair(args) -> int:
     from .reals import (FuelExhausted, decimal_point, decimal_to_cauchy_direct,
                         parse_decimal, repair_decimal)
+    if args.bits < 1:
+        print("--bits must be at least 1", file=sys.stderr)
+        return 2
     try:
         spec = parse_decimal(args.decimal)
     except EncodingError as e:
@@ -143,7 +147,6 @@ def cmd_spaces(args) -> int:
                   file=sys.stderr)
             return 2
         b = finite_presubbase(sub)
-        from .bases import embed_point
         traj = {}
         for x in range(sub.n):
             pt = embed_point(b, finite_point(b.carrier, x))
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if args.fuel < 0:
+        print("--fuel must be nonnegative", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "repair":

@@ -20,8 +20,9 @@ from .kernel import Dovetail, Name
 from .sierpinski import SValue, and_finite, or_countable, read_table, top
 from .spaces import (NAT, Point, SIERP, Space, SpaceMismatch,
                      MissingWitnessError, apply_fun, check_space, compacts,
-                     fun_point, nat_point, opens, overts,
-                     pair_point, same_shape, sierp_point, sierp_value)
+                     fun_point, inj0, inj1, nat_point, opens, overts,
+                     pair_point, product, same_shape, sierp_point,
+                     sierp_value)
 
 
 class OpenSet:
@@ -231,8 +232,7 @@ def section_right(y: Point, u: OpenSet) -> OpenSet:
 
 def product_open(v: OpenSet, u: OpenSet) -> OpenSet:
     """V x U via finite conjunction of the two memberships."""
-    from .spaces import product as prod
-    sp = prod(v.space, u.space)
+    sp = product(v.space, u.space)
 
     def chi(p: Point) -> SValue:
         check_space(p, sp)
@@ -245,12 +245,24 @@ def product_open(v: OpenSet, u: OpenSet) -> OpenSet:
 def product_closed(a: OvertClosed, b: OvertClosed) -> OvertClosed:
     """cl(A x B): meets W iff A meets {x : B meets the slice of W at x}.
     This route is uniformly computable; no extra witness is needed."""
-    from .spaces import product as prod
-    sp = prod(a.space, b.space)
+    sp = product(a.space, b.space)
 
     def ex(w: OpenSet) -> SValue:
         inner = OpenSet(a.space, lambda x: b.exists_(section(x, w)))
         return a.exists_(inner)
+
+    return OvertClosed(sp, ex)
+
+
+def coproduct_closed(sp: Space, a: OvertClosed, b: OvertClosed) -> OvertClosed:
+    """cl(A + B) over the coproduct space ``sp`` of A's and B's spaces:
+    meets W iff A meets the left slice of W or B meets the right one."""
+    x, y = sp.parts
+
+    def ex(w: OpenSet) -> SValue:
+        left = OpenSet(x, lambda xp: w.chi(inj0(xp, y)))
+        right = OpenSet(y, lambda yp: w.chi(inj1(x, yp)))
+        return or_countable([a.exists_(left), b.exists_(right)])
 
     return OvertClosed(sp, ex)
 
@@ -326,9 +338,8 @@ def compact_open_embed(f: Point) -> OpenSet:
     """The graph-like open {(K, U) : f(K) inside U} over K-(X) x O(Y)."""
     if f.space.tag != "function":
         raise SpaceMismatch(f"compact_open_embed needs a function point")
-    from .spaces import product as prod
     x, y = f.space.parts
-    sp = prod(compacts(x), opens(y))
+    sp = product(compacts(x), opens(y))
 
     def chi(p: Point) -> SValue:
         check_space(p, sp)
@@ -378,36 +389,6 @@ def overt_project(u: OpenSet) -> OpenSet:
 # Witness constructors for the ground spaces
 
 
-def product_overt(sp: Space) -> Optional[OvertClosed]:
-    """Compose a whole-space overt witness for a product whose parts have
-    them."""
-    x, y = sp.parts
-    if x.overt is None or y.overt is None:
-        return None
-    xw, yw = x.overt, y.overt
-
-    def ex(w: OpenSet) -> SValue:
-        inner = OpenSet(x, lambda xp: yw.exists_(section(xp, w)))
-        return xw.exists_(inner)
-
-    return OvertClosed(sp, ex)
-
-
-def coproduct_overt(sp: Space) -> Optional[OvertClosed]:
-    x, y = sp.parts
-    if x.overt is None or y.overt is None:
-        return None
-    xw, yw = x.overt, y.overt
-    from .spaces import inj0, inj1
-
-    def ex(w: OpenSet) -> SValue:
-        left = OpenSet(x, lambda xp: w.chi(inj0(xp, y)))
-        right = OpenSet(y, lambda yp: w.chi(inj1(x, yp)))
-        return or_countable([xw.exists_(left), yw.exists_(right)])
-
-    return OvertClosed(sp, ex)
-
-
 def whole_open(sp: Space) -> OpenSet:
     """The whole space as an open set."""
     return OpenSet(sp, lambda _x: top())
@@ -415,10 +396,10 @@ def whole_open(sp: Space) -> OpenSet:
 
 def attach_product_witnesses(sp: Space) -> Space:
     """Fill in composable witnesses on a product space in place."""
-    if sp.overt is None:
-        sp.overt = product_overt(sp)
+    x, y = sp.parts
+    if sp.overt is None and x.overt is not None and y.overt is not None:
+        sp.overt = OvertClosed(sp, product_closed(x.overt, y.overt).exists_fn)
     if sp.filter_inverse is None:
-        x, y = sp.parts
         if x.filter_inverse is not None and y.filter_inverse is not None:
 
             def inv(flt: OpenSet, fuel=None) -> Point:
@@ -462,7 +443,7 @@ def _install_ground_witnesses() -> None:
         # the point is pending until the dovetailed search lands
         def gen():
             engine = Dovetail(
-                lambda i: flt.chi(nat_singleton_open(i).as_point()).fresh(),
+                lambda i: flt.chi(nat_singleton_open(i).as_point()).make(),
                 None)
             while not engine.step():
                 yield None

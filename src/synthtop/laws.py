@@ -28,7 +28,7 @@ from .hyper import (OpenSet, box_embed, box_invert, compact_image,
                     overt_project, overt_union, point_to_closed,
                     point_to_compact, product_closed, product_open, section,
                     trace_embed, trace_invert)
-from .kernel import dovetail_bound
+from .kernel import Name, NameReader, dovetail_bound
 from .oracle import (FiniteSpace, FiniteSubbase, bits, budgeted, closure,
                      compact_family_of_compacts, compact_members,
                      decode_finite, enumerate_spaces, enumeration_crosscheck,
@@ -568,8 +568,6 @@ def _hyper_on_carrier(s: _Suite, h: FiniteSpace, fuel: int,
 
 def _apply_finite(spy, fmap, p: Point) -> Point:
     """Image point of a finite map, lazily reading the argument's name."""
-    from .kernel import Name, NameReader
-
     src: Point = p
 
     def gen():

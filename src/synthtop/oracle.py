@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from .bases import Presubbase
 from .kernel import delayed_name, literal_name
 from .sierpinski import NEGATIVE_FUEL, SValue, and_finite, or_countable, read_table
-from .spaces import Point, Space
+from .spaces import (Point, Space, compacts, meet_left, meet_right, opens,
+                     read_first)
 from .hyper import CompactSat, OpenSet, OvertClosed, as_open
 
 
@@ -32,6 +34,10 @@ class SchemaError(ValueError):
 
 
 MAX_EXHAUSTIVE = 4
+# Largest carrier and largest family a subbase file may give: the index
+# space, its up-sets and the generated topology grow exponentially in
+# both, and a query on 12 singleton sets already takes seconds.
+MAX_SUBBASE_SIZE = 10
 
 
 def full_mask(n: int) -> int:
@@ -52,10 +58,6 @@ def mask_of(elems: Iterable[int]) -> int:
     for e in elems:
         m |= 1 << e
     return m
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +205,6 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]
 
 def image_mask(f: Sequence[int], a: int) -> int:
     return mask_of(f[x] for x in bits(a))
-
-
-def preimage_mask(f: Sequence[int], b: int, n_dom: int) -> int:
-    return mask_of(x for x in range(n_dom) if b >> f[x] & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +537,15 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
     n = doc["n"]
     if not isinstance(n, int) or n < 0:
         raise SchemaError("field 'n': expected a nonnegative integer")
+    if n > MAX_SUBBASE_SIZE:
+        raise SchemaError(f"field 'n': a subbase carrier has at most "
+                          f"{MAX_SUBBASE_SIZE} points, got {n}")
     sets = doc["sets"]
     if not isinstance(sets, list):
         raise SchemaError("field 'sets': expected a list of element lists")
+    if len(sets) > MAX_SUBBASE_SIZE:
+        raise SchemaError(f"field 'sets': at most {MAX_SUBBASE_SIZE} sets, "
+                          f"got {len(sets)}")
     masks = []
     for i, s in enumerate(sets):
         if not isinstance(s, list) or not all(isinstance(e, int) for e in s):
@@ -549,8 +553,11 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
         if any(e < 0 or e >= n for e in s):
             raise SchemaError(f"field 'sets[{i}]': element out of range 0..{n - 1}")
         masks.append(mask_of(s))
+    order = doc.get("index_order", [])
+    if not isinstance(order, list):
+        raise SchemaError("field 'index_order': expected a list of [y, y'] pairs")
     pairs = []
-    for i, p in enumerate(doc.get("index_order", [])):
+    for i, p in enumerate(order):
         if (not isinstance(p, list) or len(p) != 2
                 or not all(isinstance(e, int) for e in p)):
             raise SchemaError(f"field 'index_order[{i}]': expected a [y, y'] pair")
@@ -674,7 +681,6 @@ def check_meet_views(p: Point, fuel: Optional[int] = None) -> int:
     """Validate a meet point over finite spaces: both views must denote
     the same carrier element.  Returns it, or raises on a mismatch (the
     kernel itself cannot detect one)."""
-    from .spaces import meet_left, meet_right, read_first
     budget = fuel if fuel is not None else NEGATIVE_FUEL
     left = read_first(meet_left(p), budget)
     right = read_first(meet_right(p), budget)
@@ -707,28 +713,20 @@ def family_overt(sp: Space, members: Sequence[OpenSet]) -> OvertClosed:
     """An overt family of opens (a value over O(sp)) generated by the given
     members; denotes the closure of the member set in the open-set space."""
     pts = [u.as_point() for u in members]
-    target = opens_space(sp)
-    return OvertClosed(target, lambda w: or_countable([w.chi(p) for p in pts]))
+    return OvertClosed(opens(sp), lambda w: or_countable([w.chi(p) for p in pts]))
 
 
 def family_compact(sp: Space, members: Sequence[OpenSet]) -> CompactSat:
     """A compact family of opens (a value over O(sp)); denotes the
     saturation of the member set in the open-set space."""
     pts = [u.as_point() for u in members]
-    target = opens_space(sp)
-    return CompactSat(target, lambda w: and_finite([w.chi(p) for p in pts]))
+    return CompactSat(opens(sp), lambda w: and_finite([w.chi(p) for p in pts]))
 
 
 def compact_family_of_compacts(sp: Space, members: Sequence["CompactSat"]) -> CompactSat:
     """A compact family of compact sets (a value over K-(sp))."""
-    from .spaces import compacts
     pts = [k.as_point() for k in members]
     return CompactSat(compacts(sp), lambda w: and_finite([w.chi(p) for p in pts]))
-
-
-def opens_space(sp: Space) -> Space:
-    from .spaces import opens
-    return opens(sp)
 
 
 def monotone_families(order: Sequence[int], n_carrier: int) -> Iterable[tuple[int, ...]]:
@@ -767,7 +765,6 @@ def finite_presubbase(sub: FiniteSubbase,
     name-backed finite spaces, the family reads the index element and then
     semidecides membership, and the transpose inverse narrows candidates
     from positive information, returning the least one."""
-    from .bases import Presubbase
     isp = finite_repr(sub.index_space())
     ctop = carrier_topology if carrier_topology is not None else tau_K(sub)
     csp = finite_repr(ctop)

@@ -16,14 +16,15 @@ denominator -- a million-step pending query is cheap.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional
 
 from .bases import Presubbase, kolmogorov_completion
 from .hyper import OpenSet
-from .kernel import (EncodingError, Name, NameReader, pair, unpair, zigzag,
-                     zigzag_inv)
+from .kernel import (Dovetail, EncodingError, Name, NameReader, pair, unpair,
+                     zigzag, zigzag_inv)
 from .sierpinski import DEFAULT_FUEL, SValue, first_accepting
 from .spaces import NAT, Point, Space, on_value
 
@@ -259,31 +260,45 @@ def rational_interval_subbase() -> Presubbase:
                       transpose_inverse=None)
 
 
-def enum_subbase_name(d: Point, chunk: int = 1) -> Name:
+class _QueueOnAccept:
+    """One interval query of `enum_subbase_name`: forwards each step to
+    its membership stepper and, when that accepts, queues its index and
+    goes quiet.  It never accepts itself, so the engine never stops."""
+
+    __slots__ = ("inner", "index", "ready")
+    done = False
+    never = False
+
+    def __init__(self, inner, index: int, ready: deque):
+        self.inner = inner
+        self.index = index
+        self.ready = ready
+
+    def step(self) -> bool:
+        inner = self.inner
+        if inner is not None and inner.step():
+            self.ready.append(self.index)
+            self.inner = None
+        return False
+
+
+def enum_subbase_name(d: Point) -> Name:
     """The enumerated-set name of a decimal under the interval subbase:
-    dovetail every interval membership query and emit index+1 whenever one
-    accepts.  One name step drives ``chunk`` scheduler steps."""
+    dovetail every interval membership query, one scheduler step per name
+    step, and emit index+1 whenever one accepts."""
 
     def gen() -> Iterator[Optional[int]]:
-        ready: list = []
-        steppers: list = []
-        rnd = 0
-        pos = 0
+        ready: deque = deque()
+
+        def task(i: int) -> _QueueOnAccept:
+            a, b = interval_for_index(i)
+            return _QueueOnAccept(interval_open_decimal(a, b).chi(d).make(),
+                                  i, ready)
+
+        engine = Dovetail(task)
         while True:
-            for _ in range(chunk):
-                i = pos
-                if i == len(steppers):
-                    a, b = interval_for_index(i)
-                    steppers.append(
-                        interval_open_decimal(a, b).chi(d).fresh())
-                elif steppers[i] is not None and steppers[i].step():
-                    ready.append(i)
-                    steppers[i] = None
-                pos += 1
-                if pos > rnd:
-                    rnd += 1
-                    pos = 0
-            yield ready.pop(0) + 1 if ready else None
+            engine.step()
+            yield ready.popleft() + 1 if ready else None
 
     return Name(gen)
 

@@ -33,10 +33,6 @@ class _Tally:
     def add(self, k: int) -> None:
         self.n += k
 
-    def reset(self) -> int:
-        old, self.n = self.n, 0
-        return old
-
 
 TALLY = _Tally()
 
@@ -56,9 +52,6 @@ class SValue:
         self._ran = 0
         self._at: Optional[int] = None
         self._err: Optional[tuple[Exception, int]] = None
-
-    def fresh(self):
-        return self.make()
 
     def status(self, fuel: int) -> Optional[int]:
         """Accepted step count if acceptance happens within ``fuel`` steps
@@ -228,7 +221,7 @@ class _BindValue:
             v = self.reader.step()
             if v is None:
                 return False
-            s = self.k(v).fresh()
+            s = self.k(v).make()
             if s.done:
                 self.done = True
                 return True
@@ -297,7 +290,7 @@ def accept_at(n: int) -> SValue:
 def after(delay: int, v: SValue) -> SValue:
     """The same semidecision, delayed by ``delay`` silent steps."""
     b = None if v.bound is None else v.bound + delay
-    return SValue(lambda: _Seq(delay, v.fresh()), bound=b)
+    return SValue(lambda: _Seq(delay, v.make()), bound=b)
 
 
 def and_finite(vs: Sequence[SValue]) -> SValue:
@@ -310,7 +303,7 @@ def and_finite(vs: Sequence[SValue]) -> SValue:
             bound = None
             break
         bound += v.bound
-    return SValue(lambda: _All([v.fresh() for v in vs]), bound=bound)
+    return SValue(lambda: _All([v.make() for v in vs]), bound=bound)
 
 
 def or_countable(family: Union[Sequence[SValue], Callable[[int], SValue]],
@@ -329,7 +322,7 @@ def or_countable(family: Union[Sequence[SValue], Callable[[int], SValue]],
         if all(b is not None for b in bs):
             bound = max((dovetail_bound(i, b, size) for i, b in enumerate(bs)),
                         default=0)
-    return SValue(lambda: Dovetail(lambda i: get(i).fresh(), size), bound=bound)
+    return SValue(lambda: Dovetail(lambda i: get(i).make(), size), bound=bound)
 
 
 def bind_name_value(name: Name, k: Callable[[int], SValue],
@@ -390,7 +383,7 @@ def first_accepting(family: Callable[[int], SValue], size: Optional[int],
                     fuel: int) -> Optional[tuple[int, int]]:
     """Dovetail the family and return (winning index, global step) of the
     first acceptance within ``fuel`` steps, else None."""
-    engine = Dovetail(lambda i: family(i).fresh(), size)
+    engine = Dovetail(lambda i: family(i).make(), size)
     used = engine.run(fuel)
     TALLY.add(used if used is not None else fuel)
     if used is None:

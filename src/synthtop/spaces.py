@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .kernel import Name, literal_name
+from .kernel import Name, delayed_name, literal_name
 from .sierpinski import SValue, bind_name_value
 
 
@@ -153,7 +153,6 @@ class Point:
 
 def nat_point(k: int, delay: int = 0) -> Point:
     if delay:
-        from .kernel import delayed_name
         return Point(NAT, delayed_name([(delay, k)], tail=k))
     return Point(NAT, literal_name([k], tail=k))
 
@@ -302,12 +301,6 @@ def apply_fun(f: Point, x: Point) -> Point:
 
 def identity_fun(x: Space) -> Point:
     return fun_point(x, x, lambda p: p)
-
-
-def compose_fun(g: Point, f: Point) -> Point:
-    """g after f."""
-    return fun_point(f.space.parts[0], g.space.parts[1],
-                     lambda p: apply_fun(g, apply_fun(f, p)))
 
 
 def curry(f: Point) -> Point:

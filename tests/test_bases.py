@@ -19,7 +19,7 @@ from synthtop.oracle import (bits, budgeted, compact_family_of_compacts,
                              leaf_overt, make_space, make_subbase, mask_of,
                              open_members, product_space, up_sets)
 from synthtop.sierpinski import NEGATIVE_FUEL, and_finite
-from synthtop.spaces import (MissingWitnessError, Point, opens,
+from synthtop.spaces import (MissingWitnessError, Point, Space, opens,
                              pair_point, proj1, proj2, read_first, seq_at,
                              seq_point, subspace)
 
@@ -350,12 +350,26 @@ def test_coproduct_prebase_generates_disjoint_union_topology():
                           else inj1(bx.carrier, finite_point(by.carrier, x)))
                     want = (ztag == tag) and bool(sub.sets[y] >> x & 1)
                     assert budgeted(u.chi(zp), 10 ** 4) == want
-    # transpose inverse finds the right branch
-    zp = inj1(bx.carrier, finite_point(by.carrier, 1))
-    w = transpose(pre, zp)
-    back = pre.transpose_inverse(w, 10 ** 4)
-    assert back.payload[0] == 1
-    assert read_first(back.payload[1], 100) == 1
+    # transpose inverse finds the right branch, on either side
+    for tag in (0, 1):
+        for x in range(2):
+            zp = (inj0(finite_point(bx.carrier, x), by.carrier) if tag == 0
+                  else inj1(bx.carrier, finite_point(by.carrier, x)))
+            back = pre.transpose_inverse(transpose(pre, zp), 10 ** 4)
+            assert back.payload[0] == tag
+            assert read_first(back.payload[1], 100) == x
+
+
+@pytest.mark.parametrize("build, who", [(product_prebase, "product_prebase"),
+                                        (meet_prebase, "meet_prebase"),
+                                        (coproduct_prebase, "coproduct_prebase")])
+def test_pairwise_prebases_name_themselves_without_overt_index(build, who):
+    _, b, _ = chain_instance()
+    bare = Space("bare", label="Bare")  # no overtness witness
+    covert = Presubbase(index=bare, carrier=b.carrier, family=b.family)
+    for bx, by in ((covert, b), (b, covert)):
+        with pytest.raises(MissingWitnessError, match=f"^{who} needs an overt index"):
+            build(bx, by)
 
 
 def test_meet_prebase_of_space_with_itself():

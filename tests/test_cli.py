@@ -1,6 +1,10 @@
 import json
+from pathlib import Path
 
 from synthtop.cli import main
+from synthtop.oracle import MAX_SUBBASE_SIZE
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_max_size_2.jsonl"
 
 
 def run(capsys, *argv):
@@ -41,6 +45,15 @@ def test_verify_all_laws_small(capsys):
     assert all(json.loads(l)["passed"] for l in lines)
 
 
+def test_verify_stdout_matches_golden(capsys):
+    # the byte-stable stdout of `synthtop verify --laws all --max-size 2`,
+    # recorded once: every report, check count and fuel_used must survive
+    # refactors unchanged
+    code, out, _ = run(capsys, "verify", "--laws", "all", "--max-size", "2")
+    assert code == 0
+    assert out.encode() == GOLDEN_VERIFY.read_bytes()
+
+
 def test_verify_unknown_law_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--laws", "bogus")
     assert code == 2
@@ -66,6 +79,21 @@ def test_repair_output_shape(capsys):
 def test_repair_parse_failure_exits_2(capsys):
     code, out, err = run(capsys, "repair", "zz")
     assert code == 2
+
+
+def test_repair_nonpositive_bits_exits_2(capsys):
+    for bits in ("-3", "0"):
+        code, out, err = run(capsys, "repair", "0.3(3)", "--bits", bits)
+        assert code == 2
+        assert out == ""
+        assert "--bits" in err
+
+
+def test_repair_negative_fuel_exits_2(capsys):
+    code, out, err = run(capsys, "repair", "0.3(3)", "--fuel", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--fuel" in err
 
 
 def test_repair_fuel_exhaustion_is_partial(capsys):
@@ -124,3 +152,31 @@ def test_spaces_schema_violation_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "spaces", str(g), "--query", "t0")
     assert code == 2
     assert "line" in err
+
+
+def test_spaces_oversize_subbase_exits_2(tmp_path, capsys):
+    # singleton sets with no index order: the index space and tau_K grow
+    # as 2^sets, so one set past the cap must be refused, not computed
+    n = MAX_SUBBASE_SIZE
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": n, "sets": [[i % n] for i in range(n + 1)],
+                             "index_order": []}))
+    code, out, err = run(capsys, "spaces", str(f), "--query", "t0")
+    assert code == 2
+    assert out == ""
+    assert "'sets'" in err
+
+    # the generated topology grows as 2^n, so the carrier is capped too
+    g = tmp_path / "wide.json"
+    g.write_text(json.dumps({"n": n + 1, "sets": [[0]]}))
+    code, out, err = run(capsys, "spaces", str(g), "--query", "t0")
+    assert code == 2
+    assert "'n'" in err
+
+
+def test_spaces_subbase_at_cap_answers(tmp_path, capsys):
+    m = MAX_SUBBASE_SIZE
+    f = tmp_path / "cap.json"
+    f.write_text(json.dumps({"n": m, "sets": [[i] for i in range(m)]}))
+    code, out, _ = run(capsys, "spaces", str(f), "--query", "t0")
+    assert code == 0 and json.loads(out) == {"t0": True}

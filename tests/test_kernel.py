@@ -118,13 +118,13 @@ def test_decode_enum_monotone_and_planted():
 
 def test_dovetail_accepts_any_accepting_task():
     tasks = [bot(), accept_at(1), bot()]
-    engine = Dovetail(lambda i: tasks[i].fresh(), 3)
+    engine = Dovetail(lambda i: tasks[i].make(), 3)
     assert engine.run(100) is not None
     assert engine.winner == 1
 
 
 def test_dovetail_all_divergent_pends():
-    engine = Dovetail(lambda i: bot().fresh(), None)
+    engine = Dovetail(lambda i: bot().make(), None)
     assert engine.run(10 ** 4) is None
 
 
@@ -135,7 +135,7 @@ def test_dovetail_planted_meets_fairness_bound():
         idx = rng.randrange(0, 500)
         k = rng.randrange(1, 40)
         engine = Dovetail(
-            lambda i, _i=idx, _k=k: (accept_at(_k) if i == _i else bot()).fresh(),
+            lambda i, _i=idx, _k=k: (accept_at(_k) if i == _i else bot()).make(),
             None)
         bound = dovetail_bound(idx, k)
         used = engine.run(bound)
@@ -149,14 +149,14 @@ def test_dovetail_bound_finite_family_cap():
     assert dovetail_bound(1, 1, size=2) == 5
     assert dovetail_bound(0, 3, size=2) == 6
     # exactness against the engine itself
-    engine = Dovetail(lambda i: accept_at(3).fresh() if i == 0 else bot().fresh(), 2)
+    engine = Dovetail(lambda i: accept_at(3).make() if i == 0 else bot().make(), 2)
     assert engine.run(10 ** 3) == 6
 
 
 def test_dovetail_outcome_independent_of_probe_granularity():
     def make():
         return Dovetail(
-            lambda i: (accept_at(5) if i == 7 else bot()).fresh(), None)
+            lambda i: (accept_at(5) if i == 7 else bot()).make(), None)
 
     coarse = make()
     used_coarse = coarse.run(10 ** 5)
@@ -189,7 +189,7 @@ def _family(kinds):
 def _reference(kinds, size, cuts):
     """Plain `step` loop: (accepted step or None, winner, (rnd, pos) after
     each pending cut)."""
-    engine = Dovetail(lambda i: _family(kinds)(i).fresh(), size)
+    engine = Dovetail(lambda i: _family(kinds)(i).make(), size)
     used = 0
     marks = []
     for cut in cuts:
@@ -211,7 +211,7 @@ _CUTS = st.lists(st.one_of(st.integers(0, 12), st.integers(0, 300)),
 def test_run_skipping_dead_slots_matches_step(kinds, infinite, cuts):
     size = None if infinite else len(kinds)
     want_at, want_winner, want_marks = _reference(kinds, size, cuts)
-    engine = Dovetail(lambda i: _family(kinds)(i).fresh(), size)
+    engine = Dovetail(lambda i: _family(kinds)(i).make(), size)
     used = 0
     marks = []
     got_at = None
@@ -247,13 +247,13 @@ def test_status_on_dovetail_matches_step_and_tally(kinds, infinite, cuts):
 
 
 def test_all_dead_finite_family_is_never():
-    engine = Dovetail(lambda i: bot().fresh(), 5)
+    engine = Dovetail(lambda i: bot().make(), 5)
     assert not engine.never
     assert engine.run(15) is None  # rounds 0..4 instantiate all five
     assert engine.never
     assert engine.run(10 ** 12) is None
     assert engine.steps == 15 + 10 ** 12
-    assert Dovetail(lambda i: bot().fresh(), 0).never
+    assert Dovetail(lambda i: bot().make(), 0).never
     assert or_countable([bot(), bot()]).status(10 ** 12) is None
 
 

@@ -186,6 +186,8 @@ def test_subbase_json_roundtrip_and_errors():
         subbase_from_json({"n": 2, "sets": [[0]], "index_order": [[0, 5]]})
     with pytest.raises(SchemaError):
         subbase_from_json({"n": 2, "sets": [[7]]})
+    with pytest.raises(SchemaError, match="index_order"):
+        subbase_from_json({"n": 2, "sets": [[0]], "index_order": 5})
 
 
 def test_unknown_law_id_is_an_error():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from synthtop.kernel import EncodingError, decode_enum, dovetail_bound, literal_name
+from synthtop.kernel import (EncodingError, NameReader, decode_enum,
+                            dovetail_bound, literal_name)
 from synthtop.reals import (DECIMAL, FuelExhausted,
                             decimal_point, decimal_to_cauchy_direct,
                             enum_subbase_name, index_for_interval,
@@ -195,6 +196,48 @@ def test_enum_name_convention():
     d = decimal_point(parse_decimal("0.3(3)"))
     got = decode_enum(enum_subbase_name(d), 256)
     assert 0 in got
+
+
+def _reference_enum_steps(d, steps):
+    """The hand-rolled round-robin `enum_subbase_name` used before it ran
+    on `Dovetail`: (name step, emitted index+1) for every emission."""
+    ready, steppers, out = [], [], []
+    rnd = pos = 0
+    for t in range(1, steps + 1):
+        i = pos
+        if i == len(steppers):
+            a, b = interval_for_index(i)
+            steppers.append(interval_open_decimal(a, b).chi(d).make())
+        elif steppers[i] is not None and steppers[i].step():
+            ready.append(i)
+            steppers[i] = None
+        pos += 1
+        if pos > rnd:
+            rnd += 1
+            pos = 0
+        if ready:
+            out.append((t, ready.pop(0) + 1))
+    return out
+
+
+def test_enum_subbase_name_emits_at_the_reference_steps():
+    rng = random.Random(7)
+    texts = ["0.3(3)", "0.5", "-1.25", "0.142857(142857)"]
+    for _ in range(4):
+        texts.append(f"{rng.choice(['', '-'])}{rng.randrange(2)}."
+                     f"{rng.randrange(10)}({rng.randrange(1, 100)})")
+    for k, text in enumerate(texts):
+        spec = parse_decimal(text)
+        delay = k % 3  # undelayed and delayed names
+        r = NameReader(enum_subbase_name(decimal_point(spec, delay=delay)))
+        got = []
+        for t in range(1, 10_001):
+            v = r.step()
+            if v is not None:
+                got.append((t, v))
+        want = _reference_enum_steps(decimal_point(spec, delay=delay), 10_000)
+        assert got == want, text
+        assert got, text
 
 
 def test_repair_examples():
