@@ -16,9 +16,8 @@ from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
                      uncurry)
 from .hyper import (CompactSat, OpenSet, OvertClosed, compact_image,
                     compact_intersection, compact_open_embed, compact_union,
-                    exists_eval, filter_embed, forall_eval, membership,
-                    neighborhood_filter, overt_union, point_to_closed,
-                    point_to_compact, section)
+                    filter_embed, membership, neighborhood_filter,
+                    overt_union, point_to_closed, point_to_compact, section)
 from .bases import (Completion, GaloisWitness, LacombeBase, Prebase,
                     Presubbase, base_completion, galois_backward,
                     galois_forward, identity_base, kolmogorov_completion,

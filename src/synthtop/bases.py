@@ -27,15 +27,15 @@ from typing import Callable, Optional, Union
 from .sierpinski import (DEFAULT_FUEL, SValue, and_finite, bot,
                          first_accepting, or_countable, top)
 from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
-                     compacts, fun_point, inj0, inj1, meet, meet_left,
-                     meet_point, meet_right, opens, pair_point, product,
-                     coproduct, proj1, proj2, same_shape, seq_at, seq_point,
-                     sequence)
+                     check_space, compacts, fun_point, inj0, inj1, meet,
+                     meet_left, meet_point, meet_right, opens, pair_point,
+                     product, coproduct, proj1, proj2, same_shape, seq_at,
+                     seq_point, sequence)
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
                     as_overt, compact_image, compact_intersection,
                     compact_union, coproduct_closed, neighborhood_filter,
                     overt_union, point_to_closed, point_to_compact,
-                    product_closed, product_open, section, section_right,
+                    product_closed, product_open, section,
                     attach_product_witnesses)
 
 
@@ -281,8 +281,14 @@ def _pairwise_prebase(bx: BaseLike, by: BaseLike, who: str,
             raise MissingWitnessError("factor presubbase has no inverse")
         wr = OpenSet(basex.index,
                      lambda r: basey.index.overt.exists_(section(r, w)))
+
+        def right_slice(s: Point) -> OpenSet:
+            # {r : (r, s) in w}, the slice of w at s in the other coordinate
+            check_space(s, w.space.parts[1])
+            return OpenSet(w.space.parts[0], lambda r: w.chi(pair_point(r, s)))
+
         ws = OpenSet(basey.index,
-                     lambda s: basex.index.overt.exists_(section_right(s, w)))
+                     lambda s: basex.index.overt.exists_(right_slice(s)))
         return point_of(basex.transpose_inverse(wr, fuel),
                         basey.transpose_inverse(ws, fuel))
 

@@ -4,13 +4,15 @@ finite-instance inspection.
 Output on stdout is deterministic given identical flags and seed: verify
 emits one JSON line per law (wall time goes to stderr only), repair and
 spaces emit a single JSON document.  Exit codes: 0 all passed, 1 a law or
-search failed (with a counterexample payload), 2 usage or input errors.
+search failed (with a counterexample payload) or stdout was closed early,
+2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +24,12 @@ from .oracle import (MAX_EXHAUSTIVE, SchemaError, bits, decode_finite,
                      space_from_json, specialization, subbase_from_json,
                      tau_K)
 from .sierpinski import DEFAULT_FUEL
+
+# The largest --max-size at which these laws finish: at size 4 each of them
+# ran past a minute (hyper-ops-vs-oracle takes over two minutes at size 3);
+# the other laws finish within seconds up to MAX_EXHAUSTIVE.
+SIZE_CEILING = {"hyper-ops-vs-oracle": 3, "presubbase-representation": 3,
+                "figure1-chain": 3}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -66,6 +74,11 @@ def cmd_verify(args) -> int:
         if name not in LAWS:
             print(f"unknown law {name!r}; known: {', '.join(sorted(LAWS))}",
                   file=sys.stderr)
+            return 2
+        ceiling = SIZE_CEILING.get(name, MAX_EXHAUSTIVE)
+        if args.max_size > ceiling:
+            print(f"{name}: --max-size at most {ceiling} "
+                  f"(larger sizes do not finish)", file=sys.stderr)
             return 2
     ok = True
     for name in names:
@@ -171,11 +184,18 @@ def main(argv=None) -> int:
     if args.fuel < 0:
         print("--fuel must be nonnegative", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "repair":
-        return cmd_repair(args)
-    return cmd_spaces(args)
+    command = {"verify": cmd_verify, "repair": cmd_repair,
+               "spaces": cmd_spaces}[args.command]
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`, say): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -163,14 +163,6 @@ def membership(u: OpenSet, x: Point) -> SValue:
     return u.chi(x)
 
 
-def forall_eval(k: CompactSat, u: Union[OpenSet, Point]) -> SValue:
-    return k.forall_(u)
-
-
-def exists_eval(a: OvertClosed, u: Union[OpenSet, Point]) -> SValue:
-    return a.exists_(u)
-
-
 # ---------------------------------------------------------------------------
 # The computable hyperspace operations
 
@@ -220,14 +212,6 @@ def section(x: Point, u: OpenSet) -> OpenSet:
         raise SpaceMismatch(f"section over {u.space!r}")
     check_space(x, u.space.parts[0])
     return OpenSet(u.space.parts[1], lambda y: u.chi(pair_point(x, y)))
-
-
-def section_right(y: Point, u: OpenSet) -> OpenSet:
-    """The slice {x : (x, y) in U} in the other coordinate."""
-    if u.space.tag != "product":
-        raise SpaceMismatch(f"section over {u.space!r}")
-    check_space(y, u.space.parts[1])
-    return OpenSet(u.space.parts[0], lambda x: u.chi(pair_point(x, y)))
 
 
 def product_open(v: OpenSet, u: OpenSet) -> OpenSet:

@@ -10,11 +10,15 @@ stable serialization so that identical runs are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from . import oracle as orc
@@ -38,8 +42,8 @@ from .oracle import (FiniteSpace, FiniteSubbase, bits, budgeted, closure,
                      mask_of, monotone_families, open_members, overt_members,
                      continuous_maps, product_space, saturate,
                      specialization, tau_K, up_sets)
-from .sierpinski import (DEFAULT_FUEL, SValue, TALLY, accept_at, bot,
-                         or_countable, read_table)
+from .sierpinski import (DEFAULT_FUEL, TALLY, accept_at, bot, or_countable,
+                         read_table)
 from .spaces import Point, apply_fun, fun_point, pair_point, product, read_first
 
 
@@ -55,14 +59,7 @@ class LawReport:
 
     def stable_dict(self) -> dict:
         # wall time deliberately excluded: reports must be byte-stable
-        return {
-            "law": self.law,
-            "instances": self.instances,
-            "checks": self.checks,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "fuel_used": self.fuel_used,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "wall_ms"}
 
     def stable_json(self) -> str:
         return json.dumps(self.stable_dict(), sort_keys=True,
@@ -112,6 +109,14 @@ def _subbase_instances(max_index: int, max_carrier: int, t0_only: bool):
                     yield FiniteSubbase(nx, fam, order)
 
 
+def _induced_points(sub: FiniteSubbase):
+    """The presubbase of a finite subbase, the space it induces, and each
+    carrier element as a point of that space."""
+    b = finite_presubbase(sub)
+    return b, presubbase_space(b), [embed_point(b, finite_point(b.carrier, x))
+                                    for x in range(sub.n)]
+
+
 def law_presubbase_representation(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     """Over all T0 finite index spaces and all well-defined subbase
     families: membership semideciders of the induced representation accept
@@ -126,16 +131,10 @@ def law_presubbase_representation(s: _Suite, max_size: int, fuel: int, seed: int
             return
         if not inj:
             continue
-        b = finite_presubbase(sub)
-        bsp = presubbase_space(b)
-        isp = b.index
-        csp = b.carrier
-        points = [embed_point(b, finite_point(csp, x)) for x in range(sub.n)]
+        b, bsp, points = _induced_points(sub)
         for k_mask in up_sets(sub.index_space()):
-            want = full_mask(sub.n)
-            for y in bits(k_mask):
-                want &= sub.sets[y]
-            u = tau_k_open(bsp, leaf_compact(isp, k_mask))
+            want = reduce(and_, (sub.sets[y] for y in bits(k_mask)), full_mask(sub.n))
+            u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
             for x in range(sub.n):
                 got = budgeted(u.chi(points[x]), fuel)
                 if not s.check(got == bool(want >> x & 1), lambda: {
@@ -156,437 +155,334 @@ def law_presubbase_representation(s: _Suite, max_size: int, fuel: int, seed: int
 
 # ---------------------------------------------------------------------------
 # Law: hyper-ops-vs-oracle
+#
+# One case table and one driver.  The loops below walk the inputs and assign
+# them, and the values built from them, straight onto one env ``e`` (``for
+# e.x in ...``), yielding the id of each case to check there.  ``e.X`` and
+# ``e.Y`` are the two sides (one side twice on a single space), and
+# ``e.keys`` their keys in a counterexample.  A case names its other
+# counterexample fields and gives its queries, each returning its answer and
+# the oracle truth; they make one check, joined by a short-circuit `and`.
 
 
-def _space_points(f: FiniteSpace):
-    sp = finite_repr(f)
-    pts = [finite_point(sp, e) for e in range(f.n)]
-    los = {u: leaf_open(sp, u) for u in f.opens}
-    return sp, pts, los
+class _Side:
+    """A finite space with its points, leaf opens, up-sets and closeds."""
+
+    def __init__(self, f: FiniteSpace):
+        self.f, self.sp, self.full = f, finite_repr(f), full_mask(f.n)
+        self.pts = [finite_point(self.sp, x) for x in range(f.n)]
+        self.los = {u: leaf_open(self.sp, u) for u in f.opens}
+        self.lpts = {u: lo.as_point() for u, lo in self.los.items()}
+        self.ups = up_sets(f)
+        self.closeds = [self.full & ~u for u in f.opens]
+
+
+def _fields(spec: str) -> Callable[[SimpleNamespace], dict]:
+    """The counterexample fields named in ``spec``, read off the env: point
+    indices as they are, the map as a list, masks as their elements."""
+    def show(k: str, v):
+        return (v if k in ("x", "y") else list(v) if k == "f"
+                else [sorted(bits(m)) for m in v] if k == "family"
+                else sorted(bits(v)))
+    keys = spec.split()
+    return lambda e: {k: show(k, getattr(e, k)) for k in keys}
+
+
+_X_IN_U = lambda e: bool(e.u >> e.x & 1)
+_K_IN_U = lambda e: e.k & ~e.u == 0
+_POINT_OPS = (lambda e: (e.ask(e.flt.chi(e.X.lpts[e.u])), _X_IN_U(e)),
+              lambda e: (e.ask(e.pc.exists_(e.X.los[e.u])), _X_IN_U(e)),
+              lambda e: (e.ask(e.pk.forall_(e.X.los[e.u])), _X_IN_U(e)))
+_UNION = lambda e: (open_members(
+    e.X.sp, overt_union(family_overt(e.X.sp, e.unite)), e.fuel), e.union)
+_INTERSECTION = lambda e: (open_members(
+    e.X.sp, compact_intersection(family_compact(e.X.sp, e.meet)), e.fuel), e.inter)
+_FILTER_EMBED = lambda e: (e.ask(e.emb.chi(e.X.lpts[e.u])), _K_IN_U(e))
+_BOX_EMBED = lambda e: (e.ask(e.emb.chi(leaf_compact(e.X.sp, e.k).as_point())),
+                        _K_IN_U(e))
+_COMPACT_OPEN_EMBED = lambda e: (e.ask(e.emb.chi(pair_point(e.kpt, e.Y.lpts[e.v]))),
+                                 image_mask(e.f, e.k) & ~e.v == 0)
+
+_HYPER_CASES = {
+    # (1)-(3) a point as a filter, a closed set and a compact set
+    "neighborhood-filter": ("x u", _POINT_OPS[0]),
+    "closed-injection": ("x u", _POINT_OPS[1]),
+    "compact-injection": ("x u", _POINT_OPS[2]),
+    # (9) overt union and (10) compact intersection of a family of opens,
+    # and the same over its closure and its saturation
+    "overt-union": ("family got", _UNION),
+    "compact-intersection": ("family got", _INTERSECTION),
+    "union-closure-irrelevance": ("family", _UNION),
+    "intersection-saturation-irrelevance": ("family", _INTERSECTION),
+    # (11) compact union of compacts
+    "compact-union": ("family got want", lambda e: (compact_members(
+        e.X.sp, compact_union(compact_family_of_compacts(
+            e.X.sp, [leaf_compact(e.X.sp, k) for k in e.family])), e.fuel),
+        saturate(e.X.f, mask_of(x for k in e.family for x in bits(k))))),
+    # (12) filter, (13) trace, (14) box: agreement and round trips
+    "filter-embed": ("k u", _FILTER_EMBED),
+    "filter-invert": ("k got", lambda e: (
+        compact_members(e.X.sp, e.back, e.fuel), e.k)),
+    "trace-embed": ("a u", lambda e: (
+        e.ask(e.emb.chi(e.X.lpts[e.u])), bool(e.a & e.u))),
+    "trace-invert": ("a got", lambda e: (overt_members(e.X.sp, e.back, e.fuel), e.a)),
+    "box-embed": ("u k", _BOX_EMBED),
+    "box-invert": ("u got", lambda e: (open_members(e.X.sp, e.back, e.fuel), e.u)),
+    # (6) sections, overt projection, (7) product opens, (8) product closeds
+    "section": ("w x y", lambda e: (
+        e.ask(e.sec.chi(e.Y.pts[e.y])), bool(e.w >> (e.x * e.Y.f.n + e.y) & 1))),
+    "overt-project": ("w x", lambda e: (
+        e.ask(e.proj.chi(e.X.pts[e.x])),
+        any(e.w >> (e.x * e.Y.f.n + j) & 1 for j in range(e.Y.f.n)))),
+    "product-open": ("u v x y", lambda e: (
+        e.ask(e.pu.chi(pair_point(e.X.pts[e.x], e.Y.pts[e.y]))),
+        bool(e.u >> e.x & 1) and bool(e.v >> e.y & 1))),
+    "product-closed": ("a b w", lambda e: (
+        e.ask(e.pv.exists_(e.wopen)),
+        any(e.w >> (i * e.Y.f.n + j) & 1 for i in bits(e.a) for j in bits(e.b)))),
+    # (4) compact and (5) closed images, (15) the compact-open embedding
+    "compact-image": ("f k got want", lambda e: (compact_members(
+        e.Y.sp, compact_image(e.fpt, leaf_compact(e.X.sp, e.k)), e.fuel),
+        saturate(e.Y.f, image_mask(e.f, e.k)))),
+    "closed-image": ("f a got want", lambda e: (overt_members(
+        e.Y.sp, closed_image(e.fpt, leaf_overt(e.X.sp, e.a)), e.fuel),
+        closure(e.Y.f, image_mask(e.f, e.a)))),
+    "compact-open-embed": ("f k v", _COMPACT_OPEN_EMBED),
+    "compact-open-invert": (lambda e: {"f": list(e.f), "x": e.x, "got": e.got},
+                            lambda e: (read_first(apply_fun(e.inv, e.X.pts[e.x]),
+                                                  DEFAULT_FUEL), e.f[e.x])),
+    # the same operations on a derived carrier, per queried point or open
+    "carrier-point-ops": ("x u", *_POINT_OPS),
+    "carrier-union-intersection": ("x family", lambda e: (
+        (e.ask(e.uni.chi(e.X.pts[e.x])), e.ask(e.cap.chi(e.X.pts[e.x]))),
+        (bool(e.union >> e.x & 1), bool(e.inter >> e.x & 1)))),
+    "carrier-compact-union": ("family u", lambda e: (
+        e.ask(e.ku.forall_(e.X.los[e.u])), e.sat & ~e.u == 0)),
+    "carrier-filter": ("k u", _FILTER_EMBED,
+                       lambda e: (e.ask(e.back.forall_(e.X.los[e.u])), _K_IN_U(e))),
+    "carrier-box": ("u k", _BOX_EMBED),
+    "carrier-box-invert": ("u x", lambda e: (
+        e.ask(e.back.chi(e.X.pts[e.x])), _X_IN_U(e))),
+    "carrier-trace": ("a v",
+                      lambda e: (e.ask(e.emb.chi(e.X.lpts[e.v])), bool(e.a & e.v)),
+                      lambda e: (e.ask(e.back.exists_(e.X.los[e.v])), bool(e.a & e.v))),
+    "carrier-map-ops": ("f k v",
+                        lambda e: (e.ask(e.img.forall_(e.Y.los[e.v])),
+                                   image_mask(e.f, e.k) & ~e.v == 0),
+                        lambda e: (e.ask(e.acl.exists_(e.Y.los[e.v])),
+                                   bool(image_mask(e.f, e.X.full & ~e.k) & e.v)),
+                        _COMPACT_OPEN_EMBED),
+}
+_HYPER_CASES = {case: (_fields(row[0]) if isinstance(row[0], str) else row[0],
+                       row[1:]) for case, row in _HYPER_CASES.items()}
 
 
 def law_hyper_ops(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
-    spaces = [f for n in range(max_size + 1) for f in enumerate_spaces(n)]
-
-    for f in spaces:
-        s.instances += 1
-        if not _hyper_unary(s, f, fuel):
+    """The hyperspace operations against set-theoretic truth."""
+    e = SimpleNamespace(fuel=fuel, ask=lambda v: budgeted(v, fuel))
+    for case in _hyper_inputs(s, e, max_size, seed):
+        fields, queries = _HYPER_CASES[case]
+        ok = True
+        for query in queries:
+            e.got, e.want = query(e)
+            if e.got != e.want:
+                ok = False
+                break
+        if not s.check(ok, lambda: {"case": case, **fields(e), **dict(zip(
+                e.keys, (e.X.f.to_json(), e.Y.f.to_json())))}):
             return
+
+
+def _hyper_inputs(s: _Suite, e: SimpleNamespace, max_size: int, seed: int):
+    """Each space, then each pair of spaces with its product and sum as
+    derived carriers; one instance per space and per pair."""
+    sides = [_Side(f) for n in range(max_size + 1) for f in enumerate_spaces(n)]
+    for x in sides:
+        s.instances += 1
+        e.X, e.Y, e.keys = x, x, ("space",)
+        yield from _one_space(e, x)
     rng = random.Random(seed + 7)
-    for f in spaces:
-        for g in spaces:
+    for x in sides:
+        for y in sides:
             s.instances += 1
-            if not _hyper_pair(s, f, g, fuel):
-                return
-            if not _hyper_maps(s, f, g, fuel):
-                return
-            # the operations also live on the derived carriers themselves;
-            # exhaustive where small, seeded samples where the open-set
-            # lattice outgrows the budget
-            for h in (product_space(f, g), orc.coproduct_space(f, g)):
-                if not _hyper_on_carrier(s, h, fuel, rng):
-                    return
+            e.X, e.Y, e.keys = x, y, ("space_x", "space_y")
+            yield from _two_spaces(e, x, y)
+            # seeded samples where the open-set lattice outgrows the budget
+            for h in (product_space(x.f, y.f), orc.coproduct_space(x.f, y.f)):
+                e.X = e.Y = c = _Side(h)
+                e.keys = ("space",)
+                yield from _derived_carrier(e, c, rng)
 
 
-def _hyper_unary(s: _Suite, f: FiniteSpace, fuel: int) -> bool:
-    sp, pts, los = _space_points(f)
-    ups = up_sets(f)
-    closeds = [full_mask(f.n) & ~u for u in f.opens]
-    ce = lambda case, **kw: {"case": case, "space": f.to_json(), **kw}
+def _one_space(e: SimpleNamespace, c: _Side):
+    yield from _point_ops(e, c.f.opens, ("neighborhood-filter",
+                                         "closed-injection", "compact-injection"))
+    opens = list(c.f.opens)
+    for e.family in _subfamilies(opens):
+        e.union, e.inter = reduce(or_, e.family, 0), reduce(and_, e.family, c.full)
+        e.unite = e.meet = [c.los[u] for u in e.family]
+        yield from ("overt-union", "compact-intersection")
+        e.unite = [c.los[u] for u in opens if any(u & ~v == 0 for v in e.family)]
+        e.meet = [c.los[u] for u in opens if any(v & ~u == 0 for v in e.family)]
+        yield from ("union-closure-irrelevance", "intersection-saturation-irrelevance")
+    yield from ("compact-union" for e.family in _subfamilies(c.ups))
+    yield from _filters(e, c.ups, c.f.opens, "filter-embed", ("filter-invert",))
+    for e.a in c.closeds:
+        e.emb = trace_embed(leaf_overt(c.sp, e.a))
+        e.back = trace_invert(e.emb)
+        yield from ("trace-embed" for e.u in c.f.opens)
+        yield "trace-invert"
+    for e.u in c.f.opens:
+        e.emb = box_embed(c.los[e.u])
+        e.back = box_invert(e.emb)
+        yield from ("box-embed" for e.k in c.ups)
+        yield "box-invert"
 
-    # (1) neighborhood map, (2) closed injection, (3) compact injection
-    for x in range(f.n):
-        flt = neighborhood_filter(pts[x])
-        pc = point_to_closed(pts[x])
-        pk = point_to_compact(pts[x])
-        for u in f.opens:
-            inu = bool(u >> x & 1)
-            if not s.check(budgeted(flt.chi(los[u].as_point()), fuel) == inu,
-                           lambda: ce("neighborhood-filter", x=x, u=sorted(bits(u)))):
-                return False
-            if not s.check(budgeted(pc.exists_(los[u]), fuel) == inu,
-                           lambda: ce("closed-injection", x=x, u=sorted(bits(u)))):
-                return False
-            if not s.check(budgeted(pk.forall_(los[u]), fuel) == inu,
-                           lambda: ce("compact-injection", x=x, u=sorted(bits(u)))):
-                return False
 
-    # (9) overt union / (10) compact intersection over every family of opens
-    opens_list = list(f.opens)
-    for pick in range(1 << len(opens_list)):
-        fam = [opens_list[i] for i in range(len(opens_list)) if pick >> i & 1]
-        union_mask = 0
-        inter_mask = full_mask(f.n)
-        for u in fam:
-            union_mask |= u
-            inter_mask &= u
-        members = [los[u] for u in fam]
-        got_u = open_members(sp, overt_union(family_overt(sp, members)), fuel)
-        if not s.check(got_u == union_mask,
-                       lambda: ce("overt-union", family=[sorted(bits(u)) for u in fam],
-                                  got=sorted(bits(got_u)))):
-            return False
-        got_i = open_members(sp, compact_intersection(family_compact(sp, members)), fuel)
-        if not s.check(got_i == inter_mask,
-                       lambda: ce("compact-intersection",
-                                  family=[sorted(bits(u)) for u in fam],
-                                  got=sorted(bits(got_i)))):
-            return False
-        # saturation irrelevance: union over the closure, intersection over
-        # the saturation of the family (in the open-set lattice)
-        down = [los[u] for u in opens_list if any(u & ~v == 0 for v in fam)]
-        got_cl = open_members(sp, overt_union(family_overt(sp, down)), fuel)
-        if not s.check(got_cl == union_mask,
-                       lambda: ce("union-closure-irrelevance",
-                                  family=[sorted(bits(u)) for u in fam])):
-            return False
-        up = [los[u] for u in opens_list if any(v & ~u == 0 for v in fam)]
-        got_sat = open_members(sp, compact_intersection(family_compact(sp, up)), fuel)
-        if not s.check(got_sat == inter_mask,
-                       lambda: ce("intersection-saturation-irrelevance",
-                                  family=[sorted(bits(u)) for u in fam])):
-            return False
+def _two_spaces(e: SimpleNamespace, x: _Side, y: _Side):
+    wopens = {w: _product_leaf_open(x.sp, y.sp, y.f.n, w)
+              for w in product_space(x.f, y.f).opens}
+    for e.w, e.wopen in wopens.items():
+        for e.x in range(x.f.n):
+            e.sec = section(x.pts[e.x], e.wopen)
+            yield from ("section" for e.y in range(y.f.n))
+        e.proj = overt_project(e.wopen)
+        yield from ("overt-project" for e.x in range(x.f.n))
+    for e.u in x.f.opens:
+        for e.v in y.f.opens:
+            e.pu = product_open(x.los[e.u], y.los[e.v])
+            yield from ("product-open" for e.x in range(x.f.n)
+                        for e.y in range(y.f.n))
+    for e.a in x.closeds:
+        for e.b in y.closeds:
+            e.pv = product_closed(leaf_overt(x.sp, e.a), leaf_overt(y.sp, e.b))
+            yield from ("product-closed" for e.w, e.wopen in wopens.items())
+    for e.f in continuous_maps(x.f, y.f):
+        e.fpt = _map_point(x.sp, y.sp, e.f)
+        yield from ("compact-image" for e.k in x.ups)
+        yield from ("closed-image" for e.a in x.closeds)
+        e.emb = compact_open_embed(e.fpt)
+        for e.k in x.ups:
+            e.kpt = leaf_compact(x.sp, e.k).as_point()
+            yield from ("compact-open-embed" for e.v in y.f.opens)
+        # the inverse needs the codomain's Kolmogorov witness, which a
+        # finite space carries exactly when it is T0
+        if y.f.n > 0 and y.sp.filter_inverse is not None:
+            e.inv = compact_open_invert(e.emb, e.fuel)
+            yield from ("compact-open-invert" for e.x in range(x.f.n))
 
-    # (11) compact union of compacts, over every family of up-sets
-    for pick in range(1 << len(ups)):
-        fam = [ups[i] for i in range(len(ups)) if pick >> i & 1]
-        want = saturate(f, mask_of(e for k in fam for e in bits(k)))
-        kk = compact_family_of_compacts(sp, [leaf_compact(sp, k) for k in fam])
-        got = compact_members(sp, compact_union(kk), fuel)
-        if not s.check(got == want,
-                       lambda: ce("compact-union", family=[sorted(bits(k)) for k in fam],
-                                  got=sorted(bits(got)), want=sorted(bits(want)))):
-            return False
 
-    # (12) filter, (13) trace, (14) box: agreement and round-trips
-    for k_mask in ups:
-        kv = leaf_compact(sp, k_mask)
-        w = filter_embed(kv)
-        for u in f.opens:
-            want = k_mask & ~u == 0
-            if not s.check(budgeted(w.chi(los[u].as_point()), fuel) == want,
-                           lambda: ce("filter-embed", k=sorted(bits(k_mask)),
-                                      u=sorted(bits(u)))):
-                return False
-        back = compact_members(sp, filter_invert(w), fuel)
-        if not s.check(back == k_mask,
-                       lambda: ce("filter-invert", k=sorted(bits(k_mask)),
-                                  got=sorted(bits(back)))):
-            return False
-    for a_mask in closeds:
-        av = leaf_overt(sp, a_mask)
-        w = trace_embed(av)
-        for u in f.opens:
-            want = bool(a_mask & u)
-            if not s.check(budgeted(w.chi(los[u].as_point()), fuel) == want,
-                           lambda: ce("trace-embed", a=sorted(bits(a_mask)),
-                                      u=sorted(bits(u)))):
-                return False
-        back = overt_members(sp, trace_invert(w), fuel)
-        if not s.check(back == a_mask,
-                       lambda: ce("trace-invert", a=sorted(bits(a_mask)),
-                                  got=sorted(bits(back)))):
-            return False
-    for u in f.opens:
-        w = box_embed(los[u])
-        for k_mask in ups:
-            want = k_mask & ~u == 0
-            if not s.check(
-                    budgeted(w.chi(leaf_compact(sp, k_mask).as_point()), fuel) == want,
-                    lambda: ce("box-embed", u=sorted(bits(u)), k=sorted(bits(k_mask)))):
-                return False
-        back = open_members(sp, box_invert(w), fuel)
-        if not s.check(back == u,
-                       lambda: ce("box-invert", u=sorted(bits(u)),
-                                  got=sorted(bits(back)))):
-            return False
-    return True
+def _derived_carrier(e: SimpleNamespace, c: _Side, rng: random.Random):
+    opens = _sample(rng, c.f.opens, 12, keep=(0, c.full))
+    ups = _sample(rng, c.ups, 12, keep=(0, c.full))
+    yield from _point_ops(e, opens, ("carrier-point-ops",))
+    for _ in range(6):
+        e.family = [u for u in opens if rng.random() < 0.5]
+        e.union, e.inter = reduce(or_, e.family, 0), reduce(and_, e.family, c.full)
+        members = [c.los[u] for u in e.family]
+        e.uni = overt_union(family_overt(c.sp, members))
+        e.cap = compact_intersection(family_compact(c.sp, members))
+        yield from ("carrier-union-intersection" for e.x in range(c.f.n))
+        e.family = [k for k in ups if rng.random() < 0.5]
+        e.sat = saturate(c.f, mask_of(x for k in e.family for x in bits(k)))
+        e.ku = compact_union(compact_family_of_compacts(
+            c.sp, [leaf_compact(c.sp, k) for k in e.family]))
+        yield from ("carrier-compact-union" for e.u in opens)
+    yield from _filters(e, ups, opens, "carrier-filter", ())
+    for e.u in opens:
+        e.emb = box_embed(c.los[e.u])
+        e.back = box_invert(e.emb)
+        yield from ("carrier-box" for e.k in ups)
+        yield from ("carrier-box-invert" for e.x in range(c.f.n))
+        e.a = c.full & ~e.u
+        e.emb = trace_embed(leaf_overt(c.sp, e.a))
+        e.back = trace_invert(e.emb)
+        yield from ("carrier-trace" for e.v in opens)
+    for e.f in _self_maps(rng, c.f):
+        e.fpt = _map_point(c.sp, c.sp, e.f)
+        e.emb = compact_open_embed(e.fpt)
+        for e.k in ups[:6]:
+            e.kpt = leaf_compact(c.sp, e.k).as_point()
+            e.img = compact_image(e.fpt, leaf_compact(c.sp, e.k))
+            # any generator works; the value denotes its closure
+            e.acl = closed_image(e.fpt, leaf_overt(c.sp, c.full & ~e.k))
+            yield from ("carrier-map-ops" for e.v in opens[:6])
+
+
+def _point_ops(e: SimpleNamespace, opens, cases: tuple):
+    for e.x in range(e.X.f.n):
+        p = e.X.pts[e.x]
+        e.flt, e.pc, e.pk = (neighborhood_filter(p), point_to_closed(p),
+                             point_to_compact(p))
+        for e.u in opens:
+            yield from cases
+
+
+def _filters(e: SimpleNamespace, ups, opens, case: str, then: tuple):
+    for e.k in ups:
+        e.emb = filter_embed(leaf_compact(e.X.sp, e.k))
+        e.back = filter_invert(e.emb)
+        yield from (case for e.u in opens)
+        yield from then
+
+
+def _subfamilies(items: list) -> list:
+    return [[m for i, m in enumerate(items) if pick >> i & 1]
+            for pick in range(1 << len(items))]
+
+
+def _sample(rng: random.Random, items: tuple, cap: int, keep=()):
+    if len(items) <= cap:
+        return items
+    picked = set(rng.sample(range(len(items)), cap))
+    out = [x for i, x in enumerate(items) if i in picked]
+    return out + [k for k in dict.fromkeys(keep) if k not in out]
+
+
+def _self_maps(rng: random.Random, h: FiniteSpace) -> list:
+    """The identity and up to two seeded monotone self-maps."""
+    maps, rows = [tuple(range(h.n))], specialization(h)
+    for _ in range(12 if h.n else 0):
+        cand = tuple(rng.randrange(h.n) for _ in range(h.n))
+        if cand not in maps and all(
+                not (rows[i] >> j & 1) or (rows[cand[i]] >> cand[j] & 1)
+                for i in range(h.n) for j in range(h.n)):
+            maps.append(cand)
+        if len(maps) == 3:
+            return maps
+    return maps
 
 
 def _product_leaf_open(spx, spy, g_n: int, mask: int) -> OpenSet:
     """An arbitrary subset of a product carrier as a membership
     semidecider: read both coordinates, then decide."""
-
-    def member(i: int, j: int) -> int:
-        return mask >> (i * g_n + j) & 1
-
-    def chi(p: Point) -> SValue:
-        xp, yp = p.payload
-        return read_table((xp.payload, yp.payload), member)
-
-    return OpenSet(product(spx, spy), chi)
+    member = lambda i, j: mask >> (i * g_n + j) & 1
+    return OpenSet(product(spx, spy), lambda p: read_table(
+        (p.payload[0].payload, p.payload[1].payload), member))
 
 
-def _hyper_pair(s: _Suite, f: FiniteSpace, g: FiniteSpace, fuel: int) -> bool:
-    spx, ptsx, losx = _space_points(f)
-    spy, ptsy, losy = _space_points(g)
-    fg = product_space(f, g)
-    ce = lambda case, **kw: {"case": case, "space_x": f.to_json(),
-                             "space_y": g.to_json(), **kw}
+def _map_point(spx, spy, fmap) -> Point:
+    """A finite map as a function point: an image re-emits each value of
+    the argument's name through the table."""
 
-    prod_opens = {w: _product_leaf_open(spx, spy, g.n, w) for w in fg.opens}
+    def image(p: Point) -> Point:
+        def gen():
+            r = NameReader(p.payload)
+            while True:
+                v = r.step()
+                yield None if v is None else fmap[v]
+        return Point(spy, Name(gen, cost=p.payload.cost))
 
-    # (6) sections of every open of the product
-    for w, wopen in prod_opens.items():
-        for i in range(f.n):
-            sec = section(ptsx[i], wopen)
-            for j in range(g.n):
-                want = bool(w >> (i * g.n + j) & 1)
-                got = budgeted(sec.chi(ptsy[j]), fuel)
-                if not s.check(got == want,
-                               lambda: ce("section", w=sorted(bits(w)), x=i, y=j)):
-                    return False
-        # overt projection: {i : some j pairs into w}
-        projected = overt_project(wopen)
-        for i in range(f.n):
-            want = any(w >> (i * g.n + j) & 1 for j in range(g.n))
-            got = budgeted(projected.chi(ptsx[i]), fuel)
-            if not s.check(got == want,
-                           lambda: ce("overt-project", w=sorted(bits(w)), x=i)):
-                return False
-
-    # (7) products of opens
-    for u in f.opens:
-        for v in g.opens:
-            pu = product_open(losx[u], losy[v])
-            for i in range(f.n):
-                for j in range(g.n):
-                    want = bool(u >> i & 1) and bool(v >> j & 1)
-                    got = budgeted(pu.chi(pair_point(ptsx[i], ptsy[j])), fuel)
-                    if not s.check(got == want,
-                                   lambda: ce("product-open", u=sorted(bits(u)),
-                                              v=sorted(bits(v)), x=i, y=j)):
-                        return False
-
-    # (8) products of overt closed sets, generators ranging over closed sets
-    closeds_x = [full_mask(f.n) & ~u for u in f.opens]
-    closeds_y = [full_mask(g.n) & ~v for v in g.opens]
-    for a in closeds_x:
-        for b in closeds_y:
-            pv = product_closed(leaf_overt(spx, a), leaf_overt(spy, b))
-            for w, wopen in prod_opens.items():
-                want = any(w >> (i * g.n + j) & 1
-                           for i in bits(a) for j in bits(b))
-                got = budgeted(pv.exists_(wopen), fuel)
-                if not s.check(got == want,
-                               lambda: ce("product-closed", a=sorted(bits(a)),
-                                          b=sorted(bits(b)), w=sorted(bits(w)))):
-                    return False
-    return True
-
-
-def _hyper_maps(s: _Suite, f: FiniteSpace, g: FiniteSpace, fuel: int) -> bool:
-    spx, ptsx, losx = _space_points(f)
-    spy, ptsy, losy = _space_points(g)
-    ups_x = up_sets(f)
-    closeds_x = [full_mask(f.n) & ~u for u in f.opens]
-    ce = lambda case, **kw: {"case": case, "space_x": f.to_json(),
-                             "space_y": g.to_json(), **kw}
-
-    for fmap in continuous_maps(f, g):
-        fpt = fun_point(spx, spy, lambda p, _m=fmap: _apply_finite(spy, _m, p))
-
-        # (4) compact images
-        for k in ups_x:
-            img = compact_image(fpt, leaf_compact(spx, k))
-            want = saturate(g, image_mask(fmap, k))
-            got = compact_members(spy, img, fuel)
-            if not s.check(got == want,
-                           lambda: ce("compact-image", f=list(fmap),
-                                      k=sorted(bits(k)), got=sorted(bits(got)),
-                                      want=sorted(bits(want)))):
-                return False
-        # (5) closed images
-        for a in closeds_x:
-            img = closed_image(fpt, leaf_overt(spx, a))
-            want = closure(g, image_mask(fmap, a))
-            got = overt_members(spy, img, fuel)
-            if not s.check(got == want,
-                           lambda: ce("closed-image", f=list(fmap),
-                                      a=sorted(bits(a)), got=sorted(bits(got)),
-                                      want=sorted(bits(want)))):
-                return False
-        # (15) compact-open embedding and its inverse
-        w = compact_open_embed(fpt)
-        for k in ups_x:
-            kpt = leaf_compact(spx, k).as_point()
-            for v in g.opens:
-                want = image_mask(fmap, k) & ~v == 0
-                got = budgeted(w.chi(pair_point(kpt, losy[v].as_point())), fuel)
-                if not s.check(got == want,
-                               lambda: ce("compact-open-embed", f=list(fmap),
-                                          k=sorted(bits(k)), v=sorted(bits(v)))):
-                    return False
-        # the inverse needs the codomain's Kolmogorov witness, which a
-        # finite space carries exactly when it is T0
-        if g.n > 0 and spy.filter_inverse is not None:
-            f2 = compact_open_invert(w, fuel)
-            for x in range(f.n):
-                got = read_first(apply_fun(f2, ptsx[x]), DEFAULT_FUEL)
-                if not s.check(got == fmap[x],
-                               lambda: ce("compact-open-invert", f=list(fmap),
-                                          x=x, got=got)):
-                    return False
-    return True
-
-
-def _sample(rng: random.Random, items, cap: int, keep=()):
-    items = list(items)
-    if len(items) <= cap:
-        return items
-    picked = set(rng.sample(range(len(items)), cap))
-    out = [x for i, x in enumerate(items) if i in picked]
-    for k in keep:
-        if k not in out:
-            out.append(k)
-    return out
-
-
-def _hyper_on_carrier(s: _Suite, h: FiniteSpace, fuel: int,
-                      rng: random.Random) -> bool:
-    """Point, set and map operations over one (possibly derived) finite
-    carrier, checked directly per queried open rather than by decoding."""
-    sp, pts, los = _space_points(h)
-    full = full_mask(h.n)
-    opens_s = _sample(rng, h.opens, 12, keep=(0, full))
-    ups_s = _sample(rng, up_sets(h), 12, keep=(0, full))
-    ce = lambda case, **kw: {"case": case, "space": h.to_json(), **kw}
-
-    for x in range(h.n):
-        flt = neighborhood_filter(pts[x])
-        pc = point_to_closed(pts[x])
-        pk = point_to_compact(pts[x])
-        for u in opens_s:
-            inu = bool(u >> x & 1)
-            ok = (budgeted(flt.chi(los[u].as_point()), fuel) == inu
-                  and budgeted(pc.exists_(los[u]), fuel) == inu
-                  and budgeted(pk.forall_(los[u]), fuel) == inu)
-            if not s.check(ok, lambda: ce("carrier-point-ops", x=x,
-                                          u=sorted(bits(u)))):
-                return False
-
-    for _ in range(6):
-        fam = [u for u in opens_s if rng.random() < 0.5]
-        members = [los[u] for u in fam]
-        union_mask, inter_mask = 0, full
-        for u in fam:
-            union_mask |= u
-            inter_mask &= u
-        uni = overt_union(family_overt(sp, members))
-        inter = compact_intersection(family_compact(sp, members))
-        for x in range(h.n):
-            got_u = budgeted(uni.chi(pts[x]), fuel)
-            got_i = budgeted(inter.chi(pts[x]), fuel)
-            if not s.check(got_u == bool(union_mask >> x & 1)
-                           and got_i == bool(inter_mask >> x & 1),
-                           lambda: ce("carrier-union-intersection", x=x,
-                                      family=[sorted(bits(u)) for u in fam])):
-                return False
-        kfam = [k for k in ups_s if rng.random() < 0.5]
-        want = saturate(h, mask_of(e for k in kfam for e in bits(k)))
-        ku = compact_union(compact_family_of_compacts(
-            sp, [leaf_compact(sp, k) for k in kfam]))
-        for u in opens_s:
-            got = budgeted(ku.forall_(los[u]), fuel)
-            if not s.check(got == (want & ~u == 0),
-                           lambda: ce("carrier-compact-union",
-                                      family=[sorted(bits(k)) for k in kfam],
-                                      u=sorted(bits(u)))):
-                return False
-
-    for k_mask in ups_s:
-        w = filter_embed(leaf_compact(sp, k_mask))
-        back = filter_invert(w)
-        for u in opens_s:
-            want = k_mask & ~u == 0
-            upt = los[u].as_point()
-            ok = (budgeted(w.chi(upt), fuel) == want
-                  and budgeted(back.forall_(los[u]), fuel) == want)
-            if not s.check(ok, lambda: ce("carrier-filter",
-                                          k=sorted(bits(k_mask)),
-                                          u=sorted(bits(u)))):
-                return False
-    for u in opens_s:
-        w = box_embed(los[u])
-        back = box_invert(w)
-        for k_mask in ups_s:
-            want = k_mask & ~u == 0
-            if not s.check(
-                    budgeted(w.chi(leaf_compact(sp, k_mask).as_point()), fuel) == want,
-                    lambda: ce("carrier-box", u=sorted(bits(u)),
-                               k=sorted(bits(k_mask)))):
-                return False
-        for x in range(h.n):
-            if not s.check(budgeted(back.chi(pts[x]), fuel) == bool(u >> x & 1),
-                           lambda: ce("carrier-box-invert", u=sorted(bits(u)), x=x)):
-                return False
-        a_mask = full & ~u
-        w = trace_embed(leaf_overt(sp, a_mask))
-        back2 = trace_invert(w)
-        for v in opens_s:
-            want = bool(a_mask & v)
-            vpt = los[v].as_point()
-            ok = (budgeted(w.chi(vpt), fuel) == want
-                  and budgeted(back2.exists_(los[v]), fuel) == want)
-            if not s.check(ok, lambda: ce("carrier-trace",
-                                          a=sorted(bits(a_mask)),
-                                          v=sorted(bits(v)))):
-                return False
-
-    # a few self-maps: images and the compact-open graph on this carrier
-    maps = [tuple(range(h.n))]
-    rows = specialization(h)
-    for _ in range(12):
-        if len(maps) >= 3 or h.n == 0:
-            break
-        cand = tuple(rng.randrange(h.n) for _ in range(h.n))
-        monotone = all(not (rows[i] >> j & 1) or (rows[cand[i]] >> cand[j] & 1)
-                       for i in range(h.n) for j in range(h.n))
-        if monotone and cand not in maps:
-            maps.append(cand)
-    for fmap in maps:
-        fpt = fun_point(sp, sp, lambda p, _m=fmap: _apply_finite(sp, _m, p))
-        w = compact_open_embed(fpt)
-        for k in ups_s[:6]:
-            img = compact_image(fpt, leaf_compact(sp, k))
-            a_gen = full & ~k  # any generator works; the value denotes its closure
-            acl = closed_image(fpt, leaf_overt(sp, a_gen))
-            for v in opens_s[:6]:
-                want_img = image_mask(fmap, k) & ~v == 0
-                ok = budgeted(img.forall_(los[v]), fuel) == want_img
-                want_cl = bool(image_mask(fmap, a_gen) & v)
-                ok = ok and budgeted(acl.exists_(los[v]), fuel) == want_cl
-                ok = ok and budgeted(
-                    w.chi(pair_point(leaf_compact(sp, k).as_point(),
-                                     los[v].as_point())), fuel) == want_img
-                if not s.check(ok, lambda: ce("carrier-map-ops", f=list(fmap),
-                                              k=sorted(bits(k)),
-                                              v=sorted(bits(v)))):
-                    return False
-    return True
-
-
-def _apply_finite(spy, fmap, p: Point) -> Point:
-    """Image point of a finite map, lazily reading the argument's name."""
-    src: Point = p
-
-    def gen():
-        r = NameReader(src.payload)
-        while True:
-            v = r.step()
-            if v is None:
-                yield None
-            else:
-                yield fmap[v]
-
-    def cost(i: int):
-        return src.payload.cost(i) if src.payload.cost else None
-
-    return Point(spy, Name(gen, cost=cost))
+    return fun_point(spx, spy, image)
 
 
 # ---------------------------------------------------------------------------
 # Law: figure1-chain
+
+
+_FIGURE1_CASES = (("chain", "chain_ok"), ("sequential-collapse", "inf_equals_K"),
+                  ("final", "final_equals_tau_K"),
+                  ("t0-iff-injective", "t0_iff_injective"))
 
 
 def law_figure1(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
@@ -598,24 +494,11 @@ def law_figure1(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
         if not s.check(rep["well_defined"],
                        lambda: {"case": "well-defined", "subbase": sub.to_json()}):
             return
-        if not s.check(rep["chain_ok"],
-                       lambda: {"case": "chain", "subbase": sub.to_json(), **rep}):
-            return
-        if not s.check(rep["inf_equals_K"],
-                       lambda: {"case": "sequential-collapse",
-                                "subbase": sub.to_json(), **rep}):
-            return
-        if not s.check(rep["final_equals_tau_K"],
-                       lambda: {"case": "final", "subbase": sub.to_json(), **rep}):
-            return
-        if not s.check(rep["t0_iff_injective"],
-                       lambda: {"case": "t0-iff-injective",
-                                "subbase": sub.to_json(), **rep}):
-            return
-        if rep["discrete_order"]:
-            if not s.check(rep["all_equal"],
-                           lambda: {"case": "discrete-collapse",
-                                    "subbase": sub.to_json(), **rep}):
+        cases = _FIGURE1_CASES + ((("discrete-collapse", "all_equal"),)
+                                  if rep["discrete_order"] else ())
+        for case, key in cases:
+            if not s.check(rep[key], lambda: {"case": case, "subbase": sub.to_json(),
+                                              **rep}):
                 return
 
 
@@ -630,18 +513,7 @@ def _galois_instances(max_carrier: int = 2, max_index: int = 2):
     for nx in range(max_carrier + 1):
         for f in enumerate_spaces(nx, t0_only=True):
             for m in range(1, max_index + 1):
-                opens_list = list(f.opens)
-                idx = [0] * m
-
-                def rec(i: int):
-                    if i == m:
-                        yield tuple(opens_list[j] for j in idx)
-                        return
-                    for j in range(len(opens_list)):
-                        idx[i] = j
-                        yield from rec(i + 1)
-
-                for fam in rec(0):
+                for fam in itertools.product(f.opens, repeat=m):
                     yield f, fam
 
 
@@ -649,8 +521,7 @@ def _rep_to_base_witness(f: FiniteSpace, fam: tuple, spx, isp) -> GaloisWitness:
     """The canonical point-side witness: read the point, emit its transpose
     set over the index space."""
 
-    def member(yv: int, xv: int) -> int:
-        return fam[yv] >> xv & 1
+    member = lambda yv, xv: fam[yv] >> xv & 1
 
     def t(x: Point) -> OpenSet:
         return OpenSet(isp, lambda y: read_table((y.payload, x.payload),
@@ -663,15 +534,15 @@ def _validate_rep_to_base(w: GaloisWitness, f: FiniteSpace, fam: tuple,
                           spx, isp, rng: random.Random, samples: int,
                           fuel: int) -> bool:
     """Check the translator's denotation on sampled delayed names."""
+    if not f.n:
+        return True
     for _ in range(samples):
-        x = rng.randrange(f.n) if f.n else None
-        if x is None:
-            return True
+        x = rng.randrange(f.n)
         xp = finite_point(spx, x, delay=rng.randrange(4))
         tx = w.translator(xp)
-        y = rng.randrange(len(fam)) if fam else None
-        if y is None:
+        if not fam:
             continue
+        y = rng.randrange(len(fam))
         yp = finite_point(isp, y, delay=rng.randrange(4))
         want = bool(fam[y] >> x & 1)
         if budgeted(tx.chi(yp), fuel) != want:
@@ -691,9 +562,7 @@ def _validate_base_to_rep(w: GaloisWitness, f: FiniteSpace, fam: tuple,
         yp = finite_point(isp, y, delay=rng.randrange(4))
         u = w.translator(yp)
         got = open_members(spx, u, fuel)
-        if got != fam[y]:
-            return False
-        if got not in f.opens:
+        if got != fam[y] or got not in f.opens:
             return False
     return True
 
@@ -704,27 +573,22 @@ def law_galois(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     for f, fam in _galois_instances(min(max_size, 2), 2):
         s.instances += 1
         spx = finite_repr(f)
-        m = len(fam)
-        iorder = tuple(1 << y for y in range(m))
-        isub = FiniteSubbase(f.n, fam, iorder)
-        isp = finite_repr(isub.index_space())
+        iorder = tuple(1 << y for y in range(len(fam)))  # a discrete index
+        isp = finite_repr(FiniteSubbase(f.n, fam, iorder).index_space())
         t = _rep_to_base_witness(f, fam, spx, isp)
         if not s.check(
                 _validate_rep_to_base(t, f, fam, spx, isp, rng, samples, fuel),
-                lambda: {"case": "forward-input", "space": f.to_json(),
-                         "family": [sorted(bits(b)) for b in fam]}):
+                _galois_case("forward-input", f, fam)):
             return
         u = galois_forward(t)
         if not s.check(
                 _validate_base_to_rep(u, f, fam, spx, isp, rng, samples, fuel),
-                lambda: {"case": "forward-output", "space": f.to_json(),
-                         "family": [sorted(bits(b)) for b in fam]}):
+                _galois_case("forward-output", f, fam)):
             return
         t2 = galois_backward(u)
         if not s.check(
                 _validate_rep_to_base(t2, f, fam, spx, isp, rng, samples, fuel),
-                lambda: {"case": "roundtrip", "space": f.to_json(),
-                         "family": [sorted(bits(b)) for b in fam]}):
+                _galois_case("roundtrip", f, fam)):
             return
 
     # planted non-reduction: a family member that is not open in the
@@ -737,9 +601,12 @@ def law_galois(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     t = _rep_to_base_witness(f, fam, spx, isp)
     u = galois_forward(t)
     flagged = not _validate_base_to_rep(u, f, fam, spx, isp, rng, 20, fuel)
-    s.check(flagged, lambda: {"case": "planted-non-reduction-not-flagged",
-                              "space": f.to_json(),
-                              "family": [sorted(bits(b)) for b in fam]})
+    s.check(flagged, _galois_case("planted-non-reduction-not-flagged", f, fam))
+
+
+def _galois_case(case: str, f: FiniteSpace, fam: tuple) -> Callable[[], dict]:
+    return lambda: {"case": case, "space": f.to_json(),
+                    "family": [sorted(bits(b)) for b in fam]}
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +621,7 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
             comp = kolmogorov_completion(sp)
             comp2 = kolmogorov_completion(comp.space)
             for u in f.opens:
-                base = leaf_open(sp, u)
-                u1 = comp.open_back(base)
+                u1 = comp.open_back(leaf_open(sp, u))
                 u2 = comp2.open_back(u1)
                 for x in range(f.n):
                     x1 = comp.forward(finite_point(sp, x))
@@ -785,13 +651,10 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
             return
         # a second completion of the induced space is extensionally inert:
         # every base open agrees on forwarded points
-        b = finite_presubbase(sub)
-        bsp = presubbase_space(b)
+        b, bsp, points = _induced_points(sub)
         comp = kolmogorov_completion(bsp)
-        isp, csp = b.index, b.carrier
-        points = [embed_point(b, finite_point(csp, x)) for x in range(sub.n)]
         for k_mask in up_sets(sub.index_space()):
-            u = tau_k_open(bsp, leaf_compact(isp, k_mask))
+            u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
             u2 = comp.open_back(u)
             for x in range(sub.n):
                 once = budgeted(u.chi(points[x]), fuel)
@@ -828,33 +691,19 @@ def _base_completion_range(sub: FiniteSubbase, fuel: int) -> set[int]:
     exhausts the generated topology, so completing twice adds nothing; we
     verify by checking the range equals tau_K exactly (and hence is a
     fixed point of completion)."""
-    b = finite_presubbase(sub)
-    bsp = presubbase_space(b)
-    isp = b.index
-    csp = b.carrier
-    points = [embed_point(b, finite_point(csp, x)) for x in range(sub.n)]
-    got = set()
+    b, bsp, points = _induced_points(sub)
+    out = {0, full_mask(sub.n)}
     for k_mask in up_sets(sub.index_space()):
-        u = tau_k_open(bsp, leaf_compact(isp, k_mask))
-        members = mask_of(x for x in range(sub.n)
-                          if budgeted(u.chi(points[x]), fuel))
-        got.add(members)
-    out = set(got)
+        u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
+        out.add(mask_of(x for x in range(sub.n)
+                        if budgeted(u.chi(points[x]), fuel)))
     # close under union/intersection: the identity base of the induced
     # space realizes every open the base sets generate
-    changed = True
-    while changed:
-        changed = False
-        items = list(out)
-        for i, a in enumerate(items):
-            for bmask in items[i + 1:]:
-                for c in (a | bmask, a & bmask):
-                    if c not in out:
-                        out.add(c)
-                        changed = True
-    out.add(0)
-    out.add(full_mask(sub.n))
-    return out
+    while True:
+        more = {op(a, c) for a in out for c in out for op in (or_, and_)} - out
+        if not more:
+            return out
+        out |= more
 
 
 # ---------------------------------------------------------------------------

@@ -503,20 +503,25 @@ def scott_converges(space: FiniteSpace, terms: Sequence[int], u: int,
 # JSON interface
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON ``true``/``false`` are not (Python's bool is)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def space_from_json(doc: dict) -> FiniteSpace:
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object")
     if "n" not in doc or "opens" not in doc:
         raise SchemaError("missing field: need 'n' and 'opens'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SchemaError("field 'n': expected a nonnegative integer")
     opens = doc["opens"]
     if not isinstance(opens, list):
         raise SchemaError("field 'opens': expected a list of element lists")
     masks = set()
     for i, u in enumerate(opens):
-        if not isinstance(u, list) or not all(isinstance(e, int) for e in u):
+        if not isinstance(u, list) or not all(_is_int(e) for e in u):
             raise SchemaError(f"field 'opens[{i}]': expected a list of integers")
         if any(e < 0 or e >= n for e in u):
             raise SchemaError(f"field 'opens[{i}]': element out of range 0..{n - 1}")
@@ -535,7 +540,7 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
         if field not in doc:
             raise SchemaError(f"missing field: '{field}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SchemaError("field 'n': expected a nonnegative integer")
     if n > MAX_SUBBASE_SIZE:
         raise SchemaError(f"field 'n': a subbase carrier has at most "
@@ -548,7 +553,7 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
                           f"got {len(sets)}")
     masks = []
     for i, s in enumerate(sets):
-        if not isinstance(s, list) or not all(isinstance(e, int) for e in s):
+        if not isinstance(s, list) or not all(_is_int(e) for e in s):
             raise SchemaError(f"field 'sets[{i}]': expected a list of integers")
         if any(e < 0 or e >= n for e in s):
             raise SchemaError(f"field 'sets[{i}]': element out of range 0..{n - 1}")
@@ -559,7 +564,7 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
     pairs = []
     for i, p in enumerate(order):
         if (not isinstance(p, list) or len(p) != 2
-                or not all(isinstance(e, int) for e in p)):
+                or not all(_is_int(e) for e in p)):
             raise SchemaError(f"field 'index_order[{i}]': expected a [y, y'] pair")
         pairs.append((p[0], p[1]))
     return make_subbase(n, masks, pairs)

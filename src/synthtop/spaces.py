@@ -157,10 +157,6 @@ def nat_point(k: int, delay: int = 0) -> Point:
     return Point(NAT, literal_name([k], tail=k))
 
 
-def baire_point(name: Name) -> Point:
-    return Point(BAIRE, name)
-
-
 def read_first(p: Point, fuel: int) -> Optional[int]:
     """First emitted value of a name-backed point, within fuel steps."""
     name: Name = p.payload

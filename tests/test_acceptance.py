@@ -5,11 +5,19 @@ Run with ``pytest tests/test_acceptance.py -v -s`` (or via the CLI:
 ``synthtop verify --laws all --max-size 3``).
 """
 
+import json
 import time
+from pathlib import Path
 
 from synthtop.laws import run_law_suite
 
 FUEL = 10 ** 6  # default step budget per semidecision query
+
+# the stdout of `synthtop verify --laws all --max-size 3` (fuel 10^6, seed
+# 0): one byte-stable report per law, keyed here by law id
+GOLDEN = {json.loads(line)["law"]: line for line in
+          (Path(__file__).parent / "golden" / "verify_all_max_size_3.jsonl")
+          .read_text().splitlines()}
 
 
 def _criterion(n, law, max_size, seed=0, budget_s=None, min_instances=None):
@@ -25,6 +33,7 @@ def _criterion(n, law, max_size, seed=0, budget_s=None, min_instances=None):
           f"{'PASS' if ok else 'FAIL'} "
           f"({rep.instances} instances, {rep.checks} checks, {elapsed:.1f}s)")
     assert rep.passed, rep.counterexample
+    assert rep.stable_json() == GOLDEN[law]
     if min_instances is not None:
         assert rep.instances >= min_instances, rep.instances
     if budget_s is not None:

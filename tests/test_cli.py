@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import synthtop
 from synthtop.cli import main
 from synthtop.oracle import MAX_SUBBASE_SIZE
 
@@ -64,6 +68,38 @@ def test_verify_oversize_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--laws", "enumeration-crosscheck",
                          "--max-size", "9")
     assert code == 2
+
+
+def test_verify_refuses_laws_above_their_size_ceiling(capsys):
+    # these three do not finish at size 4; the refusal comes before any
+    # law runs, also when they are reached through --laws all
+    for laws in ("hyper-ops-vs-oracle", "presubbase-representation",
+                 "figure1-chain", "all"):
+        code, out, err = run(capsys, "verify", "--laws", laws,
+                             "--max-size", "4")
+        assert code == 2
+        assert out == ""
+        assert "--max-size at most 3" in err
+    code, out, _ = run(capsys, "verify", "--laws", "enumeration-crosscheck",
+                       "--max-size", "4")
+    assert code == 0 and json.loads(out)["passed"]
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after 10 bytes, as `synthtop repair ... | head -c 10`
+    # does, of a ~160 kB document: more than a 64 kB pipe buffer takes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "synthtop.cli", "repair", "0.3(3)",
+         "--bits", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(synthtop.__file__).parents[1])})
+    assert proc.stdout.read(10) == b'{"bits": 4'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_repair_output_shape(capsys):
@@ -152,6 +188,14 @@ def test_spaces_schema_violation_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "spaces", str(g), "--query", "t0")
     assert code == 2
     assert "line" in err
+
+    # a JSON boolean is not a carrier size: `true` must not read as 1
+    h = tmp_path / "bool.json"
+    h.write_text(json.dumps({"n": True, "sets": [[0]]}))
+    code, out, err = run(capsys, "spaces", str(h), "--query", "decode-demo")
+    assert code == 2
+    assert out == ""
+    assert "'n'" in err
 
 
 def test_spaces_oversize_subbase_exits_2(tmp_path, capsys):

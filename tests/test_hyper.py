@@ -3,11 +3,11 @@ import pytest
 from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
                             compact_intersection, compact_open_embed,
                             compact_open_invert, compact_union, closed_image,
-                            exists_eval, filter_embed, filter_invert,
-                            forall_eval, membership, neighborhood_filter,
-                            overt_project, overt_union, point_to_closed,
-                            point_to_compact, product_closed, product_open,
-                            section, trace_embed, trace_invert, whole_open)
+                            filter_embed, filter_invert, membership,
+                            neighborhood_filter, overt_project, overt_union,
+                            point_to_closed, point_to_compact, product_closed,
+                            product_open, section, trace_embed, trace_invert,
+                            whole_open)
 from synthtop.oracle import (budgeted, compact_members, family_compact,
                              family_overt, finite_point, finite_repr,
                              leaf_compact, leaf_open, leaf_overt, make_space,
@@ -208,12 +208,12 @@ def test_eval_helpers_and_planted_overt_witness():
     sp = finite_repr(SIERP2)
     x = finite_point(sp, 1)
     u = leaf_open(sp, 0b10)
-    assert budgeted(forall_eval(point_to_compact(x), u)) \
+    assert budgeted(point_to_compact(x).forall_(u)) \
         == budgeted(membership(u, x))
     # the whole space is overt: a nonempty open is found by the witness
-    assert budgeted(exists_eval(sp.overt, u))
-    assert not budgeted(exists_eval(sp.overt, leaf_open(sp, 0)))
-    assert not budgeted(exists_eval(leaf_overt(sp, 0b01), leaf_open(sp, 0)))
+    assert budgeted(sp.overt.exists_(u))
+    assert not budgeted(sp.overt.exists_(leaf_open(sp, 0)))
+    assert not budgeted(leaf_overt(sp, 0b01).exists_(leaf_open(sp, 0)))
 
 
 def test_overt_projection_matches_oracle():

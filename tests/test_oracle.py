@@ -176,6 +176,11 @@ def test_space_json_roundtrip_and_errors():
         space_from_json({"n": 2, "opens": [[], [2], [0, 1]]})  # out of range
     with pytest.raises(SchemaError):
         space_from_json({"n": 2, "opens": [[], [0], [1]]})  # missing carrier
+    # JSON booleans are not integers, though Python's bool is an int
+    with pytest.raises(SchemaError, match="'n'"):
+        space_from_json({"n": True, "opens": [[], [0]]})
+    with pytest.raises(SchemaError, match=r"opens\[1\]"):
+        space_from_json({"n": 2, "opens": [[], [True], [0, 1]]})
 
 
 def test_subbase_json_roundtrip_and_errors():
@@ -188,6 +193,13 @@ def test_subbase_json_roundtrip_and_errors():
         subbase_from_json({"n": 2, "sets": [[7]]})
     with pytest.raises(SchemaError, match="index_order"):
         subbase_from_json({"n": 2, "sets": [[0]], "index_order": 5})
+    with pytest.raises(SchemaError, match="'n'"):
+        subbase_from_json({"n": True, "sets": [[0]]})
+    with pytest.raises(SchemaError, match=r"sets\[0\]"):
+        subbase_from_json({"n": 2, "sets": [[False]]})
+    with pytest.raises(SchemaError, match="index_order"):
+        subbase_from_json({"n": 2, "sets": [[0], [1]],
+                           "index_order": [[True, 0]]})
 
 
 def test_unknown_law_id_is_an_error():
