@@ -27,9 +27,9 @@ from typing import Callable, Optional, Union
 from .sierpinski import (DEFAULT_FUEL, SValue, and_finite, bot,
                          first_accepting, or_countable, top)
 from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
-                     check_space, compacts, fun_point, inj0, inj1, meet,
-                     meet_left, meet_point, meet_right, opens, pair_point,
-                     product, coproduct, proj1, proj2, same_shape, seq_at,
+                     check_space, compacts, fun_point, inj0, inj1, intern,
+                     meet, meet_left, meet_point, meet_right, opens,
+                     pair_point, product, coproduct, proj1, proj2, seq_at,
                      seq_point, sequence)
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
                     as_overt, compact_image, compact_intersection,
@@ -123,9 +123,8 @@ def dsub_point(bspace: Space, transpose_open: OpenSet) -> Point:
     point of the induced space."""
     b: Presubbase = bspace.parts[0]
     if transpose_open.space is not b.index:
-        if not same_shape(transpose_open.space, b.index):
-            raise SpaceMismatch(
-                f"payload over {transpose_open.space!r}, index is {b.index!r}")
+        raise SpaceMismatch(
+            f"payload over {transpose_open.space!r}, index is {b.index!r}")
     return Point(bspace, transpose_open)
 
 
@@ -359,7 +358,8 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
     wx = _need_overt(basex.index, "coproduct_prebase")
     wy = _need_overt(basey.index, "coproduct_prebase")
     index = coproduct(basex.index, basey.index)
-    index.overt = coproduct_closed(index, wx, wy)
+    if index.overt is None:
+        index.overt = coproduct_closed(index, wx, wy)
     carrier = coproduct(basex.carrier, basey.carrier)
 
     def family(t: Point) -> OpenSet:
@@ -409,8 +409,8 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
 def star(s: Space) -> Space:
     """Finite tuples over s, the index space of the sequence construction;
     payloads are tuples of points."""
-    sp = Space("star", (s,), label=f"{s!r}*")
-    if s.overt is not None:
+    sp = intern("star", s, None, "{0!r}*")
+    if sp.overt is None and s.overt is not None:
         sw = s.overt
 
         def exists_len(w: OpenSet, n: int, prefix: tuple) -> SValue:

@@ -21,7 +21,7 @@ from .sierpinski import SValue, and_finite, or_countable, read_table, top
 from .spaces import (NAT, Point, SIERP, Space, SpaceMismatch,
                      MissingWitnessError, apply_fun, check_space, compacts,
                      fun_point, inj0, inj1, nat_point, opens, overts,
-                     pair_point, product, same_shape, sierp_point,
+                     pair_point, product, sierp_point,
                      sierp_value)
 
 
@@ -129,7 +129,7 @@ def as_open(u, space: Optional[Space] = None) -> OpenSet:
         o = OpenSet(base, lambda x, _f=u.payload: sierp_value(_f(x)))
     else:
         raise SpaceMismatch(f"not an open-set value: {u!r}")
-    if space is not None and not same_shape(o.space, space):
+    if space is not None and o.space is not space:
         raise SpaceMismatch(f"open over {o.space!r}, expected {space!r}")
     return o
 
@@ -139,7 +139,7 @@ def as_overt(a, space: Optional[Space] = None) -> OvertClosed:
         a = a.payload
     if not isinstance(a, OvertClosed):
         raise SpaceMismatch(f"not an overt value: {a!r}")
-    if space is not None and not same_shape(a.space, space):
+    if space is not None and a.space is not space:
         raise SpaceMismatch(f"overt over {a.space!r}, expected {space!r}")
     return a
 
@@ -149,7 +149,7 @@ def as_compact(k, space: Optional[Space] = None) -> CompactSat:
         k = k.payload
     if not isinstance(k, CompactSat):
         raise SpaceMismatch(f"not a compact value: {k!r}")
-    if space is not None and not same_shape(k.space, space):
+    if space is not None and k.space is not space:
         raise SpaceMismatch(f"compact over {k.space!r}, expected {space!r}")
     return k
 
@@ -202,7 +202,7 @@ def closed_image(f: Point, a: OvertClosed) -> OvertClosed:
 
 
 def check_fun(f: Point, dom: Space) -> None:
-    if f.space.tag != "function" or not same_shape(f.space.parts[0], dom):
+    if f.space.tag != "function" or f.space.parts[0] is not dom:
         raise SpaceMismatch(f"function over {f.space!r} applied to {dom!r} value")
 
 

@@ -582,29 +582,23 @@ def load_json(path: str) -> dict:
 # Bridge: finite data as kernel spaces, points and hyperspace values
 
 
-_SPACE_CACHE: dict[FiniteSpace, Space] = {}
-
-
+@lru_cache(maxsize=None)
 def finite_repr(f: FiniteSpace) -> Space:
     """The finite space as a represented space: points are name-backed and
     denote their first emitted value.  Always overt (disjunction over
     elements); carries the neighborhood-map inverse (candidate narrowing
     plus least element) exactly when the topology is T0 -- otherwise the
     filter does not determine the point and the space is genuinely not a
-    computable Kolmogorov space."""
-    sp = _SPACE_CACHE.get(f)
-    if sp is not None:
-        return sp
+    computable Kolmogorov space.  Built once per (frozen) ``f``; its
+    undelayed points are built with it and kept in ``parts[1]``."""
     sp = Space("finite", (f,), label=f"Fin({f.n})")
-    _SPACE_CACHE[f] = sp
+    sp.parts = (f, tuple(Point(sp, literal_name([e], tail=e))
+                         for e in range(f.n)))
     sp.overt = OvertClosed(sp, lambda u: or_countable(
-        [u.chi(finite_point(sp, e)) for e in range(f.n)]))
+        [u.chi(p) for p in sp.parts[1]]))
     if is_T0(f):
         sp.filter_inverse = lambda flt, fuel=None: _finite_filter_inverse(sp, f, flt, fuel)
     return sp
-
-
-_POINT_CACHE: dict[tuple[int, int], Point] = {}
 
 
 def finite_point(sp: Space, elem: int, delay: int = 0) -> Point:
@@ -612,12 +606,7 @@ def finite_point(sp: Space, elem: int, delay: int = 0) -> Point:
     if not 0 <= elem < f.n:
         raise ValueError(f"element {elem} outside carrier of size {f.n}")
     if delay == 0:
-        key = (id(sp), elem)
-        p = _POINT_CACHE.get(key)
-        if p is None:
-            p = Point(sp, literal_name([elem], tail=elem))
-            _POINT_CACHE[key] = p
-        return p
+        return sp.parts[1][elem]
     return Point(sp, delayed_name([(delay, elem)], tail=elem))
 
 

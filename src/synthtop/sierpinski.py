@@ -76,7 +76,7 @@ class SValue:
             r = self._runner = self.make()
             if r.done:
                 self._at = 0
-                return 0
+                return 0 if fuel >= 0 else None
         ran = start = self._ran
         if ran >= fuel:
             return None
@@ -284,12 +284,12 @@ def bot() -> SValue:
 
 
 def accept_at(n: int) -> SValue:
-    return SValue(lambda: _AcceptAt(n), bound=n)
+    return SValue(lambda: _AcceptAt(n), bound=max(n, 0))
 
 
 def after(delay: int, v: SValue) -> SValue:
-    """The same semidecision, delayed by ``delay`` silent steps."""
-    b = None if v.bound is None else v.bound + delay
+    """The same semidecision, delayed by ``max(delay, 0)`` silent steps."""
+    b = None if v.bound is None else v.bound + max(delay, 0)
     return SValue(lambda: _Seq(delay, v.make()), bound=b)
 
 
@@ -384,8 +384,14 @@ def first_accepting(family: Callable[[int], SValue], size: Optional[int],
     """Dovetail the family and return (winning index, global step) of the
     first acceptance within ``fuel`` steps, else None."""
     engine = Dovetail(lambda i: family(i).make(), size)
-    used = engine.run(fuel)
-    TALLY.add(used if used is not None else fuel)
+    used = None
+    try:
+        used = engine.run(fuel)
+    except Exception:
+        used = engine.steps + 1  # the raising step counts, as in `status`
+        raise
+    finally:
+        TALLY.add(fuel if used is None else used)
     if used is None:
         return None
     return engine.winner, used

@@ -5,10 +5,18 @@ read; a `Point` is a payload tagged with its space.  All maps between
 spaces are shallow transformers (Python callables on points): the
 machinery composes realizers, it does not serialize them.
 
+Shapes are interned: every constructor built on a left part ``x``
+returns the one space of that shape, kept in a dict on ``x`` keyed by
+the tag and the right part (a space, a subspace predicate, or nothing).
+A derived space therefore lives exactly as long as its left part (and
+keeps its right part alive that long), there is no module-level table
+of spaces, and "same space?" is ``is``.
+
 Capability witnesses are attached to spaces where available rather than
 derived: ``overt`` is a whole-space overt value and ``filter_inverse``
-a partial inverse of the neighborhood map.  Spaces without a witness
-simply lack the corresponding operations.
+a partial inverse of the neighborhood map.  Since a shape is one object,
+a witness is per shape: it is filled in only while the slot is empty.
+Spaces without a witness simply lack the corresponding operations.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ class MissingWitnessError(ValueError):
 
 class Space:
     __slots__ = ("tag", "parts", "label", "overt", "filter_inverse",
-                 "_opens", "_overts", "_compacts")
+                 "derived", "__weakref__")
 
     def __init__(self, tag: str, parts: tuple = (), label: str = ""):
         self.tag = tag
@@ -38,101 +46,72 @@ class Space:
         self.label = label
         self.overt = None            # OvertClosed over self, or None
         self.filter_inverse = None   # (OpenSet over opens(self), fuel) -> Point
-        self._opens = None
-        self._overts = None
-        self._compacts = None
+        self.derived: dict = {}      # (tag, right part) -> space built on self
 
     def __repr__(self):
         return self.label or f"Space<{self.tag}>"
 
 
 NAT = Space("nat", label="N")
-BAIRE = Space("baire", label="N^N")
 SIERP = Space("sierp", label="S")
 
 
+def intern(tag: str, x: Space, right, label: str) -> Space:
+    """The one space of shape ``tag`` on ``x`` and ``right`` (None for a
+    one-part shape).  ``label`` is formatted with x and right, once."""
+    key = (tag, right)
+    sp = x.derived.get(key)
+    if sp is None:
+        parts = (x,) if right is None else (x, right)
+        sp = x.derived[key] = Space(tag, parts, label.format(x, right))
+    return sp
+
+
 def product(x: Space, y: Space) -> Space:
-    return Space("product", (x, y), label=f"({x!r} x {y!r})")
+    return intern("product", x, y, "({0!r} x {1!r})")
 
 
 def coproduct(x: Space, y: Space) -> Space:
-    return Space("coproduct", (x, y), label=f"({x!r} + {y!r})")
+    return intern("coproduct", x, y, "({0!r} + {1!r})")
 
 
 def meet(x: Space, y: Space) -> Space:
-    return Space("meet", (x, y), label=f"({x!r} & {y!r})")
+    return intern("meet", x, y, "({0!r} & {1!r})")
 
 
 def subspace(x: Space, member: Callable[["Point"], bool]) -> Space:
     """A subspace: points are x-points asserted to satisfy ``member``.
-    The predicate is only usable at oracle scale; no new names appear."""
-    return Space("subspace", (x, member), label=f"Sub({x!r})")
+    The predicate is only usable at oracle scale; no new names appear.
+    Two predicates give two subspaces, even if they agree."""
+    return intern("subspace", x, member, "Sub({0!r})")
 
 
 def sequence(x: Space) -> Space:
-    return Space("sequence", (x,), label=f"{x!r}^N")
+    return intern("sequence", x, None, "{0!r}^N")
 
 
 def function(x: Space, y: Space) -> Space:
-    return Space("function", (x, y), label=f"C({x!r},{y!r})")
+    return intern("function", x, y,
+                  "O({0!r})" if y is SIERP else "C({0!r},{1!r})")
 
 
 def opens(x: Space) -> Space:
-    """O(x), realized as the function space into Sierpinski; memoized so
-    repeated constructions share identity."""
-    sp = x._opens
-    if sp is None:
-        sp = function(x, SIERP)
-        sp.label = f"O({x!r})"
-        x._opens = sp
-    return sp
+    """O(x), realized as the function space into Sierpinski."""
+    return function(x, SIERP)
 
 
 def overts(x: Space) -> Space:
     """A+(x): closed sets given by their meets-this-open semidecider."""
-    sp = x._overts
-    if sp is None:
-        sp = Space("overts", (x,), label=f"A+({x!r})")
-        x._overts = sp
-    return sp
+    return intern("overts", x, None, "A+({0!r})")
 
 
 def compacts(x: Space) -> Space:
     """K-(x): saturated compacts given by their inside-this-open semidecider."""
-    sp = x._compacts
-    if sp is None:
-        sp = Space("compacts", (x,), label=f"K-({x!r})")
-        x._compacts = sp
-    return sp
-
-
-def same_shape(a: Space, b: Space) -> bool:
-    if a is b:
-        return True
-    if a.tag != b.tag:
-        return False
-    if len(a.parts) != len(b.parts):
-        return False
-    for p, q in zip(a.parts, b.parts):
-        if isinstance(p, Space) and isinstance(q, Space):
-            if not same_shape(p, q):
-                return False
-        elif isinstance(p, Space) or isinstance(q, Space):
-            return False
-        else:
-            # non-space payloads (finite data, predicates): compare by
-            # equality where it is meaningful, identity otherwise
-            try:
-                if p != q:
-                    return False
-            except Exception:
-                if p is not q:
-                    return False
-    return True
+    return intern("compacts", x, None, "K-({0!r})")
 
 
 def check_space(point: "Point", space: Space, what: str = "point") -> None:
-    if not same_shape(point.space, space):
+    if point.space is not space:
         raise SpaceMismatch(f"{what} lives over {point.space!r}, expected {space!r}")
 
 

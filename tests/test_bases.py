@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from synthtop.bases import (GaloisWitness, Prebase, Presubbase, base_completion,
@@ -6,7 +9,8 @@ from synthtop.bases import (GaloisWitness, Prebase, Presubbase, base_completion,
                             lacombe_to_prebase, meet_prebase, point_transpose,
                             prebase_from_point_closure, prebase_from_presubbase,
                             presubbase_space, product_prebase,
-                            coproduct_prebase, sequence_prebase, star_point,
+                            coproduct_prebase, sequence_prebase, star,
+                            star_point,
                             subbase_open, subspace_prebase, tau_k_open,
                             transpose)
 from synthtop.hyper import (CompactSat, OpenSet, OvertClosed, as_compact,
@@ -18,10 +22,12 @@ from synthtop.oracle import (bits, budgeted, compact_family_of_compacts,
                              finite_repr, full_mask, leaf_compact, leaf_open,
                              leaf_overt, make_space, make_subbase, mask_of,
                              open_members, product_space, up_sets)
+from synthtop.reals import DECIMAL
 from synthtop.sierpinski import NEGATIVE_FUEL, and_finite
-from synthtop.spaces import (MissingWitnessError, Point, Space, opens,
-                             pair_point, proj1, proj2, read_first, seq_at,
-                             seq_point, subspace)
+from synthtop.spaces import (MissingWitnessError, Point, Space, compacts,
+                             opens, pair_point, product, proj1, proj2,
+                             read_first, seq_at, seq_point, sequence,
+                             subspace)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 DISC2 = make_space(2, [0, 0b01, 0b10, 0b11])
@@ -533,3 +539,46 @@ def test_galois_direction_errors():
     w2 = GaloisWitness("rep_to_base", sp, sp, lambda x: whole_open(sp))
     with pytest.raises(ValueError):
         galois_backward(w2)
+
+
+# --- interned shapes and per-shape witnesses ------------------------------
+
+
+@pytest.mark.parametrize("build", [product_prebase, coproduct_prebase])
+def test_second_pairwise_prebase_keeps_the_first_index_witness(build):
+    _, b, _ = chain_instance()
+    index = build(b, b).index
+    witness = index.overt
+    assert witness is not None
+    again = build(b, b).index
+    assert again is index
+    assert again.overt is witness
+
+
+def test_star_is_interned_and_keeps_its_witness():
+    _, b, _ = chain_instance()
+    s = star(b.index)
+    witness = s.overt
+    assert witness is not None
+    assert star(b.index) is s
+    assert s.overt is witness
+    assert sequence_prebase(b).index is s
+
+
+def test_presubbase_space_and_its_derived_spaces_die_with_it():
+    _, b, bsp = chain_instance()
+    derived = [opens(bsp), product(bsp, b.index), compacts(opens(bsp)),
+               star(bsp), sequence(product(bsp, bsp))]
+    refs = [weakref.ref(sp) for sp in [bsp, *derived]]
+    del b, bsp, derived
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_repeated_completion_does_not_grow_the_derived_table():
+    kolmogorov_completion(DECIMAL)
+    table = dict(DECIMAL.derived)
+    for _ in range(3):
+        comp = kolmogorov_completion(DECIMAL)
+        assert comp.space.parts[0].index is opens(DECIMAL)
+    assert DECIMAL.derived == table

@@ -149,6 +149,29 @@ def test_after_shifts_acceptance():
     assert after(3, top()).status(3) == 3
 
 
+def test_after_with_negative_delay_certifies_a_sound_horizon():
+    # a negative delay adds no silent steps, so it cannot pull the bound
+    # below the inner value's own acceptance step
+    v = after(-5, accept_at(3))
+    assert v.bound == 3
+    assert v.status(v.bound) == 3
+    assert after(-5, top()).bound == 0
+
+
+def test_accept_at_negative_is_born_accepted_with_bound_zero():
+    v = accept_at(-2)
+    assert v.bound == 0
+    assert v.status(v.bound) == 0
+
+
+def test_negative_fuel_is_pending_on_every_call():
+    v = top()
+    assert [v.status(-1), v.status(-1), v.status(0), v.status(-1)] \
+        == [None, None, 0, None]
+    w = accept_at(2)
+    assert [w.status(-1), w.status(5), w.status(-1)] == [None, 2, None]
+
+
 def test_bind_name_value_costs_one_step_per_name_step():
     nm = literal_name([4], tail=4)
     v = bind_name_value(nm, lambda k: accept_at(k), inner_bound=4)
@@ -176,6 +199,29 @@ def test_first_accepting_reports_winner():
     idx, used = got
     assert idx in (1, 2)
     assert first_accepting(lambda i: bot(), 4, 500) is None
+
+
+def test_first_accepting_charges_the_tally_when_a_task_raises():
+    # the same raising race, run by first_accepting and by a status call,
+    # charges the same steps: up to and including the raising step
+    def decide(v):
+        raise LookupError(f"no row for {v}")
+
+    def family(i):
+        return read_table((delayed_name([(i + 1, i)], tail=i),), decide)
+
+    def charged(run):
+        t0 = TALLY.n
+        try:
+            run()
+        except LookupError:
+            pass
+        return TALLY.n - t0
+
+    via_race = charged(lambda: first_accepting(family, 3, 100))
+    via_status = charged(lambda: or_countable(
+        [family(i) for i in range(3)]).status(100))
+    assert via_race == via_status > 0
 
 
 # --- read_table against the nested bind_name_value construction ---------

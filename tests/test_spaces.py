@@ -3,12 +3,14 @@ import random
 import pytest
 
 from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
-from synthtop.spaces import (ConvSeq, Point, SpaceMismatch, apply_fun,
-                             case_point, curry, fun_point, identity_fun,
-                             inj0, inj1, meet_left, meet_point, meet_right,
-                             nat_point, pair_point, product, proj1, proj2,
-                             read_first, seq_at, seq_point, sierp_point,
-                             sierp_value, uncurry)
+from synthtop.spaces import (NAT, SIERP, ConvSeq, Point, SpaceMismatch,
+                             apply_fun, case_point, check_space, compacts,
+                             coproduct, curry, fun_point, function,
+                             identity_fun, inj0, inj1, meet, meet_left,
+                             meet_point, meet_right, nat_point, opens,
+                             overts, pair_point, product, proj1, proj2,
+                             read_first, seq_at, seq_point, sequence,
+                             sierp_point, sierp_value, subspace, uncurry)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 DISC2 = make_space(2, [0, 0b01, 0b10, 0b11])
@@ -189,3 +191,52 @@ def test_convseq_slots():
                  limit=finite_point(space, 1))
     assert read_first(cs.at(4), 10) == 0
     assert read_first(cs.at("inf"), 10) == 1
+
+
+# --- interned shapes ------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, y: product(x, y), lambda x, y: coproduct(x, y),
+    lambda x, y: meet(x, y), lambda x, y: function(x, y),
+    lambda x, y: sequence(x), lambda x, y: opens(x),
+    lambda x, y: overts(x), lambda x, y: compacts(x),
+    lambda x, y: product(product(x, y), opens(y))])
+def test_constructors_return_one_object_per_shape(build):
+    x, y = sp(), finite_repr(DISC2)
+    first = build(x, y)
+    assert build(x, y) is first
+    assert build(finite_repr(SIERP2), finite_repr(DISC2)) is first
+    assert build(y, x) is not first
+
+
+def test_opens_is_the_function_space_into_sierpinski():
+    x = sp()
+    assert opens(x) is function(x, SIERP)
+    assert function(NAT, SIERP) is opens(NAT)
+    assert repr(function(NAT, SIERP)) == "O(N)"
+    assert repr(function(NAT, NAT)) == "C(N,N)"
+
+
+def test_points_of_one_shape_pass_the_identity_check():
+    x = sp()
+    pr = pair_point(finite_point(x, 0), finite_point(x, 1))
+    check_space(pr, product(x, x))
+    with pytest.raises(SpaceMismatch):
+        check_space(pr, product(x, finite_repr(DISC2)))
+
+
+def test_subspaces_with_different_predicates_are_different_spaces():
+    x = sp()
+
+    def keep(p):
+        return True
+
+    def also_keep(p):
+        return True
+
+    assert subspace(x, keep) is subspace(x, keep)
+    z = Point(subspace(x, keep), finite_point(x, 1).payload)
+    check_space(z, subspace(x, keep))
+    with pytest.raises(SpaceMismatch):
+        check_space(z, subspace(x, also_keep))
