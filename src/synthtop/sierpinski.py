@@ -13,12 +13,14 @@ countable disjunction are the whole logic.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Union
 
 from .kernel import Dovetail, Name, NameReader, dovetail_bound
 
 DEFAULT_FUEL = 10 ** 6
 NEGATIVE_FUEL = 10 ** 4  # default budget for "never accepts" assertions
+NEVER = math.inf  # the known outcome of a value that never accepts
 
 
 class _Tally:
@@ -41,31 +43,63 @@ class SValue:
     """A semidecision.  ``make()`` builds a fresh deterministic stepper;
     ``bound``, where set, is a certified horizon: if the process ever
     accepts, it accepts within ``bound`` steps.  A sound bound turns
-    "pending at bound" into "pending forever"."""
+    "pending at bound" into "pending forever".
 
-    __slots__ = ("make", "bound", "_runner", "_ran", "_at", "_err")
+    ``known``, where set, is the outcome of every run, fixed at
+    construction: the exact acceptance step, or `NEVER`.  The combinators
+    fold it from children that are all known (constants, delays, finite
+    conjunctions and disjunctions, and reads of names whose first values
+    are already cached).  ``status`` answers a known value by arithmetic
+    without calling ``make``, and charges ``TALLY`` what stepping would:
+    up to ``min(known, fuel)`` steps, less those already charged.  Its
+    ``make`` returns a flat stepper accepting at that step, or ``never``,
+    so an unknown parent steps it as a leaf."""
 
-    def __init__(self, make: Callable[[], object], bound: Optional[int] = None):
-        self.make = make
+    __slots__ = ("_make", "bound", "known", "_runner", "_ran", "_at", "_err")
+
+    def __init__(self, make: Optional[Callable[[], object]],
+                 bound: Optional[int] = None,
+                 known: Union[int, float, None] = None):
+        self._make = make  # unused, and may be None, once known is set
         self.bound = bound
+        self.known = known
         self._runner = None
         self._ran = 0
         self._at: Optional[int] = None
         self._err: Optional[tuple[Exception, int]] = None
+
+    def make(self):
+        """A fresh stepper for one run."""
+        k = self.known
+        if k is None:
+            return self._make()
+        return _NEVER if k == NEVER else _AcceptAt(k)
 
     def status(self, fuel: int) -> Optional[int]:
         """Accepted step count if acceptance happens within ``fuel`` steps
         of a fresh run, else None (pending).  Progress is cached and the
         cache is replay-exact, so repeated queries agree with fresh runs.
 
-        A ``never`` runner is pending at once; a `Dovetail` runner is
-        advanced by `Dovetail.run`, which skips its dead slots.  Either way
-        ``TALLY`` is charged every logical step, as if stepped one by one.
-        An exception raised at step s is sticky: it is raised again for
-        every ``fuel >= s`` and the query is pending below s."""
+        A known value answers at once; a ``never`` runner is pending at
+        once; a `Dovetail` runner is advanced by `Dovetail.run`, which
+        skips its dead slots.  In every case ``TALLY`` is charged every
+        logical step, as if stepped one by one.  An exception raised at
+        step s is sticky: it is raised again for every ``fuel >= s`` and
+        the query is pending below s."""
         at = self._at
         if at is not None:
             return at if at <= fuel else None
+        k = self.known
+        if k is not None:
+            ran = self._ran
+            if k <= fuel:
+                self._ran = self._at = k
+                TALLY.add(k - ran)
+                return k
+            if ran < fuel:
+                self._ran = fuel
+                TALLY.add(fuel - ran)
+            return None
         err = self._err
         if err is not None:
             if fuel >= err[1]:
@@ -73,7 +107,7 @@ class SValue:
             return None
         r = self._runner
         if r is None:
-            r = self._runner = self.make()
+            r = self._runner = self._make()
             if r.done:
                 self._at = 0
                 return 0 if fuel >= 0 else None
@@ -275,22 +309,26 @@ class _ReadTable:
 
 
 def top() -> SValue:
-    return SValue(lambda: _AcceptAt(0), bound=0)
+    return SValue(None, 0, 0)
 
 
 def bot() -> SValue:
     # bound 0 is vacuously sound: bot never accepts at all
-    return SValue(lambda: _NEVER, bound=0)
+    return SValue(None, 0, NEVER)
 
 
 def accept_at(n: int) -> SValue:
-    return SValue(lambda: _AcceptAt(n), bound=max(n, 0))
+    k = max(n, 0)
+    return SValue(None, k, k)
 
 
 def after(delay: int, v: SValue) -> SValue:
     """The same semidecision, delayed by ``max(delay, 0)`` silent steps."""
-    b = None if v.bound is None else v.bound + max(delay, 0)
-    return SValue(lambda: _Seq(delay, v.make()), bound=b)
+    d = max(delay, 0)
+    b = None if v.bound is None else v.bound + d
+    if v.known is not None:
+        return SValue(None, b, v.known + d)
+    return SValue(lambda: _Seq(delay, v.make()), b)
 
 
 def and_finite(vs: Sequence[SValue]) -> SValue:
@@ -298,31 +336,54 @@ def and_finite(vs: Sequence[SValue]) -> SValue:
     children's counts (already-accepted children cost nothing)."""
     vs = list(vs)
     bound: Optional[int] = 0
+    known: Union[int, float, None] = 0
     for v in vs:
-        if v.bound is None:
-            bound = None
-            break
-        bound += v.bound
-    return SValue(lambda: _All([v.make() for v in vs]), bound=bound)
+        if bound is not None:
+            b = v.bound
+            bound = None if b is None else bound + b
+        if known is not None:
+            k = v.known
+            known = None if k is None else known + k
+    if known is not None:
+        return SValue(None, bound, known)
+    return SValue(lambda: _All([v.make() for v in vs]), bound)
 
 
 def or_countable(family: Union[Sequence[SValue], Callable[[int], SValue]],
                  size: Optional[int] = None) -> SValue:
     """Accepts iff some input accepts, with fairness inherited from the
-    dovetail schedule.  Accepts a finite list or an index function."""
-    if not callable(family):
+    dovetail schedule.  Accepts a finite list or an index function; a
+    finite index function is called once per index, here."""
+    if callable(family):
+        if size is None:
+            return SValue(lambda: Dovetail(lambda i: family(i).make()))
+        items = [family(i) for i in range(size)]
+    else:
         items = list(family)
         size = len(items)
-        get = items.__getitem__
-    else:
-        get = family
-    bound: Optional[int] = None
-    if size is not None:
-        bs = [get(i).bound for i in range(size)]
-        if all(b is not None for b in bs):
-            bound = max((dovetail_bound(i, b, size) for i, b in enumerate(bs)),
-                        default=0)
-    return SValue(lambda: Dovetail(lambda i: get(i).make(), size), bound=bound)
+    # task i accepting at its own step k lands at dovetail_bound(i, k, size)
+    bound: Optional[int] = 0
+    known: Union[int, float, None] = NEVER
+    for i, v in enumerate(items):
+        if bound is not None:
+            b = v.bound
+            if b is None:
+                bound = None
+            else:
+                t = dovetail_bound(i, b, size)
+                if t > bound:
+                    bound = t
+        if known is not None:
+            k = v.known
+            if k is None:
+                known = None
+            elif k != NEVER:
+                t = dovetail_bound(i, k, size)
+                if t < known:
+                    known = t
+    if known is not None:
+        return SValue(None, bound, known)
+    return SValue(lambda: Dovetail(lambda i: items[i].make(), size), bound)
 
 
 def bind_name_value(name: Name, k: Callable[[int], SValue],
@@ -331,13 +392,28 @@ def bind_name_value(name: Name, k: Callable[[int], SValue],
 
     ``inner_bound`` must dominate the bound of every continuation ``k`` can
     return; with the name's first-emission cost it certifies the horizon.
+    When the first value is already cached, error-free, ``k`` is called
+    here; the value is known if the continuation is, and a continuation
+    that raises is left to be called again in the stepping run, so the
+    error surfaces at the arrival step.
     """
     bound = None
     if name.cost is not None and inner_bound is not None:
         c0 = name.cost(0)
         if c0 is not None:
             bound = c0 + inner_bound
-    return SValue(lambda: _BindValue(NameReader(name), k), bound=bound)
+    hit = name.first_clean()
+    if hit is not None:
+        try:
+            inner = k(hit[0])
+        except Exception:  # raised again, in order, by the stepping run
+            pass
+        else:
+            if inner.known is not None:
+                return SValue(None, bound, hit[1] + inner.known)
+            return SValue(lambda: _BindValue(NameReader(name), lambda _: inner),
+                          bound)
+    return SValue(lambda: _BindValue(NameReader(name), k), bound)
 
 
 def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
@@ -348,35 +424,33 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     as for nested `bind_name_value` reads continuing with `top`/`bot`, and
     ``bound`` is the sum of their ``cost(0)`` (None if any is unknown).  A
     rejected read goes ``never``.  When every name's first value is
-    already cached, error-free, instantiation answers from the cache
-    without building a reader; an exception from ``decide`` is left to the
-    stepping run, so it surfaces at the arrival step.
+    already cached, error-free, the outcome is known at construction; an
+    exception from ``decide`` is left to the stepping run, so it surfaces
+    at the arrival step.
     """
     names = tuple(names)
     bound: Optional[int] = 0
+    vals: Optional[list[int]] = []
+    at = 0
     for nm in names:
-        c0 = nm.cost(0) if nm.cost is not None else None
-        if c0 is None:
-            bound = None
-            break
-        bound += c0
-
-    def make():
-        vals = []
-        at = 0
-        for nm in names:
+        if bound is not None:
+            c0 = nm.cost(0) if nm.cost is not None else None
+            bound = None if c0 is None else bound + c0
+        if vals is not None:
             hit = nm.first_clean()
             if hit is None:
-                return _ReadTable(names, decide)
-            vals.append(hit[0])
-            at += hit[1]
+                vals = None
+            else:
+                vals.append(hit[0])
+                at += hit[1]
+    if vals is not None:
         try:
             ok = decide(*vals)
-        except Exception:
-            return _ReadTable(names, decide)
-        return _AcceptAt(at) if ok else _NEVER
-
-    return SValue(make, bound=bound)
+        except Exception:  # raised again, in order, by the stepping run
+            pass
+        else:
+            return SValue(None, bound, at if ok else NEVER)
+    return SValue(lambda: _ReadTable(names, decide), bound)
 
 
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],
@@ -391,7 +465,7 @@ def first_accepting(family: Callable[[int], SValue], size: Optional[int],
         used = engine.steps + 1  # the raising step counts, as in `status`
         raise
     finally:
-        TALLY.add(fuel if used is None else used)
+        TALLY.add(max(fuel, 0) if used is None else used)
     if used is None:
         return None
     return engine.winner, used

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
                              dovetail_bound, literal_name)
-from synthtop.sierpinski import (NEGATIVE_FUEL, TALLY, accept_at, after,
-                                 and_finite, bind_name_value, bot,
-                                 first_accepting, or_countable, read_table,
-                                 top)
+from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue,
+                                 accept_at, after, and_finite,
+                                 bind_name_value, bot, first_accepting,
+                                 or_countable, read_table, top)
 
 
 def test_top_accepts_at_zero():
@@ -335,3 +335,163 @@ def test_read_table_answers_cached_names_without_a_reader():
     dead = read_table((x, y), lambda a, b: False)
     assert dead.make().never
     assert dead.status(NEGATIVE_FUEL) is None
+
+
+# --- known outcomes: folded values against stepped ones -------------------
+
+
+def test_first_accepting_with_negative_fuel_charges_nothing():
+    t0 = TALLY.n
+    assert first_accepting(lambda i: bot(), 2, -5) is None
+    assert or_countable([bot(), bot()]).status(-5) is None
+    assert TALLY.n == t0
+
+
+def test_known_value_answers_without_a_stepper(monkeypatch):
+    v = and_finite([accept_at(3), after(2, top())])
+    assert v.known == 5 and v.bound == 5
+
+    def boom(self):
+        raise AssertionError("a known value built a stepper")
+
+    monkeypatch.setattr(SValue, "make", boom)
+    charged = []
+    for fuel in (2, 1, 4, 9, 3, -1):
+        t0 = TALLY.n
+        got = v.status(fuel)
+        charged.append((got, TALLY.n - t0))
+    assert charged == [(None, 2), (None, 0), (None, 2), (5, 1), (None, 0),
+                       (None, 0)]
+    assert bot().known == NEVER and or_countable([]).known == NEVER
+
+
+def test_deep_known_conjunction_answers_without_recursion():
+    v = top()
+    for _ in range(1500):
+        v = and_finite([v])
+    assert v.status(10) == 0
+
+
+def test_deep_known_delay_answers_without_recursion():
+    v = accept_at(1)
+    for _ in range(3000):
+        v = after(1, v)
+    assert v.status(10 ** 4) == 3001
+
+
+class _Raises:
+    """A stepper raising at its n-th step."""
+
+    done = never = False
+
+    def __init__(self, n):
+        self.left = n
+
+    def step(self):
+        self.left -= 1
+        if self.left <= 0:
+            raise LookupError("stepper raised")
+        return False
+
+
+def _raising(n):
+    def make():
+        if n == 0:
+            raise LookupError("make raised")
+        return _Raises(n)
+    return SValue(make)
+
+
+_TABLE_NAMES = st.lists(st.tuples(_NAME_SPECS, st.integers(0, 6)),
+                        min_size=1, max_size=2)
+
+
+@st.composite
+def fold_trees(draw, depth=0):
+    """Trees over every combinator; names carry the steps to warm them."""
+    if depth >= 3 or draw(st.booleans()):
+        return draw(st.one_of(
+            st.just(("top",)), st.just(("bot",)),
+            st.tuples(st.just("at"), st.integers(-2, 12)),
+            st.tuples(st.just("raise"), st.integers(0, 8)),
+            st.tuples(st.just("table"), _TABLE_NAMES, st.integers(0, 4),
+                      st.booleans())))
+    op = draw(st.sampled_from(["after", "unknown", "and", "or", "or_fn",
+                               "bind"]))
+    if op == "after":
+        return ("after", draw(st.integers(-2, 5)), draw(fold_trees(depth + 1)))
+    if op == "unknown":
+        return ("unknown", draw(fold_trees(depth + 1)))
+    kids = draw(st.lists(fold_trees(depth + 1), min_size=0 if op != "bind"
+                         else 1, max_size=3))
+    if op == "bind":
+        return ("bind", draw(st.tuples(_NAME_SPECS, st.integers(0, 6))), kids,
+                draw(st.booleans()))
+    return (op, kids)
+
+
+def _fold_build(tree, fold):
+    """The value of ``tree``.  Stepped (``fold`` false): every leaf is
+    rewrapped without its known outcome and names are read cold, so every
+    combinator builds real steppers.  Folded: names are warmed first."""
+
+    def name(spec):
+        nm = _make_name(spec[0])
+        if fold:
+            _warm(nm, spec[1])
+        return nm
+
+    tag = tree[0]
+    if tag == "top":
+        v = top()
+    elif tag == "bot":
+        v = bot()
+    elif tag == "at":
+        v = accept_at(tree[1])
+    elif tag == "raise":
+        return _raising(tree[1])
+    elif tag == "table":
+        _, specs, cut, raises = tree
+
+        def decide(*vals):
+            if raises and vals[0] == 2:
+                raise LookupError("no row for 2")
+            return sum(vals) <= cut
+
+        v = read_table([name(sp) for sp in specs], decide)
+    elif tag == "unknown":
+        v = _fold_build(tree[1], fold)
+        return SValue(v.make, v.bound)
+    elif tag == "after":
+        return after(tree[1], _fold_build(tree[2], fold))
+    elif tag == "and":
+        return and_finite([_fold_build(t, fold) for t in tree[1]])
+    elif tag == "or":
+        return or_countable([_fold_build(t, fold) for t in tree[1]])
+    elif tag == "or_fn":
+        kids = tree[1]
+        return or_countable(lambda i: _fold_build(kids[i], fold), len(kids))
+    else:
+        _, spec, kids, raises = tree
+
+        def k(val):
+            if raises and val == 2:
+                raise LookupError("no continuation for 2")
+            return _fold_build(kids[val % len(kids)], fold)
+
+        bounds = [_fold_build(t, fold).bound for t in kids]
+        inner = None if None in bounds else max(bounds)
+        return bind_name_value(name(spec), k, inner_bound=inner)
+    return v if fold else SValue(v.make, v.bound)
+
+
+@given(fold_trees(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_folded_values_match_stepped_ones(tree, cuts):
+    folded, stepped = _fold_build(tree, True), _fold_build(tree, False)
+    assert folded.bound == stepped.bound
+    fuels = list(itertools.accumulate(cuts)) + [60]
+    assert _observe(folded, fuels) == _observe(stepped, fuels)
+    # the step where acceptance or an error first shows, fuel by fuel
+    folded, stepped = _fold_build(tree, True), _fold_build(tree, False)
+    assert _observe(folded, range(61)) == _observe(stepped, range(61))
