@@ -22,7 +22,7 @@ query; tests check the defining equation of whatever comes back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .sierpinski import (DEFAULT_FUEL, SValue, and_finite, bot,
                          first_accepting, or_countable, top)
@@ -34,8 +34,8 @@ from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
                     as_overt, compact_image, compact_intersection,
                     compact_union, coproduct_closed, neighborhood_filter,
-                    overt_union, point_to_closed, point_to_compact,
-                    product_closed, product_open, section,
+                    overt_project, overt_union, point_to_closed,
+                    point_to_compact, product_closed, product_open,
                     attach_product_witnesses)
 
 
@@ -147,7 +147,6 @@ def subbase_open(bspace: Space, y: Point) -> OpenSet:
 def tau_k_open(bspace: Space, k: CompactSat) -> OpenSet:
     """A base open of the induced topology: the intersection of the family
     over a compact index set, semidecided by one forall-query."""
-    b: Presubbase = bspace.parts[0]
     if not isinstance(k, CompactSat):
         k = as_compact(k)
     return OpenSet(bspace, lambda p: k.forall_(point_transpose(p)))
@@ -278,8 +277,7 @@ def _pairwise_prebase(bx: BaseLike, by: BaseLike, who: str,
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         if basex.transpose_inverse is None or basey.transpose_inverse is None:
             raise MissingWitnessError("factor presubbase has no inverse")
-        wr = OpenSet(basex.index,
-                     lambda r: basey.index.overt.exists_(section(r, w)))
+        wr = overt_project(w)
 
         def right_slice(s: Point) -> OpenSet:
             # {r : (r, s) in w}, the slice of w at s in the other coordinate
@@ -412,16 +410,20 @@ def star(s: Space) -> Space:
     sp = intern("star", s, None, "{0!r}*")
     if sp.overt is None and s.overt is not None:
         sw = s.overt
-
-        def exists_len(w: OpenSet, n: int, prefix: tuple) -> SValue:
-            if n == 0:
-                return w.chi(star_point(sp, prefix))
-            return sw.exists_(OpenSet(
-                s, lambda sp_: exists_len(w, n - 1, prefix + (sp_,))))
-
-        sp.overt = OvertClosed(
-            sp, lambda w: or_countable(lambda n: exists_len(w, n, ())))
+        sp.overt = OvertClosed(sp, lambda w: or_countable(lambda n: _exists_tuple(
+            s, (sw,) * n, lambda t: w.chi(star_point(sp, t)))))
     return sp
+
+
+def _exists_tuple(s: Space, overts: Sequence[OvertClosed],
+                  chi: Callable[[tuple], SValue], prefix: tuple = ()) -> SValue:
+    """Some tuple of s-points, the j-th meeting ``overts[j]``, has
+    ``chi(prefix + tuple)``: nested overt existentials, outermost first."""
+    j = len(prefix)
+    if j == len(overts):
+        return chi(prefix)
+    return overts[j].exists_(OpenSet(
+        s, lambda x: _exists_tuple(s, overts, chi, prefix + (x,))))
 
 
 def star_point(star_space: Space, points: tuple) -> Point:
@@ -449,14 +451,9 @@ def sequence_prebase(by: BaseLike) -> BaseLike:
     def component_open(w: OpenSet, n: int) -> OpenSet:
         """{s : some length-(n+1) tuple in w ends with s}: the overt
         projection of the length-(n+1) slice onto its last component."""
-
-        def ex_prefix(s_last: Point, k: int, prefix: tuple) -> SValue:
-            if k == 0:
-                return w.chi(star_point(index, prefix + (s_last,)))
-            return sw.exists_(OpenSet(
-                basey.index, lambda sp_: ex_prefix(s_last, k - 1, prefix + (sp_,))))
-
-        return OpenSet(basey.index, lambda s_last: ex_prefix(s_last, n, ()))
+        return OpenSet(basey.index, lambda s_last: _exists_tuple(
+            basey.index, (sw,) * n,
+            lambda t: w.chi(star_point(index, t + (s_last,)))))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         if basey.transpose_inverse is None:
@@ -488,16 +485,8 @@ def sequence_prebase(by: BaseLike) -> BaseLike:
                 lambda t: u.chi(t.payload[_i]) if len(t.payload) > _i else top())))
             ais.append(resy(ki, fuel))
 
-        def ex(w: OpenSet) -> SValue:
-            def nested(j: int, prefix: tuple) -> SValue:
-                if j == m:
-                    return w.chi(star_point(index, prefix))
-                return ais[j].exists_(OpenSet(
-                    basey.index, lambda s: nested(j + 1, prefix + (s,))))
-
-            return nested(0, ())
-
-        return OvertClosed(index, ex)
+        return OvertClosed(index, lambda w: _exists_tuple(
+            basey.index, ais, lambda t: w.chi(star_point(index, t))))
 
     return Prebase(base, resolver)
 

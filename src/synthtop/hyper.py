@@ -34,17 +34,14 @@ class OpenSet:
     function-space transformer x |-> chi(x) as a Sierpinski point, and
     `as_open` hands such a point back as this very object."""
 
-    __slots__ = ("space", "chi_fn")
+    __slots__ = ("space", "chi")
 
-    def __init__(self, space: Space, chi_fn: Callable[[Point], SValue]):
+    def __init__(self, space: Space, chi: Callable[[Point], SValue]):
         self.space = space
-        self.chi_fn = chi_fn
-
-    def chi(self, x: Point) -> SValue:
-        return self.chi_fn(x)
+        self.chi = chi
 
     def __call__(self, x: Point) -> Point:
-        return sierp_point(self.chi_fn(x))
+        return sierp_point(self.chi(x))
 
     def as_point(self) -> Point:
         return Point(opens(self.space), self)
@@ -382,7 +379,7 @@ def attach_product_witnesses(sp: Space) -> Space:
     """Fill in composable witnesses on a product space in place."""
     x, y = sp.parts
     if sp.overt is None and x.overt is not None and y.overt is not None:
-        sp.overt = OvertClosed(sp, product_closed(x.overt, y.overt).exists_fn)
+        sp.overt = product_closed(x.overt, y.overt)
     if sp.filter_inverse is None:
         if x.filter_inverse is not None and y.filter_inverse is not None:
 

@@ -318,11 +318,10 @@ class EnumSet:
         return decode_enum(self.source, fuel)
 
 
-def enum_name(members: Sequence[int], pad: int = 0) -> Name:
-    """A name enumerating exactly the given members (as n+1 codes), with
-    ``pad`` leading silent-zero steps before each emission."""
-    entries = [(pad, m + 1) for m in members]
-    return delayed_name(entries, tail=0)
+def enum_name(members: Sequence[int]) -> Name:
+    """A name enumerating exactly the given members (as n+1 codes), one
+    per step, then 0 forever."""
+    return literal_name([m + 1 for m in members], tail=0)
 
 
 # ---------------------------------------------------------------------------

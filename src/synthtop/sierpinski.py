@@ -80,41 +80,40 @@ class SValue:
         of a fresh run, else None (pending).  Progress is cached and the
         cache is replay-exact, so repeated queries agree with fresh runs.
 
-        A known value answers at once; a ``never`` runner is pending at
-        once; a `Dovetail` runner is advanced by `Dovetail.run`, which
-        skips its dead slots.  In every case ``TALLY`` is charged every
-        logical step, as if stepped one by one.  An exception raised at
-        step s is sticky: it is raised again for every ``fuel >= s`` and
-        the query is pending below s."""
+        This is the one place where steppers run and ``TALLY`` is charged:
+        every logical step, as if stepped one by one.  A known value
+        answers at once; a ``never`` runner is pending at once; a
+        `Dovetail` runner is advanced by `Dovetail.run`, which skips its
+        dead slots.  Instantiation is the step-0 observation: a runner
+        born accepted accepts at 0.  An exception raised at step s is
+        sticky: it is raised again for every ``fuel >= s`` and the query
+        is pending below s.  A ``make`` that raises is such an exception
+        at step 0; it is called once and charges nothing."""
         at = self._at
         if at is not None:
             return at if at <= fuel else None
-        k = self.known
-        if k is not None:
-            ran = self._ran
-            if k <= fuel:
-                self._ran = self._at = k
-                TALLY.add(k - ran)
-                return k
-            if ran < fuel:
-                self._ran = fuel
-                TALLY.add(fuel - ran)
-            return None
         err = self._err
         if err is not None:
             if fuel >= err[1]:
                 raise err[0]
             return None
         r = self._runner
-        if r is None:
-            r = self._runner = self._make()
-            if r.done:
-                self._at = 0
-                return 0 if fuel >= 0 else None
         ran = start = self._ran
-        if ran >= fuel:
-            return None
         try:
+            k = self.known
+            if k is not None:
+                if k <= fuel:
+                    ran = self._at = k
+                elif ran < fuel:
+                    ran = fuel
+                return self._at
+            if r is None:
+                r = self._runner = self._make()
+                if r.done:
+                    self._at = 0
+                    return 0 if fuel >= 0 else None
+            if ran >= fuel:
+                return None
             if r.never:
                 ran = fuel
             elif isinstance(r, Dovetail):
@@ -133,21 +132,13 @@ class SValue:
             if isinstance(r, Dovetail):
                 ran = r.steps + 1
             self._err = (exc, ran)
+            if ran > fuel:  # a raising make, observed at step 0
+                return None
             raise
         finally:
             self._ran = ran
             TALLY.add(ran - start)
         return self._at
-
-    def accepted(self, fuel: int) -> bool:
-        return self.status(fuel) is not None
-
-    def decided_never(self, fallback_fuel: int = NEGATIVE_FUEL) -> bool:
-        """True if this value certifiably never accepts: pending at its own
-        horizon when one is known, else pending at ``fallback_fuel`` (a
-        genuine negative only for processes with known acceptance bounds)."""
-        budget = self.bound if self.bound is not None else fallback_fuel
-        return self.status(budget) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +226,23 @@ class _Seq:
         return False
 
 
-class _BindValue:
-    """Read one value from a name, then run the semidecision the
-    continuation builds from it.  The arrival step is consumed by the read;
-    a born-accepted continuation is observed on that same step."""
+class _Read:
+    """Read the first value of each name in turn, one reader step per own
+    step; the step after an arrival goes to the next name's reader.  On
+    the last arrival ``then(*values)`` is made: a born-accepted result
+    accepts on that step, a ``never`` result makes this stepper ``never``,
+    and any other result is stepped on as the inner stepper."""
 
-    __slots__ = ("reader", "k", "inner", "done")
-    never = False
+    __slots__ = ("names", "then", "reader", "vals", "inner", "done", "never")
 
-    def __init__(self, reader: NameReader, k):
-        self.reader = reader
-        self.k = k
+    def __init__(self, names: Sequence[Name], then: Callable[..., SValue]):
+        self.names = names
+        self.then = then
+        self.reader = NameReader(names[0])
+        self.vals: list[int] = []
         self.inner = None
         self.done = False
+        self.never = False
 
     def step(self) -> bool:
         inner = self.inner
@@ -255,53 +250,20 @@ class _BindValue:
             v = self.reader.step()
             if v is None:
                 return False
-            s = self.k(v).make()
-            if s.done:
-                self.done = True
-                return True
-            self.inner = s
+            vals = self.vals
+            vals.append(v)
+            names = self.names
+            if len(vals) < len(names):
+                self.reader = NameReader(names[len(vals)])
+                return False
+            inner = self.inner = self.then(*vals).make()
+            self.never = inner.never
+            if not inner.done:
+                return False
+        elif not inner.step():
             return False
-        if inner.step():
-            self.done = True
-            return True
-        return False
-
-
-class _ReadTable:
-    """Read the first value of each name in turn, one reader step per own
-    step, then accept or go dead by the table.  The step after an arrival
-    goes to the next name's reader; on the last arrival ``decide`` runs
-    and the stepper accepts on that step or becomes ``never``."""
-
-    __slots__ = ("names", "decide", "reader", "vals", "done", "never")
-
-    def __init__(self, names: Sequence[Name], decide):
-        self.names = names
-        self.decide = decide
-        self.reader = NameReader(names[0])
-        self.vals: list[int] = []
-        self.done = False
-        self.never = False
-
-    def step(self) -> bool:
-        r = self.reader
-        if r is None:
-            return False
-        v = r.step()
-        if v is None:
-            return False
-        vals = self.vals
-        vals.append(v)
-        names = self.names
-        if len(vals) < len(names):
-            self.reader = NameReader(names[len(vals)])
-            return False
-        self.reader = None
-        if self.decide(*vals):
-            self.done = True
-            return True
-        self.never = True
-        return False
+        self.done = True
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +282,11 @@ def bot() -> SValue:
 def accept_at(n: int) -> SValue:
     k = max(n, 0)
     return SValue(None, k, k)
+
+
+# the outcomes of an unknown `read_table`; only ever made, never queried
+_TOP = top()
+_BOT = bot()
 
 
 def after(delay: int, v: SValue) -> SValue:
@@ -390,12 +357,15 @@ def bind_name_value(name: Name, k: Callable[[int], SValue],
                     inner_bound: Optional[int] = None) -> SValue:
     """Read the first value of ``name`` and continue with ``k(value)``.
 
-    ``inner_bound`` must dominate the bound of every continuation ``k`` can
-    return; with the name's first-emission cost it certifies the horizon.
-    When the first value is already cached, error-free, ``k`` is called
-    here; the value is known if the continuation is, and a continuation
-    that raises is left to be called again in the stepping run, so the
-    error surfaces at the arrival step.
+    The arrival step is the read's; a born-accepted continuation accepts
+    on it, a ``never`` one goes ``never``, and any other is stepped from
+    the next step (the stepper `read_table` uses too).  ``inner_bound``
+    must dominate the bound of every continuation ``k`` can return; with
+    the name's first-emission cost it certifies the horizon.  When the
+    first value is already cached, error-free, ``k`` is called here; the
+    value is known if the continuation is, and a continuation that raises
+    is left to be called again in the stepping run, so the error surfaces
+    at the arrival step.
     """
     bound = None
     if name.cost is not None and inner_bound is not None:
@@ -411,9 +381,8 @@ def bind_name_value(name: Name, k: Callable[[int], SValue],
         else:
             if inner.known is not None:
                 return SValue(None, bound, hit[1] + inner.known)
-            return SValue(lambda: _BindValue(NameReader(name), lambda _: inner),
-                          bound)
-    return SValue(lambda: _BindValue(NameReader(name), k), bound)
+            return SValue(lambda: _Read((name,), lambda _: inner), bound)
+    return SValue(lambda: _Read((name,), k), bound)
 
 
 def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
@@ -426,7 +395,9 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     rejected read goes ``never``.  When every name's first value is
     already cached, error-free, the outcome is known at construction; an
     exception from ``decide`` is left to the stepping run, so it surfaces
-    at the arrival step.
+    at the arrival step.  Otherwise the read is stepped by the one
+    name-reading stepper of `bind_name_value`, continuing with `top` or
+    `bot` by the table.
     """
     names = tuple(names)
     bound: Optional[int] = 0
@@ -450,22 +421,14 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
             pass
         else:
             return SValue(None, bound, at if ok else NEVER)
-    return SValue(lambda: _ReadTable(names, decide), bound)
+    return SValue(lambda: _Read(
+        names, lambda *vs: _TOP if decide(*vs) else _BOT), bound)
 
 
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],
                     fuel: int) -> Optional[tuple[int, int]]:
     """Dovetail the family and return (winning index, global step) of the
     first acceptance within ``fuel`` steps, else None."""
-    engine = Dovetail(lambda i: family(i).make(), size)
-    used = None
-    try:
-        used = engine.run(fuel)
-    except Exception:
-        used = engine.steps + 1  # the raising step counts, as in `status`
-        raise
-    finally:
-        TALLY.add(max(fuel, 0) if used is None else used)
-    if used is None:
-        return None
-    return engine.winner, used
+    race = SValue(lambda: Dovetail(lambda i: family(i).make(), size))
+    at = race.status(fuel)
+    return None if at is None else (race._runner.winner, at)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
@@ -182,6 +183,30 @@ def test_bind_name_value_costs_one_step_per_name_step():
     assert born.status(1) == 1  # arrival observes the born-accepted inner
 
 
+def test_bind_name_value_steps_its_continuation_after_the_arrival():
+    # the first value of each fresh name arrives at step 3
+    def cold():
+        return delayed_name([(2, 1)], tail=1)
+
+    unknown = bind_name_value(cold(), lambda v: SValue(accept_at(3).make, 3))
+    assert unknown.status(5) is None and unknown.status(6) == 6
+
+    dead = bind_name_value(cold(), lambda v: bot())
+    t0 = TALLY.n
+    assert dead.status(100) is None
+    assert TALLY.n - t0 == 100
+    assert dead._runner.never
+
+    def boom(v):
+        raise LookupError(f"no continuation for {v}")
+
+    raising = bind_name_value(cold(), boom)
+    assert raising.status(2) is None
+    for fuel in (3, 10):
+        with pytest.raises(LookupError):
+            raising.status(fuel)
+
+
 def test_no_negation_surface():
     # semidecidability is one-sided: the module exposes no complement-like
     # combinator
@@ -345,6 +370,32 @@ def test_first_accepting_with_negative_fuel_charges_nothing():
     assert first_accepting(lambda i: bot(), 2, -5) is None
     assert or_countable([bot(), bot()]).status(-5) is None
     assert TALLY.n == t0
+
+
+def test_raising_make_is_a_sticky_error_at_step_zero():
+    calls = []
+
+    def make():
+        calls.append(None)
+        raise LookupError("no stepper")
+
+    v = SValue(make)
+    t0 = TALLY.n
+    assert v.status(-1) is None
+    raised = []
+    for fuel in (0, 5):
+        with pytest.raises(LookupError) as info:
+            v.status(fuel)
+        raised.append(info.value)
+    assert raised[0] is raised[1]
+    assert len(calls) == 1
+    assert TALLY.n == t0
+    # inside a race the same raise lands at the task's first slot, step 1
+    race = or_countable([SValue(make)])
+    assert race.status(0) is None
+    for fuel in (1, 4):
+        with pytest.raises(LookupError):
+            race.status(fuel)
 
 
 def test_known_value_answers_without_a_stepper(monkeypatch):
