@@ -18,7 +18,7 @@ from .hyper import (CompactSat, OpenSet, OvertClosed, compact_image,
                     compact_intersection, compact_open_embed, compact_union,
                     filter_embed, membership, neighborhood_filter,
                     overt_union, point_to_closed, point_to_compact, section)
-from .bases import (Completion, GaloisWitness, LacombeBase, Prebase,
+from .bases import (Completion, GaloisWitness, LacombeBase,
                     Presubbase, base_completion, galois_backward,
                     galois_forward, identity_base, kolmogorov_completion,
                     presubbase_space, transpose)

@@ -21,8 +21,8 @@ query; tests check the defining equation of whatever comes back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .sierpinski import (DEFAULT_FUEL, SValue, and_finite, bot,
                          first_accepting, or_countable, top)
@@ -44,22 +44,18 @@ class Presubbase:
     """index: the space Y; family: the map B as a transformer from
     Y-points to opens over ``carrier``; transpose_inverse: partial inverse
     of the transpose (the computable-embedding witness), taking an O(Y)
-    value in the range of the transpose plus a fuel budget."""
+    value in the range of the transpose plus a fuel budget.
+
+    A prebase is a presubbase whose ``resolver`` is set: its
+    compact-indexed intersections resolve to overt unions of family
+    members, the resolver returning, for each compact index set, one overt
+    index set with the same union."""
 
     index: Space
     carrier: Space
     family: Callable[[Point], OpenSet]
     transpose_inverse: Optional[Callable[[OpenSet, Optional[int]], Point]] = None
-
-
-@dataclass(eq=False)
-class Prebase:
-    """A presubbase whose compact-indexed intersections resolve to overt
-    unions of family members: the resolver returns, for each compact index
-    set, one overt index set with the same union."""
-
-    base: Presubbase
-    resolver: Callable[[CompactSat, Optional[int]], OvertClosed]
+    resolver: Optional[Callable[[CompactSat, Optional[int]], OvertClosed]] = None
 
 
 @dataclass(eq=False)
@@ -74,19 +70,6 @@ class LacombeBase:
 
     def family(self, y: Point) -> OpenSet:
         return self.union_map(point_to_closed(y))
-
-
-BaseLike = Union[Presubbase, Prebase]
-
-
-def _split(b: BaseLike) -> tuple[Presubbase, Optional[Callable]]:
-    if isinstance(b, Prebase):
-        return b.base, b.resolver
-    return b, None
-
-
-def _rejoin(base: Presubbase, resolver: Optional[Callable]) -> BaseLike:
-    return base if resolver is None else Prebase(base, resolver)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +130,7 @@ def subbase_open(bspace: Space, y: Point) -> OpenSet:
 def tau_k_open(bspace: Space, k: CompactSat) -> OpenSet:
     """A base open of the induced topology: the intersection of the family
     over a compact index set, semidecided by one forall-query."""
-    if not isinstance(k, CompactSat):
-        k = as_compact(k)
+    k = as_compact(k)
     return OpenSet(bspace, lambda p: k.forall_(point_transpose(p)))
 
 
@@ -156,11 +138,11 @@ def tau_k_open(bspace: Space, k: CompactSat) -> OpenSet:
 # Prebases
 
 
-def prebase_from_presubbase(b: BaseLike) -> Prebase:
+def prebase_from_presubbase(base: Presubbase) -> Presubbase:
     """Close a presubbase under compact intersections: the new family maps
     a compact index set K to the intersection of the original members over
-    K, with the empty K denoting the whole carrier."""
-    base, _ = _split(b)
+    K, with the empty K denoting the whole carrier.  Any resolver of
+    ``base`` is ignored; the result resolves by compact unions."""
     index = base.index
 
     def family(kpt: Point) -> OpenSet:
@@ -175,30 +157,28 @@ def prebase_from_presubbase(b: BaseLike) -> Prebase:
                        lambda y: w.chi(point_to_compact(y).as_point()))
         return base.transpose_inverse(orig, fuel)
 
-    inter = Presubbase(index=compacts(index), carrier=base.carrier,
-                       family=family, transpose_inverse=transpose_inverse)
-
     def resolver(kk: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         z = compact_union(kk)
         return point_to_closed(z.as_point())
 
-    return Prebase(inter, resolver)
+    return Presubbase(compacts(index), base.carrier, family,
+                      transpose_inverse, resolver)
 
 
-def prebase_from_point_closure(b: BaseLike,
-                               r: Callable[[CompactSat], Point]) -> Prebase:
+def prebase_from_point_closure(base: Presubbase,
+                               r: Callable[[CompactSat], Point]) -> Presubbase:
     """A presubbase closed under compact intersections pointwise: ``r``
     selects, for each compact index set, a single index whose member is
-    the intersection.  The resolver is then the closure of that point."""
-    base, _ = _split(b)
+    the intersection.  The resolver is then the closure of that point;
+    ``base`` itself is left as it is."""
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         return point_to_closed(r(k))
 
-    return Prebase(base, resolver)
+    return replace(base, resolver=resolver)
 
 
-def lacombe_to_prebase(l: LacombeBase) -> Prebase:
+def lacombe_to_prebase(l: LacombeBase) -> Presubbase:
     """Every Lacombe base is a base: intersect the compact image of the
     family inside O(X), then select an overt index set via the union
     inverse.  Needs the carrier's neighborhood-map inverse to recover
@@ -215,15 +195,12 @@ def lacombe_to_prebase(l: LacombeBase) -> Prebase:
                       lambda upt: l.union_inverse(as_open(upt)).exists_(w))
         return l.carrier.filter_inverse(flt, fuel)
 
-    base = Presubbase(index=l.index, carrier=l.carrier,
-                      family=lambda y: l.family(y),
-                      transpose_inverse=transpose_inverse)
-
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         kk = compact_image(bfun, k)
         return l.union_inverse(compact_intersection(kk))
 
-    return Prebase(base, resolver)
+    return Presubbase(l.index, l.carrier, l.family, transpose_inverse,
+                      resolver)
 
 
 def identity_base(x: Space) -> LacombeBase:
@@ -241,8 +218,7 @@ def identity_base(x: Space) -> LacombeBase:
 def identity_presubbase(x: Space) -> Presubbase:
     """The identity family U |-> U over index O(X); its transpose is the
     neighborhood map."""
-    return Presubbase(index=opens(x), carrier=x,
-                      family=lambda upt: as_open(upt),
+    return Presubbase(index=opens(x), carrier=x, family=as_open,
                       transpose_inverse=x.filter_inverse)
 
 
@@ -256,15 +232,15 @@ def _need_overt(sp: Space, who: str) -> OvertClosed:
     return sp.overt
 
 
-def _pairwise_prebase(bx: BaseLike, by: BaseLike, who: str,
+def _pairwise_prebase(basex: Presubbase, basey: Presubbase, who: str,
                       carrier_of: Callable[[Space, Space], Space],
                       combine: Callable[[Space, OpenSet, OpenSet], OpenSet],
-                      point_of: Callable[[Point, Point], Point]) -> BaseLike:
+                      point_of: Callable[[Point, Point], Point]) -> Presubbase:
     """Members of two presubbases combined pairwise over the product of
     their (overt) indices.  A transpose is inverted componentwise through
-    overt projections, and compact intersections resolve componentwise."""
-    basex, resx = _split(bx)
-    basey, resy = _split(by)
+    overt projections, and compact intersections resolve componentwise
+    when both factors carry a resolver."""
+    resx, resy = basex.resolver, basey.resolver
     _need_overt(basex.index, who)
     _need_overt(basey.index, who)
     index = attach_product_witnesses(product(basex.index, basey.index))
@@ -289,22 +265,16 @@ def _pairwise_prebase(bx: BaseLike, by: BaseLike, who: str,
         return point_of(basex.transpose_inverse(wr, fuel),
                         basey.transpose_inverse(ws, fuel))
 
-    base = Presubbase(index, carrier, family, transpose_inverse)
-    if resx is None or resy is None:
-        return base
-
-    pr1 = fun_point(index, basex.index, proj1)
-    pr2 = fun_point(index, basey.index, proj2)
-
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
-        a1 = resx(compact_image(pr1, k), fuel)
-        a2 = resy(compact_image(pr2, k), fuel)
+        a1 = resx(compact_image(fun_point(index, basex.index, proj1), k), fuel)
+        a2 = resy(compact_image(fun_point(index, basey.index, proj2), k), fuel)
         return product_closed(a1, a2)
 
-    return Prebase(base, resolver)
+    return Presubbase(index, carrier, family, transpose_inverse,
+                      None if resx is None or resy is None else resolver)
 
 
-def product_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
+def product_prebase(bx: Presubbase, by: Presubbase) -> Presubbase:
     """Pairwise products of members, indexed by the product of the index
     spaces (both overt).  Compact intersections resolve componentwise."""
     return _pairwise_prebase(bx, by, "product_prebase", product,
@@ -317,17 +287,16 @@ def _meet_open(carrier: Space, ux: OpenSet, uy: OpenSet) -> OpenSet:
         [ux.chi(meet_left(z)), uy.chi(meet_right(z))]))
 
 
-def meet_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
+def meet_prebase(bx: Presubbase, by: Presubbase) -> Presubbase:
     """Pairwise intersections of members of two presubbases of the same
     carrier set, as a presubbase of the meet space."""
     return _pairwise_prebase(bx, by, "meet_prebase", meet, _meet_open,
                              meet_point)
 
 
-def subspace_prebase(bx: BaseLike, zspace: Space) -> BaseLike:
+def subspace_prebase(basex: Presubbase, zspace: Space) -> Presubbase:
     """Members restricted to a subspace; no index overtness needed and the
     resolver carries over unchanged."""
-    basex, resx = _split(bx)
     if zspace.tag != "subspace":
         raise SpaceMismatch(f"subspace_prebase needs a subspace, got {zspace!r}")
 
@@ -344,15 +313,15 @@ def subspace_prebase(bx: BaseLike, zspace: Space) -> BaseLike:
         xp = basex.transpose_inverse(w, fuel)
         return Point(zspace, xp.payload)
 
-    base = Presubbase(basex.index, zspace, family, transpose_inverse)
-    return _rejoin(base, resx)
+    return Presubbase(basex.index, zspace, family, transpose_inverse,
+                      basex.resolver)
 
 
-def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
+def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
     """Tagged union of two families over the coproduct of their (overt)
-    indices."""
-    basex, resx = _split(bx)
-    basey, resy = _split(by)
+    indices; compact intersections resolve per summand when both carry a
+    resolver."""
+    resx, resy = basex.resolver, basey.resolver
     wx = _need_overt(basex.index, "coproduct_prebase")
     wy = _need_overt(basey.index, "coproduct_prebase")
     index = coproduct(basex.index, basey.index)
@@ -387,10 +356,6 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
             return inj0(basex.transpose_inverse(w0, fuel), basey.carrier)
         return inj1(basex.carrier, basey.transpose_inverse(w1, fuel))
 
-    base = Presubbase(index, carrier, family, transpose_inverse)
-    if resx is None or resy is None:
-        return base
-
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         k0 = CompactSat(basex.index, lambda u: k.forall_(
             OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 0 else top())))
@@ -398,7 +363,8 @@ def coproduct_prebase(bx: BaseLike, by: BaseLike) -> BaseLike:
             OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 1 else top())))
         return coproduct_closed(index, resx(k0, fuel), resy(k1, fuel))
 
-    return Prebase(base, resolver)
+    return Presubbase(index, carrier, family, transpose_inverse,
+                      None if resx is None or resy is None else resolver)
 
 
 # --- finite tuples of an overt space, for the sequence construction ------
@@ -435,10 +401,10 @@ def star_point(star_space: Space, points: tuple) -> Point:
 SEQUENCE_LENGTH_CAP = 64
 
 
-def sequence_prebase(by: BaseLike) -> BaseLike:
+def sequence_prebase(basey: Presubbase) -> Presubbase:
     """Cylinder opens over the sequence space: a tuple of indices
     constrains that many leading components and leaves the tail free."""
-    basey, resy = _split(by)
+    resy = basey.resolver
     sw = _need_overt(basey.index, "sequence_prebase")
     index = star(basey.index)
     carrier = sequence(basey.carrier)
@@ -460,10 +426,6 @@ def sequence_prebase(by: BaseLike) -> BaseLike:
             raise MissingWitnessError("factor presubbase has no inverse")
         return seq_point(basey.carrier, lambda n: basey.transpose_inverse(
             component_open(w, n), fuel))
-
-    base = Presubbase(index, carrier, family, transpose_inverse)
-    if resy is None:
-        return base
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         budget = fuel if fuel is not None else DEFAULT_FUEL
@@ -488,7 +450,8 @@ def sequence_prebase(by: BaseLike) -> BaseLike:
         return OvertClosed(index, lambda w: _exists_tuple(
             basey.index, ais, lambda t: w.chi(star_point(index, t))))
 
-    return Prebase(base, resolver)
+    return Presubbase(index, carrier, family, transpose_inverse,
+                      None if resy is None else resolver)
 
 
 # ---------------------------------------------------------------------------

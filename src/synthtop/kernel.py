@@ -101,9 +101,6 @@ class Name:
         """Steps taken by the canonical run so far (an observability probe)."""
         return self._steps
 
-    def emitted(self) -> list[int]:
-        return list(self._vals)
-
     def advance(self) -> None:
         """One canonical step."""
         if self._gen is None:

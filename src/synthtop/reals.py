@@ -388,37 +388,22 @@ def repair_decimal(d: Point, precision_bits: int,
 
     levels: List[Fraction] = []
     remaining = fuel
-    center_prev: Optional[Fraction] = None
     for k in range(1, precision_bits + 1):
         half = Fraction(1, 2 ** (k + 1))
         grid = 2 * half  # candidate centers are multiples of 2^-(k+1)
+        # level 1 searches all of Z; later ones a window of 7 around the
+        # previous midpoint, in the same zigzag order
+        m0 = round(levels[-1] / grid) if levels else 0
+        size = 7 if levels else None
 
-        if center_prev is None:
-            def candidate(i: int) -> SValue:
-                c = zigzag(i) * grid
-                return query(c - half, c + half)
-
-            size = None
-        else:
-            m0 = round(center_prev / grid)
-            offsets = [0, 1, -1, 2, -2, 3, -3]
-
-            def candidate(i: int, _m0=m0, _g=grid, _h=half,
-                          _off=offsets) -> SValue:
-                c = (_m0 + _off[i]) * _g
-                return query(c - _h, c + _h)
-
-            size = len(offsets)
+        def candidate(i: int) -> SValue:
+            c = (m0 + zigzag(i)) * grid
+            return query(c - half, c + half)
 
         hit = first_accepting(candidate, size, remaining)
         if hit is None:
             raise FuelExhausted(k - 1, levels)
         winner, used = hit
         remaining -= used
-        if center_prev is None:
-            center = zigzag(winner) * grid
-        else:
-            center = (m0 + offsets[winner]) * grid
-        levels.append(center)
-        center_prev = center
+        levels.append((m0 + zigzag(winner)) * grid)
     return levels

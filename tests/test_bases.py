@@ -1,9 +1,10 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from synthtop.bases import (GaloisWitness, Prebase, Presubbase, base_completion,
+from synthtop.bases import (GaloisWitness, Presubbase, base_completion,
                             embed_point, galois_backward, galois_forward,
                             identity_base, kolmogorov_completion,
                             lacombe_to_prebase, meet_prebase, point_transpose,
@@ -111,11 +112,11 @@ def test_prebase_from_presubbase_defining_equation():
     # singleton saturated compact: the member itself
     for y in range(sub.m):
         kpt = point_to_compact(finite_point(isp, y))
-        u = pre.base.family(kpt.as_point())
+        u = pre.family(kpt.as_point())
         assert carrier_members(b, sub, u) == sub.sets[y]
     # empty compact: the whole carrier
     empty = CompactSat(isp, lambda _u: and_finite([]))
-    u = pre.base.family(empty.as_point())
+    u = pre.family(empty.as_point())
     assert carrier_members(b, sub, u) == full_mask(sub.n)
     # resolver: intersection over a compact family equals the resolved union
     fam = compact_family_of_compacts(
@@ -123,12 +124,12 @@ def test_prebase_from_presubbase_defining_equation():
     a = pre.resolver(fam, None)
     inter = OpenSet(b.carrier,
                     lambda z: fam.forall_(
-                        OpenSet(pre.base.index,
-                                lambda kpt: pre.base.family(kpt).chi(z))))
+                        OpenSet(pre.index,
+                                lambda kpt: pre.family(kpt).chi(z))))
     union = OpenSet(b.carrier,
                     lambda z: a.exists_(
-                        OpenSet(pre.base.index,
-                                lambda kpt: pre.base.family(kpt).chi(z))))
+                        OpenSet(pre.index,
+                                lambda kpt: pre.family(kpt).chi(z))))
     for x in range(sub.n):
         xp = finite_point(b.carrier, x)
         assert budgeted(inter.chi(xp), 10 ** 4) == budgeted(union.chi(xp), 10 ** 4)
@@ -193,7 +194,7 @@ def test_lacombe_to_prebase_resolves_compact_intersections():
     fam = family_compact(sp, [leaf_open(sp, 0b10), leaf_open(sp, 0b11)])
     a = pre.resolver(fam, None)
     got = open_members(
-        sp, OpenSet(sp, lambda x: a.exists_(transpose(pre.base, x))), 10 ** 4)
+        sp, OpenSet(sp, lambda x: a.exists_(transpose(pre, x))), 10 ** 4)
     assert got == 0b10
 
 
@@ -215,14 +216,14 @@ def test_lacombe_singleton_index_space():
 def test_product_prebase_generates_product_topology():
     subx = make_subbase(2, [0b10])
     b = finite_presubbase(subx, SIERP2)
-    pre = product_prebase(Prebase(b, _trivial_resolver(b)),
-                          Prebase(b, _trivial_resolver(b)))
+    pre = product_prebase(replace(b, resolver=_trivial_resolver(b)),
+                          replace(b, resolver=_trivial_resolver(b)))
     fg = product_space(SIERP2, SIERP2)
     spx = b.carrier
     for r in range(1):
         for s_ in range(1):
-            u = pre.base.family(pair_point(finite_point(b.index, r),
-                                           finite_point(b.index, s_)))
+            u = pre.family(pair_point(finite_point(b.index, r),
+                                      finite_point(b.index, s_)))
             for i in range(2):
                 for j in range(2):
                     z = pair_point(finite_point(spx, i), finite_point(spx, j))
@@ -230,8 +231,8 @@ def test_product_prebase_generates_product_topology():
                     assert budgeted(u.chi(z), 10 ** 4) == want
     # transpose inverse recovers both components
     xy = pair_point(finite_point(spx, 1), finite_point(spx, 1))
-    w = transpose(pre.base, xy)
-    back = pre.base.transpose_inverse(w, 10 ** 4)
+    w = transpose(pre, xy)
+    back = pre.transpose_inverse(w, 10 ** 4)
     assert read_first(proj1(back), 100) == 1
     assert read_first(proj2(back), 100) == 1
 
@@ -418,22 +419,63 @@ def test_sequence_prebase_resolver_defining_equation():
     sub = make_subbase(2, [0b10, 0b11], [(0, 1)])
     b = finite_presubbase(sub, SIERP2)
     pre = sequence_prebase(prebase_from_wrap(b))
-    star_sp = pre.base.index
+    star_sp = pre.index
     # compact: the saturation of a single length-1 tuple
     tup = star_point(star_sp, (finite_point(b.index, 0),))
     k = point_to_compact(tup)
     a = pre.resolver(k, None)
-    inter = OpenSet(pre.base.carrier,
-                    lambda z: k.forall_(transpose(pre.base, z)))
-    union = OpenSet(pre.base.carrier,
-                    lambda z: a.exists_(transpose(pre.base, z)))
+    inter = OpenSet(pre.carrier,
+                    lambda z: k.forall_(transpose(pre, z)))
+    union = OpenSet(pre.carrier,
+                    lambda z: a.exists_(transpose(pre, z)))
     for v in (0, 1):
         q = seq_point(b.carrier, lambda n, _v=v: finite_point(b.carrier, _v))
         assert budgeted(inter.chi(q), 10 ** 5) == budgeted(union.chi(q), 10 ** 5)
 
 
 def prebase_from_wrap(b):
-    return Prebase(b, _trivial_resolver(b))
+    return replace(b, resolver=_trivial_resolver(b))
+
+
+# --- the resolver slot -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [product_prebase, meet_prebase,
+                                   coproduct_prebase])
+def test_pairwise_prebase_resolves_only_when_both_factors_do(build):
+    _, b, _ = chain_instance()
+    pre = prebase_from_wrap(b)
+    assert build(b, b).resolver is None
+    assert build(pre, b).resolver is None
+    assert build(b, pre).resolver is None
+    assert build(pre, pre).resolver is not None
+
+
+def test_sequence_prebase_resolves_only_when_its_factor_does():
+    _, b, _ = chain_instance()
+    assert sequence_prebase(b).resolver is None
+    assert sequence_prebase(prebase_from_wrap(b)).resolver is not None
+
+
+def test_subspace_prebase_keeps_the_factor_resolver():
+    _, b, _ = chain_instance()
+    zsp = subspace(b.carrier, lambda p: True)
+    assert subspace_prebase(b, zsp).resolver is None
+    pre = prebase_from_wrap(b)
+    assert subspace_prebase(pre, zsp).resolver is pre.resolver
+
+
+def test_point_closure_leaves_its_argument_without_a_resolver():
+    _, b, bsp = chain_instance()
+    pre = prebase_from_point_closure(
+        b, lambda k: finite_point(b.index, 0))
+    assert b.resolver is None
+    assert pre.resolver is not None
+    assert (pre.index, pre.carrier, pre.family, pre.transpose_inverse) == \
+        (b.index, b.carrier, b.family, b.transpose_inverse)
+    # each record induces its own space
+    assert presubbase_space(b) is bsp
+    assert presubbase_space(pre) is not bsp
 
 
 def test_meet_view_validation_rejects_mismatch():

@@ -264,6 +264,20 @@ def test_repair_fuel_exhaustion_reports_depth():
     assert len(e.value.levels) == e.value.level
 
 
+@pytest.mark.xfail(strict=True, raises=FuelExhausted,
+                   reason="level windows share endpoints; m/2^j with m odd, "
+                          "j >= 2, sits on one at level j-1 and no open "
+                          "window contains it")
+def test_repair_of_dyadic_rationals_with_denominator_at_least_four():
+    for text in ("0.25", "-1.25", "0.375"):
+        spec = parse_decimal(text)
+        direct = decimal_to_cauchy_direct(spec)
+        levels = repair_decimal(decimal_point(spec), 4, fuel=10 ** 5)
+        assert len(levels) == 4
+        for k, q in enumerate(levels, start=1):
+            assert abs(q - direct.level(k)) <= Fraction(1, 2 ** (k - 1)), (text, k)
+
+
 def test_repair_agreement_on_random_periodic_decimals():
     rng = random.Random(31)
     for _ in range(12):
