@@ -13,7 +13,6 @@ callers supply fuel where a concrete point must come out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .kernel import Dovetail, Name
@@ -86,30 +85,6 @@ class CompactSat:
 
     def __repr__(self):
         return f"CompactSat({self.space!r})"
-
-
-@dataclass
-class ClosedNeg:
-    """A- value: a closed set stored as its complementary open."""
-
-    space: Space
-    complement: OpenSet
-
-
-@dataclass
-class ClosedBoth:
-    """A = A+ meet A-: two views of one closed set."""
-
-    pos: OvertClosed
-    neg: ClosedNeg
-
-
-@dataclass
-class CompactBoth:
-    """K = A+ meet K-: two views of one compact closed saturated set."""
-
-    pos: OvertClosed
-    sat: CompactSat
 
 
 # ---------------------------------------------------------------------------

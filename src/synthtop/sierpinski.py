@@ -1,9 +1,11 @@
 """The Sierpinski space of semidecisions and its lawful combinators.
 
 An `SValue` is a *description* of an accept-or-keep-waiting process.
-Descriptions are immutable and freely shareable; every consumer
-instantiates its own stepper, so acceptance step counts never depend on
-what other queries happen to have computed already.
+Descriptions are immutable and freely shareable (`top` and `bot` are
+single shared values); the state of a run lives on a `Query`, one per
+observation, with its own stepper, so acceptance step counts never
+depend on what other queries happen to have computed already.
+`SValue.status` is one fresh run.
 
 There is deliberately no negation and no countable conjunction here:
 waiting is one-sided, and unbounded universal quantification exists only
@@ -40,7 +42,8 @@ TALLY = _Tally()
 
 
 class SValue:
-    """A semidecision.  ``make()`` builds a fresh deterministic stepper;
+    """A semidecision: an immutable description, freely shared by points
+    and queries.  ``make()`` builds a fresh deterministic stepper;
     ``bound``, where set, is a certified horizon: if the process ever
     accepts, it accepts within ``bound`` steps.  A sound bound turns
     "pending at bound" into "pending forever".
@@ -49,13 +52,13 @@ class SValue:
     construction: the exact acceptance step, or `NEVER`.  The combinators
     fold it from children that are all known (constants, delays, finite
     conjunctions and disjunctions, and reads of names whose first values
-    are already cached).  ``status`` answers a known value by arithmetic
-    without calling ``make``, and charges ``TALLY`` what stepping would:
-    up to ``min(known, fuel)`` steps, less those already charged.  Its
-    ``make`` returns a flat stepper accepting at that step, or ``never``,
-    so an unknown parent steps it as a leaf."""
+    are already cached).  Its ``make`` returns a flat stepper accepting at
+    that step, or ``never``, so an unknown parent steps it as a leaf.
 
-    __slots__ = ("_make", "bound", "known", "_runner", "_ran", "_at", "_err")
+    No code writes a slot after ``__init__``: the state of a run lives on
+    a `Query`, one per observation."""
+
+    __slots__ = ("_make", "bound", "known")
 
     def __init__(self, make: Optional[Callable[[], object]],
                  bound: Optional[int] = None,
@@ -63,10 +66,6 @@ class SValue:
         self._make = make  # unused, and may be None, once known is set
         self.bound = bound
         self.known = known
-        self._runner = None
-        self._ran = 0
-        self._at: Optional[int] = None
-        self._err: Optional[tuple[Exception, int]] = None
 
     def make(self):
         """A fresh stepper for one run."""
@@ -76,9 +75,40 @@ class SValue:
         return _NEVER if k == NEVER else _AcceptAt(k)
 
     def status(self, fuel: int) -> Optional[int]:
+        """`Query.status` of one fresh run.  A known value answers by
+        arithmetic, with no `Query` and no stepper, and charges ``TALLY``
+        what stepping would: ``known`` if it accepts within ``fuel``,
+        else ``max(fuel, 0)``."""
+        k = self.known
+        if k is None:
+            return Query(self).status(fuel)
+        if k <= fuel:
+            TALLY.add(k)
+            return k
+        if fuel > 0:
+            TALLY.add(fuel)
+        return None
+
+
+class Query:
+    """One run of a value: its stepper (``runner``, built by the first
+    ``status`` call on an unknown value) and what has been observed of
+    it.  Repeated ``status`` calls continue the same run and charge only
+    the steps beyond those already charged; runs are replay-exact, so the
+    answers agree with fresh runs."""
+
+    __slots__ = ("value", "runner", "_ran", "_at", "_err")
+
+    def __init__(self, value: SValue):
+        self.value = value
+        self.runner = None
+        self._ran = 0
+        self._at: Optional[int] = None
+        self._err: Optional[tuple[Exception, int]] = None
+
+    def status(self, fuel: int) -> Optional[int]:
         """Accepted step count if acceptance happens within ``fuel`` steps
-        of a fresh run, else None (pending).  Progress is cached and the
-        cache is replay-exact, so repeated queries agree with fresh runs.
+        of the run, else None (pending).
 
         This is the one place where steppers run and ``TALLY`` is charged:
         every logical step, as if stepped one by one.  A known value
@@ -97,10 +127,10 @@ class SValue:
             if fuel >= err[1]:
                 raise err[0]
             return None
-        r = self._runner
+        r = self.runner
         ran = start = self._ran
         try:
-            k = self.known
+            k = self.value.known
             if k is not None:
                 if k <= fuel:
                     ran = self._at = k
@@ -108,7 +138,7 @@ class SValue:
                     ran = fuel
                 return self._at
             if r is None:
-                r = self._runner = self._make()
+                r = self.runner = self.value._make()
                 if r.done:
                     self._at = 0
                     return 0 if fuel >= 0 else None
@@ -270,23 +300,21 @@ class _Read:
 # Constants and combinators
 
 
+_TOP = SValue(None, 0, 0)
+_BOT = SValue(None, 0, NEVER)  # bound 0 is vacuously sound: never accepts
+
+
 def top() -> SValue:
-    return SValue(None, 0, 0)
+    return _TOP
 
 
 def bot() -> SValue:
-    # bound 0 is vacuously sound: bot never accepts at all
-    return SValue(None, 0, NEVER)
+    return _BOT
 
 
 def accept_at(n: int) -> SValue:
     k = max(n, 0)
     return SValue(None, k, k)
-
-
-# the outcomes of an unknown `read_table`; only ever made, never queried
-_TOP = top()
-_BOT = bot()
 
 
 def after(delay: int, v: SValue) -> SValue:
@@ -429,6 +457,6 @@ def first_accepting(family: Callable[[int], SValue], size: Optional[int],
                     fuel: int) -> Optional[tuple[int, int]]:
     """Dovetail the family and return (winning index, global step) of the
     first acceptance within ``fuel`` steps, else None."""
-    race = SValue(lambda: Dovetail(lambda i: family(i).make(), size))
+    race = Query(SValue(lambda: Dovetail(lambda i: family(i).make(), size)))
     at = race.status(fuel)
-    return None if at is None else (race._runner.winner, at)
+    return None if at is None else (race.runner.winner, at)

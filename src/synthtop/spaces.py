@@ -21,7 +21,6 @@ Spaces without a witness simply lack the corresponding operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .kernel import Name, delayed_name, literal_name
@@ -242,21 +241,6 @@ def seq_at(p: Point, n: int) -> Point:
     if p.space.tag != "sequence":
         raise SpaceMismatch(f"seq_at on {p.space!r}")
     return p.payload(n)
-
-
-@dataclass
-class ConvSeq:
-    """A sequence indexed by N plus its limit slot: terms(n) for finite
-    indices, ``limit`` for the infinity index.  Convergence itself is
-    checked at oracle scale."""
-
-    terms: Callable[[int], Point]
-    limit: Point
-
-    def at(self, n: Union[int, str]) -> Point:
-        if n == "inf":
-            return self.limit
-        return self.terms(n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
                             point_to_closed, point_to_compact, product_closed,
                             product_open, section, trace_embed, trace_invert,
                             whole_open)
-from synthtop.oracle import (budgeted, compact_members, family_compact,
-                             family_overt, finite_point, finite_repr,
-                             leaf_compact, leaf_open, leaf_overt, make_space,
-                             open_members)
+from synthtop.oracle import (budgeted, closure, compact_members,
+                             family_compact, family_overt, finite_point,
+                             finite_repr, leaf_compact, leaf_open, leaf_overt,
+                             make_space, open_members, overt_members,
+                             saturate)
 from synthtop.sierpinski import NEGATIVE_FUEL, SValue
 from synthtop.spaces import (MissingWitnessError, SpaceMismatch, apply_fun,
                              fun_point, identity_fun, pair_point, read_first)
@@ -214,6 +215,17 @@ def test_eval_helpers_and_planted_overt_witness():
     assert budgeted(sp.overt.exists_(u))
     assert not budgeted(sp.overt.exists_(leaf_open(sp, 0)))
     assert not budgeted(leaf_overt(sp, 0b01).exists_(leaf_open(sp, 0)))
+    # one closed, saturated set of a discrete space, overt and compact
+    disc = make_space(2, [0, 0b01, 0b10, 0b11])
+    dsp = finite_repr(disc)
+    a_mask = 0b01
+    assert closure(disc, a_mask) == saturate(disc, a_mask) == a_mask
+    assert overt_members(dsp, leaf_overt(dsp, a_mask)) == a_mask
+    assert compact_members(dsp, leaf_compact(dsp, a_mask)) == a_mask
+    # and the complement of an open
+    assert open_members(dsp, leaf_open(dsp, 0b10)) == 0b10
+    assert overt_members(dsp, leaf_overt(dsp, a_mask)) \
+        == 0b11 & ~open_members(dsp, leaf_open(dsp, 0b10))
 
 
 def test_overt_projection_matches_oracle():
@@ -238,23 +250,6 @@ def test_quantifiers_monotone_in_inclusion_order():
                         assert budgeted(kv.forall_(leaf_open(spc, v)))
                     if budgeted(av.exists_(leaf_open(spc, u))):
                         assert budgeted(av.exists_(leaf_open(spc, v)))
-
-
-def test_two_sided_views_of_one_set():
-    from synthtop.hyper import ClosedBoth, ClosedNeg, CompactBoth
-    from synthtop.oracle import closure, make_space, overt_members, saturate
-    disc = make_space(2, [0, 0b01, 0b10, 0b11])
-    sp = finite_repr(disc)
-    a_mask = 0b01  # closed and saturated in a discrete space
-    assert closure(disc, a_mask) == saturate(disc, a_mask) == a_mask
-    both = CompactBoth(pos=leaf_overt(sp, a_mask), sat=leaf_compact(sp, a_mask))
-    assert overt_members(sp, both.pos) == a_mask
-    assert compact_members(sp, both.sat) == a_mask
-    # negative-information closed sets are complements of opens
-    neg = ClosedNeg(sp, leaf_open(sp, 0b10))
-    assert open_members(sp, neg.complement) == 0b10
-    two = ClosedBoth(pos=leaf_overt(sp, a_mask), neg=neg)
-    assert overt_members(sp, two.pos) == 0b11 & ~open_members(sp, two.neg.complement)
 
 
 def test_open_point_round_trip_is_free(monkeypatch):

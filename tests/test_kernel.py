@@ -5,8 +5,8 @@ from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
                              decode_enum, dovetail_bound, delayed_name,
                              enum_name, literal_name, pair, project,
                              tuple_names, unpair, zigzag, zigzag_inv)
-from synthtop.sierpinski import (TALLY, accept_at, after, bot, or_countable,
-                                 top)
+from synthtop.sierpinski import (TALLY, Query, accept_at, after, bot,
+                                 or_countable, top)
 
 
 def test_pair_base_case():
@@ -234,12 +234,12 @@ def test_run_skipping_dead_slots_matches_step(kinds, infinite, cuts):
 def test_status_on_dovetail_matches_step_and_tally(kinds, infinite, cuts):
     size = None if infinite else len(kinds)
     want_at, _, _ = _reference(kinds, size, cuts)
-    v = or_countable(_family(kinds), size)
+    q = Query(or_countable(_family(kinds), size))
     fuel = 0
     before = TALLY.n
     for cut in cuts:
         fuel += cut
-        got = v.status(fuel)
+        got = q.status(fuel)
         assert got == (want_at if want_at is not None and want_at <= fuel
                        else None)
     charged = fuel if want_at is None else min(want_at, fuel)

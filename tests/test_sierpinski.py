@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
                              dovetail_bound, literal_name)
-from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue,
-                                 accept_at, after, and_finite,
+from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
+                                 SValue, accept_at, after, and_finite,
                                  bind_name_value, bot, first_accepting,
                                  or_countable, read_table, top)
 
@@ -191,11 +191,11 @@ def test_bind_name_value_steps_its_continuation_after_the_arrival():
     unknown = bind_name_value(cold(), lambda v: SValue(accept_at(3).make, 3))
     assert unknown.status(5) is None and unknown.status(6) == 6
 
-    dead = bind_name_value(cold(), lambda v: bot())
+    dead = Query(bind_name_value(cold(), lambda v: bot()))
     t0 = TALLY.n
     assert dead.status(100) is None
     assert TALLY.n - t0 == 100
-    assert dead._runner.never
+    assert dead.runner.never
 
     def boom(v):
         raise LookupError(f"no continuation for {v}")
@@ -301,11 +301,12 @@ def _warm(nm, steps):
 
 
 def _observe(sv, fuels):
+    q = Query(sv)
     out = []
     for f in fuels:
         t0 = TALLY.n
         try:
-            got = ("ok", sv.status(f))
+            got = ("ok", q.status(f))
         except Exception as exc:
             got = ("raised", type(exc).__name__, str(exc))
         out.append((got, TALLY.n - t0))
@@ -379,7 +380,7 @@ def test_raising_make_is_a_sticky_error_at_step_zero():
         calls.append(None)
         raise LookupError("no stepper")
 
-    v = SValue(make)
+    v = Query(SValue(make))
     t0 = TALLY.n
     assert v.status(-1) is None
     raised = []
@@ -406,10 +407,11 @@ def test_known_value_answers_without_a_stepper(monkeypatch):
         raise AssertionError("a known value built a stepper")
 
     monkeypatch.setattr(SValue, "make", boom)
+    q = Query(v)
     charged = []
     for fuel in (2, 1, 4, 9, 3, -1):
         t0 = TALLY.n
-        got = v.status(fuel)
+        got = q.status(fuel)
         charged.append((got, TALLY.n - t0))
     assert charged == [(None, 2), (None, 0), (None, 2), (5, 1), (None, 0),
                        (None, 0)]
@@ -428,6 +430,70 @@ def test_deep_known_delay_answers_without_recursion():
     for _ in range(3000):
         v = after(1, v)
     assert v.status(10 ** 4) == 3001
+
+
+# Deep chains of unknown values still recurse when stepped: building the
+# nested steppers and stepping them both go one Python frame per level.
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="nested steppers recurse one frame per level")
+def test_deep_unknown_conjunction_answers_without_recursion():
+    leaf = top()
+    v = SValue(leaf.make, leaf.bound)
+    for _ in range(1500):
+        v = and_finite([v])
+    assert v.status(10) == 0
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="nested steppers recurse one frame per level")
+def test_deep_unknown_delay_answers_without_recursion():
+    leaf = accept_at(1)
+    v = SValue(leaf.make, leaf.bound)
+    for _ in range(3000):
+        v = after(1, v)
+    assert v.status(10 ** 4) == 3001
+
+
+# --- descriptions and queries ---------------------------------------------
+
+
+def _charged(q, fuel):
+    t0 = TALLY.n
+    got = q.status(fuel)
+    return got, TALLY.n - t0
+
+
+def test_one_value_shared_by_two_queries_charges_each_a_fresh_run():
+    v = or_countable(lambda i: accept_at(3) if i == 2 else bot())
+    at = dovetail_bound(2, 3)
+    first, second = Query(v), Query(v)
+    assert _charged(first, at - 1) == (None, at - 1)
+    assert _charged(second, at - 1) == (None, at - 1)
+    assert _charged(first, at) == (at, 1)
+    assert _charged(second, at + 5) == (at, 1)
+    assert first.runner is not second.runner
+    # a known value shared the same way
+    k = after(4, top())
+    first, second = Query(k), Query(k)
+    assert [_charged(first, 2), _charged(second, 3), _charged(first, 9),
+            _charged(second, 9)] == [(None, 2), (None, 3), (4, 2), (4, 1)]
+
+
+def test_status_on_a_value_is_one_fresh_run_per_call():
+    unknown = SValue(accept_at(6).make, 6)
+    known = accept_at(6)
+    for v in (unknown, known):
+        assert [_charged(v, 10), _charged(v, 10)] == [(6, 6), (6, 6)]
+        assert [_charged(v, 4), _charged(v, 4)] == [(None, 4), (None, 4)]
+        assert _charged(v, -3) == (None, 0)
+    assert [_charged(bot(), 5), _charged(bot(), 5)] == [(None, 5), (None, 5)]
+
+
+def test_constants_are_shared():
+    assert top() is top()
+    assert bot() is bot()
 
 
 class _Raises:

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
-from synthtop.spaces import (NAT, SIERP, ConvSeq, Point, SpaceMismatch,
-                             apply_fun, case_point, check_space, compacts,
-                             coproduct, curry, fun_point, function,
-                             identity_fun, inj0, inj1, meet, meet_left,
-                             meet_point, meet_right, nat_point, opens,
-                             overts, pair_point, product, proj1, proj2,
-                             read_first, seq_at, seq_point, sequence,
-                             sierp_point, sierp_value, subspace, uncurry)
+from synthtop.spaces import (NAT, SIERP, Point, SpaceMismatch, apply_fun,
+                             case_point, check_space, compacts, coproduct,
+                             curry, fun_point, function, identity_fun, inj0,
+                             inj1, meet, meet_left, meet_point, meet_right,
+                             nat_point, opens, overts, pair_point, product,
+                             proj1, proj2, read_first, seq_at, seq_point,
+                             sequence, sierp_point, sierp_value, subspace,
+                             uncurry)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 DISC2 = make_space(2, [0, 0b01, 0b10, 0b11])
@@ -183,14 +183,6 @@ def test_projection_is_lazy_in_the_other_component():
     pr = pair_point(Point(space, left), Point(space, right))
     read_first(proj1(pr), 50)
     assert right.steps == 0
-
-
-def test_convseq_slots():
-    space = sp()
-    cs = ConvSeq(terms=lambda n: finite_point(space, n % 2),
-                 limit=finite_point(space, 1))
-    assert read_first(cs.at(4), 10) == 0
-    assert read_first(cs.at("inf"), 10) == 1
 
 
 # --- interned shapes ------------------------------------------------------
