@@ -92,10 +92,10 @@ class CompactSat:
 
 
 def as_open(u, space: Optional[Space] = None) -> OpenSet:
-    if isinstance(u, Point) and isinstance(u.payload, OpenSet):
-        u = u.payload
     if isinstance(u, OpenSet):
         o = u
+    elif isinstance(u, Point) and isinstance(u.payload, OpenSet):
+        o = u.payload
     elif isinstance(u, Point) and u.space.tag == "function" and u.space.parts[1] is SIERP:
         base = u.space.parts[0]
         o = OpenSet(base, lambda x, _f=u.payload: sierp_value(_f(x)))

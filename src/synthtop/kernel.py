@@ -79,10 +79,17 @@ class Name:
     An exception raised at a canonical step (a negative emission, say) is
     recorded with that step and raised again in every reader reaching it,
     so replay stays exact on error paths too.
+
+    ``first`` is the first clean emission ``(value, step, cost(0))``, set
+    by the canonical run when it appends its first value with no error
+    before it, and None until then (or forever, behind an error).
+    ``leaves`` belongs to the Sierpinski layer: the name's shared pair of
+    known finite-leaf outcomes (accept at ``step``, never), built from
+    ``first`` on first use.
     """
 
     __slots__ = ("_factory", "_vals", "_costs", "_gen", "_steps", "_dead",
-                 "_errs", "cost")
+                 "_errs", "cost", "first", "leaves")
 
     def __init__(self, factory: Callable[[], Iterator[Optional[int]]],
                  cost: Optional[Callable[[int], Optional[int]]] = None):
@@ -95,6 +102,8 @@ class Name:
         # canonical step -> exception raised there; None while there is none
         self._errs: Optional[dict[int, Exception]] = None
         self.cost = cost
+        self.first: Optional[tuple[int, int, Optional[int]]] = None
+        self.leaves: Optional[tuple] = None
 
     @property
     def steps(self) -> int:
@@ -121,19 +130,17 @@ class Name:
             self._errs[self._steps] = exc
             raise
         if out is not None:
+            if not self._vals and self._errs is None:
+                self.first = (out, self._steps,
+                              None if self.cost is None else self.cost(0))
             self._vals.append(out)
             self._costs.append(self._steps)
 
     def first_clean(self) -> Optional[tuple[int, int]]:
         """(value, cost) of the first emission if the canonical run has
         already produced it with no error before it, else None."""
-        if not self._vals:
-            return None
-        c = self._costs[0]
-        errs = self._errs
-        if errs is not None and min(errs) < c:
-            return None
-        return self._vals[0], c
+        f = self.first
+        return None if f is None else (f[0], f[1])
 
     def prefix(self, k: int, max_steps: int) -> list[int]:
         """First k values, driving the canonical run to at most max_steps."""

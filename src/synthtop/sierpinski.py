@@ -395,20 +395,23 @@ def bind_name_value(name: Name, k: Callable[[int], SValue],
     is left to be called again in the stepping run, so the error surfaces
     at the arrival step.
     """
+    first = name.first
     bound = None
-    if name.cost is not None and inner_bound is not None:
-        c0 = name.cost(0)
+    if inner_bound is not None:
+        if first is not None:
+            c0 = first[2]
+        else:
+            c0 = name.cost(0) if name.cost is not None else None
         if c0 is not None:
             bound = c0 + inner_bound
-    hit = name.first_clean()
-    if hit is not None:
+    if first is not None:
         try:
-            inner = k(hit[0])
+            inner = k(first[0])
         except Exception:  # raised again, in order, by the stepping run
             pass
         else:
             if inner.known is not None:
-                return SValue(None, bound, hit[1] + inner.known)
+                return SValue(None, bound, first[1] + inner.known)
             return SValue(lambda: _Read((name,), lambda _: inner), bound)
     return SValue(lambda: _Read((name,), k), bound)
 
@@ -420,28 +423,48 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     Acceptance lands at the sum of the names' first-emission step counts,
     as for nested `bind_name_value` reads continuing with `top`/`bot`, and
     ``bound`` is the sum of their ``cost(0)`` (None if any is unknown).  A
-    rejected read goes ``never``.  When every name's first value is
-    already cached, error-free, the outcome is known at construction; an
-    exception from ``decide`` is left to the stepping run, so it surfaces
-    at the arrival step.  Otherwise the read is stepped by the one
-    name-reading stepper of `bind_name_value`, continuing with `top` or
-    `bot` by the table.
+    rejected read goes ``never``.  When every name's first clean emission
+    is already cached (`Name.first`), the outcome is known at
+    construction.  One such name answers with one of its two shared
+    known values (`Name.leaves`: accept at its first step, or never),
+    built once per name, so a warm leaf is a lookup.  An exception from
+    ``decide`` is left to the stepping run, so it surfaces at the arrival
+    step and nothing is cached for it.  Otherwise the read is stepped by
+    the one name-reading stepper of `bind_name_value`, continuing with
+    `top` or `bot` by the table.
     """
+    if len(names) == 1:
+        nm = names[0]
+        first = nm.first
+        if first is not None:
+            try:
+                ok = decide(first[0])
+            except Exception:  # raised again, in order, by the stepping run
+                pass
+            else:
+                pair = nm.leaves
+                if pair is None:
+                    pair = nm.leaves = (SValue(None, first[2], first[1]),
+                                        SValue(None, first[2], NEVER))
+                return pair[0] if ok else pair[1]
     names = tuple(names)
     bound: Optional[int] = 0
     vals: Optional[list[int]] = []
     at = 0
     for nm in names:
+        first = nm.first
         if bound is not None:
-            c0 = nm.cost(0) if nm.cost is not None else None
+            if first is not None:
+                c0 = first[2]
+            else:
+                c0 = nm.cost(0) if nm.cost is not None else None
             bound = None if c0 is None else bound + c0
         if vals is not None:
-            hit = nm.first_clean()
-            if hit is None:
+            if first is None:
                 vals = None
             else:
-                vals.append(hit[0])
-                at += hit[1]
+                vals.append(first[0])
+                at += first[1]
     if vals is not None:
         try:
             ok = decide(*vals)

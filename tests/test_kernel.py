@@ -318,3 +318,21 @@ def test_first_clean_refuses_a_value_behind_an_error():
     assert _reader_trace(nm, 3) == [None, "error", 4]
     assert nm.first_clean() is None
     assert Name(lambda: iter([5])).first_clean() is None  # nothing cached yet
+
+
+def test_first_emission_is_kept_with_its_step_and_cost():
+    nm = delayed_name([(2, 5), (0, 7)], tail=None)
+    assert nm.first is None
+    assert _reader_trace(nm, 4) == [None, None, 5, 7]
+    assert nm.first == (5, 3, 3)
+    assert nm.first_clean() == (5, 3)
+    bare = Name(lambda: iter([None, 6]))
+    _reader_trace(bare, 2)
+    assert bare.first == (6, 2, None)  # no cost function, no cost
+
+
+def test_first_emission_stays_empty_behind_an_error():
+    nm = Name(lambda: iter([None, -1, 4]), cost=lambda i: 3)
+    assert _reader_trace(nm, 3) == [None, "error", 4]
+    assert nm.first is None
+    assert nm.leaves is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
                              dovetail_bound, literal_name)
+from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
                                  SValue, accept_at, after, and_finite,
                                  bind_name_value, bot, first_accepting,
@@ -494,6 +495,64 @@ def test_status_on_a_value_is_one_fresh_run_per_call():
 def test_constants_are_shared():
     assert top() is top()
     assert bot() is bot()
+
+
+# --- warm finite leaves: one shared known pair per name -------------------
+
+
+def _warm_leaf_point():
+    """A fresh point of a three-point chain space whose name emits its
+    first value, 1, at step 3, warmed past it."""
+    sp = finite_repr(make_space(3, [0, 0b010, 0b110, 0b111]))
+    p = finite_point(sp, 1, delay=2)
+    cold = leaf_open(sp, 0b010).chi(p)
+    assert cold.known is None and p.payload.leaves is None
+    _warm(p.payload, 3)
+    return sp, p, cold
+
+
+def test_warm_leaves_agreeing_on_the_point_share_one_value():
+    sp, p, cold = _warm_leaf_point()
+    yes = leaf_open(sp, 0b010).chi(p)
+    assert leaf_open(sp, 0b110).chi(p) is yes
+    assert (yes.known, yes.bound) == (3, 3)
+    no = leaf_open(sp, 0b100).chi(p)
+    assert leaf_open(sp, 0b001).chi(p) is no
+    assert (no.known, no.bound) == (NEVER, 3)
+    assert p.payload.leaves == (yes, no)
+    # the same answers as the stepped read built while the name was cold
+    for fuel in (2, 3, 50):
+        assert yes.status(fuel) == cold.status(fuel)
+    assert no.status(NEGATIVE_FUEL) is None
+
+
+def test_two_queries_on_a_shared_leaf_are_each_charged_a_fresh_run():
+    sp, p, _ = _warm_leaf_point()
+    leaf = leaf_open(sp, 0b010).chi(p)
+    first, second = Query(leaf), Query(leaf)
+    assert [_charged(first, 2), _charged(second, 1), _charged(first, 5),
+            _charged(second, 3)] == [(None, 2), (None, 1), (3, 1), (3, 2)]
+    assert [_charged(leaf, 3), _charged(leaf, 3)] == [(3, 3), (3, 3)]
+    never = leaf_open(sp, 0b100).chi(p)
+    assert [_charged(never, 7), _charged(Query(never), 7)] == [(None, 7)] * 2
+
+
+def test_warm_leaf_with_a_raising_table_raises_at_the_arrival():
+    nm = delayed_name([(2, 1)], tail=1)
+    _warm(nm, 3)
+
+    def boom(v):
+        raise LookupError(f"no table entry for {v}")
+
+    v = read_table((nm,), boom)
+    assert v.known is None and v.bound == 3
+    assert v.status(2) is None
+    for fuel in (3, 10):
+        with pytest.raises(LookupError):
+            v.status(fuel)
+    assert nm.leaves is None  # nothing cached for the raising table
+    assert read_table((nm,), lambda v: v == 1).known == 3
+    assert nm.leaves is not None
 
 
 class _Raises:
