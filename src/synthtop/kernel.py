@@ -136,12 +136,6 @@ class Name:
             self._vals.append(out)
             self._costs.append(self._steps)
 
-    def first_clean(self) -> Optional[tuple[int, int]]:
-        """(value, cost) of the first emission if the canonical run has
-        already produced it with no error before it, else None."""
-        f = self.first
-        return None if f is None else (f[0], f[1])
-
     def prefix(self, k: int, max_steps: int) -> list[int]:
         """First k values, driving the canonical run to at most max_steps."""
         while len(self._vals) < k and self._steps < max_steps:
@@ -194,8 +188,11 @@ def literal_name(values: Sequence[int], tail: Optional[int] = 0) -> Name:
 
 def delayed_name(entries: Sequence[tuple[int, int]], tail: Optional[int] = 0) -> Name:
     """A name emitting each (delay, value) entry after ``delay`` silent
-    steps, then ``tail`` every step (``tail=None``: silent forever)."""
+    steps, then ``tail`` every step (``tail=None``: silent forever).  A
+    negative delay raises `EncodingError`: it would make ``cost`` wrong."""
     ent = [(int(d), int(v)) for d, v in entries]
+    if any(d < 0 for d, _ in ent):
+        raise EncodingError(f"negative delay in {ent}")
     csum: list[int] = []
     acc = 0
     for d, _ in ent:

@@ -7,10 +7,14 @@ interval [lo, lo + 10^-k], and membership in an open interval requires
 strict containment of that prefix interval, so boundary queries diverge
 exactly when topology says they must.
 
-The membership stepper compares the growing prefix against each endpoint
-through an integer recurrence whose sign is eventually permanent, so one
-step costs O(1) arithmetic on integers bounded by the endpoint's
-denominator -- a million-step pending query is cheap.
+A name built by `decimal_point` keeps its `DecimalSpec`, so membership
+of that name is known at construction: never unless the value lies
+strictly inside the interval, else the step of the emission at which the
+stepper below would accept.  A million-step pending query on such a name
+reads no digit.  Every other name is read by the membership stepper, which
+compares the growing prefix against each endpoint through an integer
+recurrence whose sign is eventually permanent, so one step costs O(1)
+arithmetic on integers bounded by the endpoint's denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .bases import Presubbase, kolmogorov_completion
 from .hyper import OpenSet
 from .kernel import (Dovetail, EncodingError, Name, NameReader, pair, unpair,
                      zigzag, zigzag_inv)
-from .sierpinski import DEFAULT_FUEL, SValue, first_accepting
+from .sierpinski import DEFAULT_FUEL, NEVER, SValue, first_accepting
 from .spaces import NAT, Point, Space, on_value
 
 
@@ -93,24 +97,40 @@ def parse_decimal(text: str) -> DecimalSpec:
     return DecimalSpec(sign, int(m.group("int")), fixed, rep)
 
 
+class DecimalName(Name):
+    """The name of a decimal: sign code, integer part, then one fraction
+    digit per emission, each after ``delay`` silent steps.  It keeps its
+    ``spec`` and the spec's ``value``, computed once here, so interval
+    membership can be answered without reading it."""
+
+    __slots__ = ("spec", "value")
+
+    def __init__(self, spec: DecimalSpec, delay: int = 0):
+        if delay < 0:
+            raise EncodingError(f"negative delay {delay}")
+        sign_code = 0 if spec.sign >= 0 else 1
+
+        def gen() -> Iterator[Optional[int]]:
+            for lead in (sign_code, spec.int_part):
+                for _ in range(delay):
+                    yield None
+                yield lead
+            k = 0
+            while True:
+                for _ in range(delay):
+                    yield None
+                yield spec.digit(k)
+                k += 1
+
+        super().__init__(gen, cost=lambda i: (i + 1) * (delay + 1))
+        self.spec = spec
+        self.value = spec.value
+
+
 def decimal_point(spec: DecimalSpec, delay: int = 0) -> Point:
-    """The decimal as a name: sign code, integer part, then one fraction
-    digit per step, with an optional uniform delay between emissions."""
-    sign_code = 0 if spec.sign >= 0 else 1
-
-    def gen() -> Iterator[Optional[int]]:
-        for lead in (sign_code, spec.int_part):
-            for _ in range(delay):
-                yield None
-            yield lead
-        k = 0
-        while True:
-            for _ in range(delay):
-                yield None
-            yield spec.digit(k)
-            k += 1
-
-    return Point(DECIMAL, Name(gen, cost=lambda i: (i + 1) * (delay + 1)))
+    """The decimal as a point of `DECIMAL`, backed by its `DecimalName`,
+    with an optional uniform delay between emissions."""
+    return Point(DECIMAL, DecimalName(spec, delay))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +179,16 @@ class _EndpointCmp:
         return self.l is not None and self.l + self.q < 0
 
 
+def _magnitude_endpoints(a: Fraction, b: Fraction,
+                         negative: bool) -> tuple[_EndpointCmp, _EndpointCmp]:
+    """The endpoint pair a digit prefix is compared against: a negative
+    decimal lies in (a, b) iff its magnitude lies in (-b, -a)."""
+    if negative:
+        a, b = -b, -a
+    return (_EndpointCmp(a.numerator, a.denominator),
+            _EndpointCmp(b.numerator, b.denominator))
+
+
 class _IntervalStepper:
     """Watch a decimal name and accept once the closed prefix interval is
     strictly inside (a, b).  Reading the sign flips the effective
@@ -183,9 +213,7 @@ class _IntervalStepper:
         if self.phase == 0:
             if v not in (0, 1):
                 raise EncodingError(f"bad sign code {v}")
-            a, b = (self.a, self.b) if v == 0 else (-self.b, -self.a)
-            self.lo = _EndpointCmp(a.numerator, a.denominator)
-            self.hi = _EndpointCmp(b.numerator, b.denominator)
+            self.lo, self.hi = _magnitude_endpoints(self.a, self.b, v == 1)
             self.phase = 1
             return False
         if self.phase == 1:
@@ -203,14 +231,44 @@ class _IntervalStepper:
         return False
 
 
+# Folded membership keeps bound None, as the stepped query has it: laws
+# and benchmarks choose their budgets from bound.
+_OUTSIDE = SValue(None, None, NEVER)
+
+
+def _interval_outcome(name: DecimalName, a: Fraction, b: Fraction) -> SValue:
+    """What `_IntervalStepper` does on a decimal name, as a known value:
+    never unless a < x < b, else acceptance at emission m + 1 (the sign
+    code is emission 0), where m is the fewest fraction digits the
+    endpoint pair needs."""
+    if not a < name.value < b:
+        return _OUTSIDE
+    spec = name.spec
+    lo, hi = _magnitude_endpoints(a, b, spec.sign < 0)
+    lo.start(spec.int_part)
+    hi.start(spec.int_part)
+    m = 0
+    while not (lo.above() and hi.below_plus_one()):
+        v = spec.digit(m)
+        lo.push(v)
+        hi.push(v)
+        m += 1
+    return SValue(None, None, name.cost(m + 1))
+
+
 def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
-    """The open interval (a, b) as an open subset of the decimal space."""
+    """The open interval (a, b) as an open subset of the decimal space.
+    Membership of a `DecimalName` is known at once; any other name is
+    stepped, so its encoding errors surface at their step."""
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise EncodingError(f"need a < b, got {a} >= {b}")
 
     def chi(d: Point) -> SValue:
-        return SValue(lambda: _IntervalStepper(NameReader(d.payload), a, b))
+        nm = d.payload
+        if isinstance(nm, DecimalName):
+            return _interval_outcome(nm, a, b)
+        return SValue(lambda: _IntervalStepper(NameReader(nm), a, b))
 
     return OpenSet(DECIMAL, chi)
 

@@ -479,7 +479,24 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],
                     fuel: int) -> Optional[tuple[int, int]]:
     """Dovetail the family and return (winning index, global step) of the
-    first acceptance within ``fuel`` steps, else None."""
+    first acceptance within ``fuel`` steps, else None.
+
+    A finite family is built here, once per index, as by `or_countable`.
+    When every member is known the race is folded: member i accepting at
+    its own step k lands at ``dovetail_bound(i, k, size)``, the earliest
+    landing wins, and ``TALLY`` is charged the landing, or ``max(fuel, 0)``
+    when it is beyond ``fuel``, exactly what stepping would charge.  Any
+    other family is stepped on its own `Query` over a `Dovetail`."""
+    if size is not None:
+        items = [family(i) for i in range(size)]
+        family = items.__getitem__
+        if all(v.known is not None for v in items):
+            at, winner = min(((dovetail_bound(i, v.known, size), i)
+                              for i, v in enumerate(items)
+                              if v.known != NEVER), default=(NEVER, None))
+            if SValue(None, None, at).status(fuel) is None:
+                return None
+            return winner, at
     race = Query(SValue(lambda: Dovetail(lambda i: family(i).make(), size)))
     at = race.status(fuel)
     return None if at is None else (race.runner.winner, at)

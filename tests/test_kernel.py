@@ -310,14 +310,7 @@ def test_name_error_replays_in_every_reader():
     assert _reader_trace(nm, 5) == [3, "error", 7, None, None]
     # a later reader served from the cache meets the error at the same step
     assert _reader_trace(nm, 5) == [3, "error", 7, None, None]
-    assert nm.first_clean() == (3, 1)
-
-
-def test_first_clean_refuses_a_value_behind_an_error():
-    nm = Name(lambda: iter([None, -1, 4]))
-    assert _reader_trace(nm, 3) == [None, "error", 4]
-    assert nm.first_clean() is None
-    assert Name(lambda: iter([5])).first_clean() is None  # nothing cached yet
+    assert nm.first == (3, 1, None)
 
 
 def test_first_emission_is_kept_with_its_step_and_cost():
@@ -325,7 +318,6 @@ def test_first_emission_is_kept_with_its_step_and_cost():
     assert nm.first is None
     assert _reader_trace(nm, 4) == [None, None, 5, 7]
     assert nm.first == (5, 3, 3)
-    assert nm.first_clean() == (5, 3)
     bare = Name(lambda: iter([None, 6]))
     _reader_trace(bare, 2)
     assert bare.first == (6, 2, None)  # no cost function, no cost
@@ -336,3 +328,11 @@ def test_first_emission_stays_empty_behind_an_error():
     assert _reader_trace(nm, 3) == [None, "error", 4]
     assert nm.first is None
     assert nm.leaves is None
+
+
+def test_delayed_name_rejects_negative_delays():
+    # a negative delay adds no silent steps, so cost(0) would be -1
+    for entries in ([(-2, 5)], [(0, 1), (-1, 2)]):
+        with pytest.raises(EncodingError):
+            delayed_name(entries)
+    assert delayed_name([(0, 5)]).cost(0) == 1

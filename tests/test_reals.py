@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from synthtop.kernel import (EncodingError, NameReader, decode_enum,
-                            dovetail_bound, literal_name)
-from synthtop.reals import (DECIMAL, FuelExhausted,
+from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
+                             decode_enum, dovetail_bound, literal_name)
+from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
                             decimal_point, decimal_to_cauchy_direct,
                             enum_subbase_name, index_for_interval,
                             interval_for_index, interval_open_decimal,
                             parse_decimal, rational_interval_subbase,
                             repair_decimal)
-from synthtop.sierpinski import NEGATIVE_FUEL, accept_at, bot, or_countable
+from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query, SValue,
+                                 accept_at, bot, first_accepting,
+                                 or_countable)
 from synthtop.spaces import Point, nat_point
 
 
@@ -52,6 +55,106 @@ def test_boundary_query_pends():
     d = decimal_point(parse_decimal("0.3(3)"))
     sv = interval_open_decimal(Fraction(1, 3), Fraction(1)).chi(d)
     assert sv.status(10 ** 4) is None
+
+
+def test_boundary_query_on_a_decimal_name_reads_no_digit():
+    d = decimal_point(parse_decimal("0.3(3)"))
+    sv = interval_open_decimal(Fraction(1, 3), Fraction(1)).chi(d)
+    before = TALLY.n
+    assert sv.status(10 ** 6) is None
+    assert TALLY.n - before == 10 ** 6
+    assert d.payload.steps == 0  # nothing read, nothing cached
+    assert sv.bound is None
+
+
+def test_decimal_point_rejects_a_negative_delay():
+    with pytest.raises(EncodingError):
+        decimal_point(parse_decimal("0.5"), delay=-2)
+    assert decimal_point(parse_decimal("0.5"), delay=0).payload.cost(0) == 1
+
+
+_DIGITS = st.lists(st.integers(0, 9), max_size=3).map(tuple)
+_SPECS = st.builds(
+    DecimalSpec, st.sampled_from((1, -1)), st.integers(0, 3), _DIGITS,
+    st.one_of(_DIGITS, st.sampled_from(((9,), (9, 9), ()))))
+
+
+@st.composite
+def _interval_cases(draw):
+    """A decimal, a delay, and an interval whose endpoints are drawn from
+    the value, its digit truncations (both ends of each prefix interval)
+    and arbitrary rationals."""
+    spec = draw(_SPECS)
+    x = spec.value
+    marks = [x]
+    num = spec.int_part
+    for j in range(6):
+        marks += [spec.sign * Fraction(num, 10 ** j),
+                  spec.sign * Fraction(num + 1, 10 ** j)]
+        num = 10 * num + spec.digit(j)
+    ends = st.one_of(st.sampled_from(marks),
+                     st.fractions(-5, 5, max_denominator=60))
+    a, b = sorted((draw(ends), draw(ends)))
+    if a == b:
+        b += Fraction(1, draw(st.integers(1, 10 ** 4)))
+    return spec, draw(st.integers(0, 3)), a, b
+
+
+def _charged(sv, fuel):
+    before = TALLY.n
+    return sv.status(fuel), TALLY.n - before
+
+
+@given(_interval_cases())
+@settings(max_examples=150, deadline=None)
+@example((parse_decimal("0.3(3)"), 0, Fraction(1, 3), Fraction(1)))
+@example((parse_decimal("-0"), 2, Fraction(-1), Fraction(1, 10)))
+@example((parse_decimal("0.9(9)"), 1, Fraction(1, 2), Fraction(3, 2)))
+def test_folded_interval_membership_matches_the_stepper(case):
+    spec, delay, a, b = case
+    d = decimal_point(spec, delay)
+    folded = interval_open_decimal(a, b).chi(d)
+    # the same emissions and cost, without the spec: read by the stepper
+    plain = Point(DECIMAL, Name(d.payload._factory, cost=d.payload.cost))
+    stepped = interval_open_decimal(a, b).chi(plain)
+    assert stepped.known is None
+    assert folded.bound is None
+    k = folded.known
+    assert (k != NEVER) == (a < spec.value < b)
+    fuels = [10 ** 4] if k == NEVER else [k - 1, k, k + 1, 10 ** 4]
+    for fuel in fuels:
+        assert _charged(folded, fuel) == _charged(stepped, fuel), fuel
+
+
+def _dovetail_race(items, fuel):
+    """`first_accepting` stepped on its `Dovetail`, without the fold."""
+    race = Query(SValue(lambda: Dovetail(lambda i: items[i].make(),
+                                         len(items))))
+    at = race.status(fuel)
+    return None if at is None else (race.runner.winner, at)
+
+
+_KNOWN_MEMBERS = st.one_of(st.just(bot()), st.just(SValue(None, None, NEVER)),
+                           st.builds(accept_at, st.integers(0, 30)))
+
+
+@given(st.lists(_KNOWN_MEMBERS, max_size=7), st.integers(-2, 600))
+@settings(max_examples=200, deadline=None)
+@example([bot(), bot(), bot()], 500)
+@example([bot(), accept_at(0), accept_at(0)], 10)
+def test_folded_first_accepting_matches_the_dovetail_race(items, fuel):
+    def run(race, fuel):
+        before = TALLY.n
+        return race(fuel), TALLY.n - before
+
+    fold = run(lambda f: first_accepting(items.__getitem__, len(items), f),
+               fuel)
+    assert fold == run(lambda f: _dovetail_race(items, f), fuel)
+    if fold[0] is not None:  # the landing is exact: pending one step before
+        at = fold[0][1]
+        assert run(lambda f: first_accepting(items.__getitem__, len(items), f),
+                   at - 1) == run(lambda f: _dovetail_race(items, f), at - 1)
+        assert first_accepting(items.__getitem__, len(items), at - 1) is None
 
 
 def _bad_digit_query():
