@@ -117,15 +117,14 @@ def cmd_repair(args) -> int:
         exhausted_at = e.level
     def frac(q: Fraction) -> str:
         return f"{q.numerator}/{q.denominator}"
+    truth = [direct.level(k) for k in range(1, len(levels) + 1)]
     doc = {
         "input": str(spec),
         "value": frac(spec.value),
         "bits": args.bits,
         "levels": [frac(q) for q in levels],
-        "direct_oracle": [frac(direct.level(k))
-                          for k in range(1, len(levels) + 1)],
-        "delta": [frac(abs(q - direct.level(k)))
-                  for k, q in enumerate(levels, start=1)],
+        "direct_oracle": [frac(t) for t in truth],
+        "delta": [frac(abs(q - t)) for q, t in zip(levels, truth)],
     }
     if exhausted_at is not None:
         doc["fuel_exhausted_after_level"] = exhausted_at

@@ -10,11 +10,17 @@ exactly when topology says they must.
 A name built by `decimal_point` keeps its `DecimalSpec`, so membership
 of that name is known at construction: never unless the value lies
 strictly inside the interval, else the step of the emission at which the
-stepper below would accept.  A million-step pending query on such a name
-reads no digit.  Every other name is read by the membership stepper, which
-compares the growing prefix against each endpoint through an integer
-recurrence whose sign is eventually permanent, so one step costs O(1)
-arithmetic on integers bounded by the endpoint's denominator.
+stepper below would accept.  That step is found by a search over the
+name's table of digit prefixes, with integer cross-multiplications and
+no digit stepped, so a million-step pending query reads no digit.  Every
+other name is read by the membership stepper, which compares the growing
+prefix against each endpoint through an integer recurrence whose sign is
+eventually permanent, so one step costs O(1) arithmetic on integers
+bounded by the endpoint's denominator.
+
+Repair searches level k over windows of width 2^-k centred on multiples
+of 2^-k, and tracks the centre as an integer: each level costs a few
+integer operations and one known-outcome race of seven windows.
 """
 
 from __future__ import annotations
@@ -100,10 +106,12 @@ def parse_decimal(text: str) -> DecimalSpec:
 class DecimalName(Name):
     """The name of a decimal: sign code, integer part, then one fraction
     digit per emission, each after ``delay`` silent steps.  It keeps its
-    ``spec`` and the spec's ``value``, computed once here, so interval
-    membership can be answered without reading it."""
+    ``spec``, the spec's ``value``, computed once here, and ``prefixes``,
+    the digit-prefix integers P_j = int_part*10^j + (first j digits),
+    grown on demand by `prefix`, so interval membership can be answered
+    without reading the name."""
 
-    __slots__ = ("spec", "value")
+    __slots__ = ("spec", "value", "prefixes")
 
     def __init__(self, spec: DecimalSpec, delay: int = 0):
         if delay < 0:
@@ -125,6 +133,15 @@ class DecimalName(Name):
         super().__init__(gen, cost=lambda i: (i + 1) * (delay + 1))
         self.spec = spec
         self.value = spec.value
+        self.prefixes = [spec.int_part]
+
+    def prefix(self, j: int) -> int:
+        """P_j, the magnitude's first j fraction digits as an integer."""
+        ps = self.prefixes
+        digit = self.spec.digit
+        while len(ps) <= j:
+            ps.append(10 * ps[-1] + digit(len(ps) - 1))
+        return ps[j]
 
 
 def decimal_point(spec: DecimalSpec, delay: int = 0) -> Point:
@@ -179,16 +196,6 @@ class _EndpointCmp:
         return self.l is not None and self.l + self.q < 0
 
 
-def _magnitude_endpoints(a: Fraction, b: Fraction,
-                         negative: bool) -> tuple[_EndpointCmp, _EndpointCmp]:
-    """The endpoint pair a digit prefix is compared against: a negative
-    decimal lies in (a, b) iff its magnitude lies in (-b, -a)."""
-    if negative:
-        a, b = -b, -a
-    return (_EndpointCmp(a.numerator, a.denominator),
-            _EndpointCmp(b.numerator, b.denominator))
-
-
 class _IntervalStepper:
     """Watch a decimal name and accept once the closed prefix interval is
     strictly inside (a, b).  Reading the sign flips the effective
@@ -213,7 +220,11 @@ class _IntervalStepper:
         if self.phase == 0:
             if v not in (0, 1):
                 raise EncodingError(f"bad sign code {v}")
-            self.lo, self.hi = _magnitude_endpoints(self.a, self.b, v == 1)
+            # a negative decimal lies in (a, b) iff its magnitude lies in
+            # (-b, -a)
+            a, b = (-self.b, -self.a) if v == 1 else (self.a, self.b)
+            self.lo = _EndpointCmp(a.numerator, a.denominator)
+            self.hi = _EndpointCmp(b.numerator, b.denominator)
             self.phase = 1
             return False
         if self.phase == 1:
@@ -240,27 +251,46 @@ def _interval_outcome(name: DecimalName, a: Fraction, b: Fraction) -> SValue:
     """What `_IntervalStepper` does on a decimal name, as a known value:
     never unless a < x < b, else acceptance at emission m + 1 (the sign
     code is emission 0), where m is the fewest fraction digits the
-    endpoint pair needs."""
-    if not a < name.value < b:
+    endpoint pair needs.
+
+    With the endpoints flipped to magnitudes on the spec's sign (as the
+    stepper flips them on the sign code, so ``-0`` flips too) and P_j the
+    name's prefix integers, j digits suffice iff P_j*q_a > p_a*10^j and
+    (P_j + 1)*q_b < p_b*10^j: the stepper's ``lo.above()`` and
+    ``hi.below_plus_one()``.  Both stay true once true (the stepper's
+    lock is exact), so m is found by exponential search and bisection."""
+    p, q = name.value.numerator, name.value.denominator
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    if not (pa * q < p * qa and p * qb < pb * q):
         return _OUTSIDE
-    spec = name.spec
-    lo, hi = _magnitude_endpoints(a, b, spec.sign < 0)
-    lo.start(spec.int_part)
-    hi.start(spec.int_part)
-    m = 0
-    while not (lo.above() and hi.below_plus_one()):
-        v = spec.digit(m)
-        lo.push(v)
-        hi.push(v)
-        m += 1
-    return SValue(None, None, name.cost(m + 1))
+    if name.spec.sign < 0:
+        pa, qa, pb, qb = -pb, qb, -pa, qa
+    prefix = name.prefix
+
+    def enough(j: int) -> bool:
+        pj, tj = prefix(j), 10 ** j
+        return pj * qa > pa * tj and (pj + 1) * qb < pb * tj
+
+    lo, hi = -1, 0  # enough(lo) is false; -1 stands for "no digits probed"
+    while not enough(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid
+    return SValue(None, None, name.cost(hi + 1))
 
 
 def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
     """The open interval (a, b) as an open subset of the decimal space.
     Membership of a `DecimalName` is known at once; any other name is
     stepped, so its encoding errors surface at their step."""
-    a, b = Fraction(a), Fraction(b)
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
     if not a < b:
         raise EncodingError(f"need a < b, got {a} >= {b}")
 
@@ -446,22 +476,24 @@ def repair_decimal(d: Point, precision_bits: int,
 
     levels: List[Fraction] = []
     remaining = fuel
+    m = 0  # the previous level's centre is m*2^-(k-1)
     for k in range(1, precision_bits + 1):
-        half = Fraction(1, 2 ** (k + 1))
-        grid = 2 * half  # candidate centers are multiples of 2^-(k+1)
-        # level 1 searches all of Z; later ones a window of 7 around the
-        # previous midpoint, in the same zigzag order
-        m0 = round(levels[-1] / grid) if levels else 0
+        # candidate c is the window (c - 1/2, c + 1/2)*2^-k, in lowest
+        # terms; level 1 searches all of Z, later ones a window of 7
+        # around the previous centre, in the same zigzag order
+        den = 1 << (k + 1)
+        m0 = 2 * m
         size = 7 if levels else None
 
         def candidate(i: int) -> SValue:
-            c = (m0 + zigzag(i)) * grid
-            return query(c - half, c + half)
+            c = m0 + zigzag(i)
+            return query(Fraction(2 * c - 1, den), Fraction(2 * c + 1, den))
 
         hit = first_accepting(candidate, size, remaining)
         if hit is None:
             raise FuelExhausted(k - 1, levels)
         winner, used = hit
         remaining -= used
-        levels.append((m0 + zigzag(winner)) * grid)
+        m = m0 + zigzag(winner)
+        levels.append(Fraction(m, 1 << k))
     return levels

@@ -317,13 +317,33 @@ def accept_at(n: int) -> SValue:
     return SValue(None, k, k)
 
 
+class _Delayed:
+    """The ``make`` of an unknown `after` value: ``delay`` silent steps,
+    then a fresh stepper of ``inner``."""
+
+    __slots__ = ("delay", "inner")
+
+    def __init__(self, delay: int, inner: SValue):
+        self.delay = delay
+        self.inner = inner
+
+    def __call__(self) -> _Seq:
+        return _Seq(self.delay, self.inner.make())
+
+
 def after(delay: int, v: SValue) -> SValue:
-    """The same semidecision, delayed by ``max(delay, 0)`` silent steps."""
+    """The same semidecision, delayed by ``max(delay, 0)`` silent steps.
+    A delay of a delay is one `_Seq` with the summed delay, which accepts
+    at the same step, so deep chains build and step without recursion."""
     d = max(delay, 0)
     b = None if v.bound is None else v.bound + d
     if v.known is not None:
         return SValue(None, b, v.known + d)
-    return SValue(lambda: _Seq(delay, v.make()), b)
+    make = v._make
+    if isinstance(make, _Delayed):
+        d += make.delay
+        v = make.inner
+    return SValue(_Delayed(d, v), b)
 
 
 def and_finite(vs: Sequence[SValue]) -> SValue:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from synthtop.bases import kolmogorov_completion
 from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
-                             decode_enum, dovetail_bound, literal_name)
+                             decode_enum, dovetail_bound, literal_name,
+                             zigzag)
 from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
                             decimal_point, decimal_to_cauchy_direct,
                             enum_subbase_name, index_for_interval,
@@ -74,18 +76,34 @@ def test_decimal_point_rejects_a_negative_delay():
 
 
 _DIGITS = st.lists(st.integers(0, 9), max_size=3).map(tuple)
-_SPECS = st.builds(
-    DecimalSpec, st.sampled_from((1, -1)), st.integers(0, 3), _DIGITS,
-    st.one_of(_DIGITS, st.sampled_from(((9,), (9, 9), ()))))
+_ZEROS = st.sampled_from(((), (0,), (0, 0)))
+_SPECS = st.one_of(
+    st.builds(DecimalSpec, st.sampled_from((1, -1)), st.integers(0, 3),
+              _DIGITS,
+              st.one_of(_DIGITS, st.sampled_from(((9,), (9, 9), ())))),
+    # negative zero: the value is 0, but the sign code still flips the
+    # endpoints
+    st.builds(DecimalSpec, st.just(-1), st.just(0), _ZEROS, _ZEROS))
+
+
+def _window(c, k):
+    """The level-k repair window centred on c*2^-k."""
+    return Fraction(2 * c - 1, 2 ** (k + 1)), Fraction(2 * c + 1, 2 ** (k + 1))
 
 
 @st.composite
 def _interval_cases(draw):
-    """A decimal, a delay, and an interval whose endpoints are drawn from
+    """A decimal, a delay, and an interval: either a repair window of
+    level k <= 64 near the value, or one whose endpoints are drawn from
     the value, its digit truncations (both ends of each prefix interval)
     and arbitrary rationals."""
     spec = draw(_SPECS)
     x = spec.value
+    delay = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 64))
+        c = round(x * 2 ** k) + draw(st.integers(-3, 3))
+        return (spec, delay, *_window(c, k))
     marks = [x]
     num = spec.int_part
     for j in range(6):
@@ -97,7 +115,7 @@ def _interval_cases(draw):
     a, b = sorted((draw(ends), draw(ends)))
     if a == b:
         b += Fraction(1, draw(st.integers(1, 10 ** 4)))
-    return spec, draw(st.integers(0, 3)), a, b
+    return spec, delay, a, b
 
 
 def _charged(sv, fuel):
@@ -106,9 +124,14 @@ def _charged(sv, fuel):
 
 
 @given(_interval_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @example((parse_decimal("0.3(3)"), 0, Fraction(1, 3), Fraction(1)))
 @example((parse_decimal("-0"), 2, Fraction(-1), Fraction(1, 10)))
+@example((parse_decimal("-0.0(0)"), 1, Fraction(-1, 8), Fraction(1, 8)))
+@example((parse_decimal("0.1(6)"), 0,
+          *_window(round(Fraction(2 ** 62, 6)), 62)))
+@example((parse_decimal("-1.(142857)"), 1,
+          *_window(round(Fraction(-8, 7) * 2 ** 64), 64)))
 @example((parse_decimal("0.9(9)"), 1, Fraction(1, 2), Fraction(3, 2)))
 def test_folded_interval_membership_matches_the_stepper(case):
     spec, delay, a, b = case
@@ -365,6 +388,56 @@ def test_repair_fuel_exhaustion_reports_depth():
         repair_decimal(decimal_point(parse_decimal("0.3(3)")), 20, fuel=40)
     assert e.value.level < 20
     assert len(e.value.levels) == e.value.level
+
+
+def _reference_repair(d, bits, fuel):
+    """`repair_decimal` with each level's windows built from `Fraction`
+    centres, as it was written first, on a plain name with the same
+    emissions: every membership query and every race is stepped."""
+    plain = Point(DECIMAL, Name(d.payload._factory, cost=d.payload.cost))
+    flt = kolmogorov_completion(DECIMAL).forward(plain).payload
+    levels, remaining = [], fuel
+    for k in range(1, bits + 1):
+        half = Fraction(1, 2 ** (k + 1))
+        grid = 2 * half
+        m0 = round(levels[-1] / grid) if levels else 0
+
+        def candidate(i):
+            c = (m0 + zigzag(i)) * grid
+            u = interval_open_decimal(c - half, c + half)
+            return flt.chi(u.as_point())
+
+        race = Query(SValue(lambda: Dovetail(lambda i: candidate(i).make(),
+                                             7 if levels else None)))
+        at = race.status(remaining)
+        if at is None:
+            raise FuelExhausted(k - 1, levels)
+        remaining -= at
+        levels.append((m0 + zigzag(race.runner.winner)) * grid)
+    return levels
+
+
+def _repair_outcome(run):
+    before = TALLY.n
+    try:
+        got = run()
+    except FuelExhausted as e:
+        got = ("exhausted", e.level, e.levels)
+    return got, TALLY.n - before
+
+
+@given(_SPECS, st.integers(0, 2), st.integers(1, 40),
+       st.one_of(st.integers(-1, 300), st.integers(300, 8000)))
+@settings(max_examples=80, deadline=None)
+@example(parse_decimal("-1.(142857)"), 1, 40, 8000)
+@example(parse_decimal("-0.0(5)"), 0, 40, 8000)
+@example(parse_decimal("0.25"), 0, 4, 500)
+def test_repair_matches_the_fraction_window_reference(spec, delay, bits, fuel):
+    d = decimal_point(spec, delay)
+    fast = _repair_outcome(lambda: repair_decimal(d, bits, fuel))
+    ref = _repair_outcome(
+        lambda: _reference_repair(decimal_point(spec, delay), bits, fuel))
+    assert fast == ref
 
 
 @pytest.mark.xfail(strict=True, raises=FuelExhausted,

@@ -8,7 +8,7 @@ from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
                              dovetail_bound, literal_name)
 from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
-                                 SValue, accept_at, after, and_finite,
+                                 SValue, _Seq, accept_at, after, and_finite,
                                  bind_name_value, bot, first_accepting,
                                  or_countable, read_table, top)
 
@@ -433,8 +433,31 @@ def test_deep_known_delay_answers_without_recursion():
     assert v.status(10 ** 4) == 3001
 
 
-# Deep chains of unknown values still recurse when stepped: building the
-# nested steppers and stepping them both go one Python frame per level.
+# A delay of an unknown delay is built as one `_Seq` with the summed delay.
+
+
+def test_deep_unknown_delay_answers_without_recursion():
+    leaf = accept_at(1)
+    v = SValue(leaf.make, leaf.bound)
+    for _ in range(3000):
+        v = after(1, v)
+    assert v.status(10 ** 4) == 3001
+
+
+@pytest.mark.parametrize("outer", [-2, 0, 1, 3])
+@pytest.mark.parametrize("inner", [-1, 0, 2])
+@pytest.mark.parametrize("leaf", [top(), accept_at(2), bot()])
+def test_flattened_delays_step_as_nested_ones(outer, inner, leaf):
+    unknown = SValue(leaf.make, leaf.bound)
+    flat = after(outer, after(inner, unknown))
+    nested = SValue(lambda: _Seq(outer, _Seq(inner, leaf.make())))
+    assert flat.bound == leaf.bound + max(outer, 0) + max(inner, 0)
+    for fuel in range(-1, 9):
+        assert _charged(Query(flat), fuel) == _charged(Query(nested), fuel)
+
+
+# Deep chains of unknown conjunctions still recurse when stepped: building
+# the nested steppers and stepping them both go one Python frame per level.
 
 
 @pytest.mark.xfail(raises=RecursionError, strict=True,
@@ -445,16 +468,6 @@ def test_deep_unknown_conjunction_answers_without_recursion():
     for _ in range(1500):
         v = and_finite([v])
     assert v.status(10) == 0
-
-
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="nested steppers recurse one frame per level")
-def test_deep_unknown_delay_answers_without_recursion():
-    leaf = accept_at(1)
-    v = SValue(leaf.make, leaf.bound)
-    for _ in range(3000):
-        v = after(1, v)
-    assert v.status(10 ** 4) == 3001
 
 
 # --- descriptions and queries ---------------------------------------------
