@@ -170,20 +170,8 @@ class NameReader:
 
 def literal_name(values: Sequence[int], tail: Optional[int] = 0) -> Name:
     """A name emitting the given values, one per step, then ``tail`` forever
-    (``tail=None`` means silent forever)."""
-    vals = [int(v) for v in values]
-
-    def gen() -> Iterator[Optional[int]]:
-        yield from vals
-        while True:
-            yield tail
-
-    def cost(i: int) -> Optional[int]:
-        if i < len(vals) or tail is not None:
-            return i + 1
-        return None
-
-    return Name(gen, cost=cost)
+    (``tail=None`` means silent forever): `delayed_name` with no delays."""
+    return delayed_name([(0, v) for v in values], tail)
 
 
 def delayed_name(entries: Sequence[tuple[int, int]], tail: Optional[int] = 0) -> Name:

@@ -699,11 +699,7 @@ def _base_completion_range(sub: FiniteSubbase, fuel: int) -> set[int]:
                         if budgeted(u.chi(points[x]), fuel)))
     # close under union/intersection: the identity base of the induced
     # space realizes every open the base sets generate
-    while True:
-        more = {op(a, c) for a in out for c in out for op in (or_, and_)} - out
-        if not more:
-            return out
-        out |= more
+    return set(orc.generate_topology(list(out), sub.n).opens)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,7 @@ def interior(space: FiniteSpace, a: int) -> int:
 def up_sets(space: FiniteSpace) -> tuple[int, ...]:
     """All up-closed subsets = all saturated sets = all compact saturated
     sets of a finite space."""
-    rows = specialization(space)
-    return tuple(s for s in range(1 << space.n) if _up_closure(rows, s) == s)
+    return topology_from_preorder(specialization(space)).opens
 
 
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
@@ -297,11 +296,13 @@ def preorder_is_partial_order(rows: Sequence[int]) -> bool:
     return True
 
 
-def topology_from_preorder(rows: Sequence[int]) -> FiniteSpace:
-    n = len(rows)
-    fam = [s for s in range(1 << n)
-           if all(rows[x] & ~s == 0 for x in bits(s))]
-    return make_space(n, fam)
+@lru_cache(maxsize=None)
+def topology_from_preorder(rows: tuple[int, ...]) -> FiniteSpace:
+    """The up-sets of a preorder (rows as in `specialization`) as a
+    topology: the one up-set enumerator, computed once per preorder.
+    `up_sets`, `FiniteSubbase.index_space` and Figure 1 all read it."""
+    return make_space(len(rows), (s for s in range(1 << len(rows))
+                                  if _up_closure(rows, s) == s))
 
 
 def enumeration_crosscheck(n: int) -> dict:
@@ -430,20 +431,13 @@ def tau_inf(sub: FiniteSubbase) -> FiniteSpace:
     return generate_topology(gens, sub.n)
 
 
-def final_topology_standin(sub: FiniteSubbase) -> FiniteSpace:
-    """Desk-scale stand-in for the final topology of the subbase
-    representation: finite spaces are sequential, so it is the Alexandrov
-    topology of tau_K's specialization order."""
-    t = tau_K(sub)
-    rows = specialization(t)
-    return topology_from_preorder(rows)
-
-
 def figure1_check(sub: FiniteSubbase) -> dict:
     """The inclusion chain of the four topologies a presubbase generates,
     plus the T0-iff-injective equivalence."""
     tb, ti, tk = tau_B(sub), tau_inf(sub), tau_K(sub)
-    fin = final_topology_standin(sub)
+    # stand-in for the final topology of the subbase representation:
+    # finite spaces are sequential, so it is the up-sets of tau_K's order
+    fin = topology_from_preorder(specialization(tk))
     sb, si, sk, sf = (set(t.opens) for t in (tb, ti, tk, fin))
     report = {
         "well_defined": sub.well_defined(),
@@ -571,11 +565,15 @@ def subbase_from_json(doc: dict) -> FiniteSubbase:
 
 
 def load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"not UTF-8 text: byte {e.start}: {e.reason}")
+        except RecursionError:
+            raise SchemaError("JSON nested too deeply")
 
 
 # ---------------------------------------------------------------------------

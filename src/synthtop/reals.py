@@ -432,12 +432,17 @@ def decimal_to_cauchy_direct(spec: DecimalSpec) -> CauchyName:
     """The independent repair oracle: level n truncates the decimal to
     enough digits that the truncation error is at most 2^-n."""
 
+    # nums[j]: the integer part and the first j digits as one integer,
+    # grown on demand so each digit is read once; a list of its own, not
+    # `DecimalName.prefixes`, so the oracle stays independent of the code
+    # it checks
+    nums = [spec.int_part]
+
     def level(n: int) -> Fraction:
         k = _digits_for_bits(n)
-        num = spec.int_part
-        for i in range(k):
-            num = 10 * num + spec.digit(i)
-        return spec.sign * Fraction(num, 10 ** k)
+        while len(nums) <= k:
+            nums.append(10 * nums[-1] + spec.digit(len(nums) - 1))
+        return spec.sign * Fraction(nums[k], 10 ** k)
 
     return CauchyName(level)
 

@@ -401,74 +401,21 @@ def or_countable(family: Union[Sequence[SValue], Callable[[int], SValue]],
     return SValue(lambda: Dovetail(lambda i: items[i].make(), size), bound)
 
 
-def bind_name_value(name: Name, k: Callable[[int], SValue],
-                    inner_bound: Optional[int] = None) -> SValue:
-    """Read the first value of ``name`` and continue with ``k(value)``.
+def _read(names: tuple[Name, ...], then: Callable[..., SValue],
+          inner_bound: Optional[int]) -> SValue:
+    """Read the first value of each name in turn, then continue with
+    ``then(*values)``: the one read of `bind_name_value` and `read_table`.
 
-    The arrival step is the read's; a born-accepted continuation accepts
-    on it, a ``never`` one goes ``never``, and any other is stepped from
-    the next step (the stepper `read_table` uses too).  ``inner_bound``
-    must dominate the bound of every continuation ``k`` can return; with
-    the name's first-emission cost it certifies the horizon.  When the
-    first value is already cached, error-free, ``k`` is called here; the
-    value is known if the continuation is, and a continuation that raises
-    is left to be called again in the stepping run, so the error surfaces
-    at the arrival step.
-    """
-    first = name.first
-    bound = None
-    if inner_bound is not None:
-        if first is not None:
-            c0 = first[2]
-        else:
-            c0 = name.cost(0) if name.cost is not None else None
-        if c0 is not None:
-            bound = c0 + inner_bound
-    if first is not None:
-        try:
-            inner = k(first[0])
-        except Exception:  # raised again, in order, by the stepping run
-            pass
-        else:
-            if inner.known is not None:
-                return SValue(None, bound, first[1] + inner.known)
-            return SValue(lambda: _Read((name,), lambda _: inner), bound)
-    return SValue(lambda: _Read((name,), k), bound)
-
-
-def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
-    """Read the first value of each name in turn, then accept iff
-    ``decide(*values)``: the leaf of every finite-table open.
-
-    Acceptance lands at the sum of the names' first-emission step counts,
-    as for nested `bind_name_value` reads continuing with `top`/`bot`, and
-    ``bound`` is the sum of their ``cost(0)`` (None if any is unknown).  A
-    rejected read goes ``never``.  When every name's first clean emission
-    is already cached (`Name.first`), the outcome is known at
-    construction.  One such name answers with one of its two shared
-    known values (`Name.leaves`: accept at its first step, or never),
-    built once per name, so a warm leaf is a lookup.  An exception from
-    ``decide`` is left to the stepping run, so it surfaces at the arrival
-    step and nothing is cached for it.  Otherwise the read is stepped by
-    the one name-reading stepper of `bind_name_value`, continuing with
-    `top` or `bot` by the table.
-    """
-    if len(names) == 1:
-        nm = names[0]
-        first = nm.first
-        if first is not None:
-            try:
-                ok = decide(first[0])
-            except Exception:  # raised again, in order, by the stepping run
-                pass
-            else:
-                pair = nm.leaves
-                if pair is None:
-                    pair = nm.leaves = (SValue(None, first[2], first[1]),
-                                        SValue(None, first[2], NEVER))
-                return pair[0] if ok else pair[1]
-    names = tuple(names)
-    bound: Optional[int] = 0
+    The last arrival lands at the sum of the names' first-emission step
+    counts; a born-accepted continuation accepts on it, a ``never`` one
+    goes ``never``, and any other is stepped from the next step (`_Read`).
+    ``bound`` is ``inner_bound``, which must dominate the bound of every
+    continuation, plus the names' ``cost(0)`` (None if any is unknown).
+    When every name's first clean emission is cached (`Name.first`),
+    ``then`` is called here and the value is known if the continuation is;
+    one that raises is called again by the stepping run, so the error
+    surfaces at the arrival step."""
+    bound = inner_bound
     vals: Optional[list[int]] = []
     at = 0
     for nm in names:
@@ -487,36 +434,66 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
                 at += first[1]
     if vals is not None:
         try:
-            ok = decide(*vals)
+            inner = then(*vals)
         except Exception:  # raised again, in order, by the stepping run
             pass
         else:
-            return SValue(None, bound, at if ok else NEVER)
-    return SValue(lambda: _Read(
-        names, lambda *vs: _TOP if decide(*vs) else _BOT), bound)
+            if inner.known is not None:
+                return SValue(None, bound, at + inner.known)
+            return SValue(lambda: _Read(names, lambda *_: inner), bound)
+    return SValue(lambda: _Read(names, then), bound)
+
+
+def bind_name_value(name: Name, k: Callable[[int], SValue],
+                    inner_bound: Optional[int] = None) -> SValue:
+    """Read the first value of ``name`` and continue with ``k(value)``:
+    `_read` of one name, so ``inner_bound`` must dominate the bound of
+    every continuation ``k`` can return."""
+    return _read((name,), k, inner_bound)
+
+
+def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
+    """Read the first value of each name in turn, then accept iff
+    ``decide(*values)``: the leaf of every finite-table open, and `_read`
+    continuing with `top` or `bot` by the table, so ``bound`` is the sum
+    of the names' ``cost(0)`` and a rejected read goes ``never``.  One
+    warm name answers with one of its two shared known values
+    (`Name.leaves`: accept at its first step, or never), built once per
+    name, so a warm leaf is a lookup.  An exception from ``decide`` is
+    left to the stepping run, so it surfaces at the arrival step and
+    nothing is cached for it."""
+    if len(names) == 1:
+        nm = names[0]
+        first = nm.first
+        if first is not None:
+            try:
+                ok = decide(first[0])
+            except Exception:  # raised again, in order, by the stepping run
+                pass
+            else:
+                pair = nm.leaves
+                if pair is None:
+                    pair = nm.leaves = (SValue(None, first[2], first[1]),
+                                        SValue(None, first[2], NEVER))
+                return pair[0] if ok else pair[1]
+    return _read(tuple(names), lambda *vs: _TOP if decide(*vs) else _BOT, 0)
 
 
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],
                     fuel: int) -> Optional[tuple[int, int]]:
-    """Dovetail the family and return (winning index, global step) of the
-    first acceptance within ``fuel`` steps, else None.
+    """Race the family as `or_countable` does and return (winning index,
+    global step) of the first acceptance within ``fuel`` steps, else None.
 
-    A finite family is built here, once per index, as by `or_countable`.
-    When every member is known the race is folded: member i accepting at
-    its own step k lands at ``dovetail_bound(i, k, size)``, the earliest
-    landing wins, and ``TALLY`` is charged the landing, or ``max(fuel, 0)``
-    when it is beyond ``fuel``, exactly what stepping would charge.  Any
-    other family is stepped on its own `Query` over a `Dovetail`."""
-    if size is not None:
-        items = [family(i) for i in range(size)]
-        family = items.__getitem__
-        if all(v.known is not None for v in items):
-            at, winner = min(((dovetail_bound(i, v.known, size), i)
-                              for i, v in enumerate(items)
-                              if v.known != NEVER), default=(NEVER, None))
-            if SValue(None, None, at).status(fuel) is None:
-                return None
-            return winner, at
-    race = Query(SValue(lambda: Dovetail(lambda i: family(i).make(), size)))
+    The race is one `Query` on ``or_countable``, charged as its run is.  A
+    stepped race reads the winner off its `Dovetail`; in a folded one
+    (every member of a finite family known) the winner is the one member
+    whose ``dovetail_bound`` landing is the acceptance step."""
+    items = family if size is None else [family(i) for i in range(size)]
+    race = Query(or_countable(items))
     at = race.status(fuel)
-    return None if at is None else (race.runner.winner, at)
+    if at is None:
+        return None
+    if race.runner is not None:
+        return race.runner.winner, at
+    return next(i for i, v in enumerate(items) if v.known != NEVER
+                and dovetail_bound(i, v.known, size) == at), at

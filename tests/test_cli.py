@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,18 @@ def test_spaces_schema_violation_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "'n'" in err
+
+    # bytes that are not UTF-8 text, and JSON nested past the parser's
+    # recursion limit, are schema errors too, not tracebacks
+    deep = "[" * 100_000 + "]" * 100_000
+    for name, data in (("random.json", random.Random(0).randbytes(200)),
+                       ("bom.json", b"\xff\xfe" + b'{"n": 1}'),
+                       ("deep.json", deep.encode())):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "spaces", str(bad), "--query", "t0")
+        assert code == 2, name
+        assert out == "" and "Traceback" not in err, name
 
 
 def test_spaces_oversize_subbase_exits_2(tmp_path, capsys):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.bases import embed_point
-from synthtop.oracle import (SchemaError, closure, decode_finite,
-                             enumerate_spaces, enumeration_crosscheck,
+from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, closure,
+                             decode_finite, enumerate_spaces,
+                             enumeration_crosscheck,
                              figure1_check, finite_point, finite_presubbase,
                              full_mask, generate_topology, interior, is_T0,
                              make_space, make_subbase, saturate,
@@ -81,6 +82,11 @@ def test_indiscrete_two_points_not_t0():
 def test_up_sets_are_saturated_sets():
     ups = up_sets(SIERP2)
     assert set(ups) == {0, 0b10, 0b11}
+    # a finite topology is the up-sets of its specialization order: the
+    # up-set enumerator against the closure-family enumeration
+    for n in range(MAX_EXHAUSTIVE + 1):
+        for f in enumerate_spaces(n):
+            assert up_sets(f) == f.opens, f
 
 
 def test_non_monotone_family_is_not_well_defined():

@@ -272,6 +272,19 @@ def test_direct_oracle_examples():
     for n in range(13):
         assert abs(ones.level(n) - 1) <= Fraction(1, 2 ** n)
 
+    # each level against a truncation of the decimal's text, asked deepest
+    # first and then shallowest first on one oracle
+    for text in ("0.3(3)", "-1.(142857)", "2.(45)", "-0.0(5)", "12.5"):
+        sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+        whole, _, frac = body.partition(".")
+        fixed, _, rep = frac.rstrip(")").partition("(")
+        direct = decimal_to_cauchy_direct(parse_decimal(text))
+        for n in [*range(200, 0, -1), *range(1, 201)]:
+            k = len(str(2 ** n - 1))  # fewest k with 10^k >= 2^n
+            digits = (fixed + rep * k + "0" * k)[:k]
+            want = sign * Fraction(int(whole + digits), 10 ** k)
+            assert direct.level(n) == want, (text, n)
+
 
 def test_cauchy_name_coding_roundtrip():
     c = decimal_to_cauchy_direct(parse_decimal("0.3(3)"))
