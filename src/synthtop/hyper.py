@@ -256,8 +256,8 @@ def compact_union(family: CompactSat) -> CompactSat:
 
 
 def filter_embed(k: CompactSat) -> OpenSet:
-    """K as the open {U : K inside U} of O(X)."""
-    return OpenSet(opens(k.space), lambda upt: k.forall_(as_open(upt)))
+    """K as the open {U : K inside U} of O(X), coerced once by K.forall_."""
+    return OpenSet(opens(k.space), k.forall_)
 
 
 def filter_invert(w: OpenSet) -> CompactSat:
@@ -267,8 +267,8 @@ def filter_invert(w: OpenSet) -> CompactSat:
 
 
 def trace_embed(a: OvertClosed) -> OpenSet:
-    """A as the open {U : A meets U} of O(X)."""
-    return OpenSet(opens(a.space), lambda upt: a.exists_(as_open(upt)))
+    """A as the open {U : A meets U} of O(X), coerced once by A.exists_."""
+    return OpenSet(opens(a.space), a.exists_)
 
 
 def trace_invert(w: OpenSet) -> OvertClosed:

@@ -82,7 +82,8 @@ class Name:
 
     ``first`` is the first clean emission ``(value, step, cost(0))``, set
     by the canonical run when it appends its first value with no error
-    before it, and None until then (or forever, behind an error).
+    before it, and None until then (or forever, behind an error); a
+    `map_name` image may hold it, and its source's ``leaves``, at once.
     ``leaves`` belongs to the Sierpinski layer: the name's shared pair of
     known finite-leaf outcomes (accept at ``step``, never), built from
     ``first`` on first use.
@@ -204,6 +205,32 @@ def delayed_name(entries: Sequence[tuple[int, int]], tail: Optional[int] = 0) ->
         return base + (i - len(csum) + 1)
 
     return Name(gen, cost=cost)
+
+
+def map_name(src: Name, table) -> Name:
+    """The image of ``src`` under ``table``: ``table[v]`` at the step where
+    ``src`` emits ``v``, with its cost; an entry that raises or is not a
+    natural raises at that step.  Behind a warm ``src`` the image is warm
+    from construction, with the source's known leaf pair (same step and
+    cost); behind a cold one, or a first entry that would raise, it waits
+    for its own run."""
+
+    def gen() -> Iterator[Optional[int]]:
+        r = NameReader(src)
+        while True:
+            v = r.step()
+            yield None if v is None else table[v]
+
+    nm = Name(gen, cost=src.cost)
+    first = src.first
+    if first is not None:
+        try:
+            out = table[first[0]]
+        except Exception:  # raised again, at its step, by the run
+            return nm
+        if isinstance(out, int) and out >= 0:
+            nm.first, nm.leaves = (out, first[1], first[2]), src.leaves
+    return nm
 
 
 # ---------------------------------------------------------------------------

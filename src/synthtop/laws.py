@@ -32,7 +32,7 @@ from .hyper import (OpenSet, box_embed, box_invert, compact_image,
                     overt_project, overt_union, point_to_closed,
                     point_to_compact, product_closed, product_open, section,
                     trace_embed, trace_invert)
-from .kernel import Name, NameReader, dovetail_bound
+from .kernel import dovetail_bound, map_name
 from .oracle import (FiniteSpace, FiniteSubbase, bits, budgeted, closure,
                      compact_family_of_compacts, compact_members,
                      decode_finite, enumerate_spaces, enumeration_crosscheck,
@@ -462,18 +462,9 @@ def _product_leaf_open(spx, spy, g_n: int, mask: int) -> OpenSet:
 
 
 def _map_point(spx, spy, fmap) -> Point:
-    """A finite map as a function point: an image re-emits each value of
-    the argument's name through the table."""
-
-    def image(p: Point) -> Point:
-        def gen():
-            r = NameReader(p.payload)
-            while True:
-                v = r.step()
-                yield None if v is None else fmap[v]
-        return Point(spy, Name(gen, cost=p.payload.cost))
-
-    return fun_point(spx, spy, image)
+    """A finite map as a function point: an image is the argument's name
+    mapped through the table (`map_name`)."""
+    return fun_point(spx, spy, lambda p: Point(spy, map_name(p.payload, fmap)))
 
 
 # ---------------------------------------------------------------------------

@@ -592,8 +592,7 @@ def finite_repr(f: FiniteSpace) -> Space:
     sp = Space("finite", (f,), label=f"Fin({f.n})")
     sp.parts = (f, tuple(Point(sp, literal_name([e], tail=e))
                          for e in range(f.n)))
-    sp.overt = OvertClosed(sp, lambda u: or_countable(
-        [u.chi(p) for p in sp.parts[1]]))
+    sp.overt = OvertClosed(sp, lambda u: or_countable(map(u.chi, sp.parts[1])))
     if is_T0(f):
         sp.filter_inverse = lambda flt, fuel=None: _finite_filter_inverse(sp, f, flt, fuel)
     return sp
@@ -611,26 +610,34 @@ def finite_point(sp: Space, elem: int, delay: int = 0) -> Point:
 def leaf_open(sp: Space, mask: int) -> OpenSet:
     """Membership semidecider of a subset given as a bitmask (only opens of
     the topology denote opens, but the semidecider is definable for any
-    mask; validity is the caller's concern)."""
+    mask; validity is the caller's concern).  A warm point's answer is
+    read straight off its name's shared known pair (`Name.leaves`)."""
 
     def member(v: int) -> int:
         return mask >> v & 1
 
-    return OpenSet(sp, lambda p: read_table((p.payload,), member))
+    def chi(p: Point) -> SValue:
+        nm = p.payload
+        pair = nm.leaves
+        if pair is None:
+            return read_table((nm,), member)
+        return pair[~mask >> nm.first[0] & 1]  # (accept, never)
+
+    return OpenSet(sp, chi)
 
 
 def leaf_overt(sp: Space, mask: int) -> OvertClosed:
     """The overt value generated by the elements of ``mask``; denotes the
     closure of that set."""
     pts = [finite_point(sp, e) for e in bits(mask)]
-    return OvertClosed(sp, lambda u: or_countable([u.chi(p) for p in pts]))
+    return OvertClosed(sp, lambda u: or_countable(map(u.chi, pts)))
 
 
 def leaf_compact(sp: Space, mask: int) -> CompactSat:
     """The compact value generated by the elements of ``mask``; denotes the
     saturation of that set."""
     pts = [finite_point(sp, e) for e in bits(mask)]
-    return CompactSat(sp, lambda u: and_finite([u.chi(p) for p in pts]))
+    return CompactSat(sp, lambda u: and_finite(map(u.chi, pts)))
 
 
 def budgeted(sv: SValue, fuel: Optional[int] = None) -> bool:
@@ -705,20 +712,20 @@ def family_overt(sp: Space, members: Sequence[OpenSet]) -> OvertClosed:
     """An overt family of opens (a value over O(sp)) generated by the given
     members; denotes the closure of the member set in the open-set space."""
     pts = [u.as_point() for u in members]
-    return OvertClosed(opens(sp), lambda w: or_countable([w.chi(p) for p in pts]))
+    return OvertClosed(opens(sp), lambda w: or_countable(map(w.chi, pts)))
 
 
 def family_compact(sp: Space, members: Sequence[OpenSet]) -> CompactSat:
     """A compact family of opens (a value over O(sp)); denotes the
     saturation of the member set in the open-set space."""
     pts = [u.as_point() for u in members]
-    return CompactSat(opens(sp), lambda w: and_finite([w.chi(p) for p in pts]))
+    return CompactSat(opens(sp), lambda w: and_finite(map(w.chi, pts)))
 
 
 def compact_family_of_compacts(sp: Space, members: Sequence["CompactSat"]) -> CompactSat:
     """A compact family of compact sets (a value over K-(sp))."""
     pts = [k.as_point() for k in members]
-    return CompactSat(compacts(sp), lambda w: and_finite([w.chi(p) for p in pts]))
+    return CompactSat(compacts(sp), lambda w: and_finite(map(w.chi, pts)))
 
 
 def monotone_families(order: Sequence[int], n_carrier: int) -> Iterable[tuple[int, ...]]:

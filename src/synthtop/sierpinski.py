@@ -16,7 +16,7 @@ countable disjunction are the whole logic.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .kernel import Dovetail, Name, NameReader, dovetail_bound
 
@@ -33,9 +33,6 @@ class _Tally:
 
     def __init__(self):
         self.n = 0
-
-    def add(self, k: int) -> None:
-        self.n += k
 
 
 TALLY = _Tally()
@@ -83,10 +80,10 @@ class SValue:
         if k is None:
             return Query(self).status(fuel)
         if k <= fuel:
-            TALLY.add(k)
+            TALLY.n += k
             return k
         if fuel > 0:
-            TALLY.add(fuel)
+            TALLY.n += fuel
         return None
 
 
@@ -167,7 +164,7 @@ class Query:
             raise
         finally:
             self._ran = ran
-            TALLY.add(ran - start)
+            TALLY.n += ran - start
         return self._at
 
 
@@ -346,10 +343,12 @@ def after(delay: int, v: SValue) -> SValue:
     return SValue(_Delayed(d, v), b)
 
 
-def and_finite(vs: Sequence[SValue]) -> SValue:
+def and_finite(vs: Iterable[SValue]) -> SValue:
     """Accepts iff all inputs accept; total step count is the sum of the
-    children's counts (already-accepted children cost nothing)."""
-    vs = list(vs)
+    children's counts (already-accepted children cost nothing).  Any
+    iterable, built once (a list is not copied); ``bound`` and ``known``
+    fold in one pass, ``known`` stopping at the first unknown child."""
+    vs = vs if type(vs) is list else list(vs)
     bound: Optional[int] = 0
     known: Union[int, float, None] = 0
     for v in vs:
@@ -364,38 +363,39 @@ def and_finite(vs: Sequence[SValue]) -> SValue:
     return SValue(lambda: _All([v.make() for v in vs]), bound)
 
 
-def or_countable(family: Union[Sequence[SValue], Callable[[int], SValue]],
+def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
                  size: Optional[int] = None) -> SValue:
     """Accepts iff some input accepts, with fairness inherited from the
-    dovetail schedule.  Accepts a finite list or an index function; a
-    finite index function is called once per index, here."""
+    dovetail schedule.  Accepts any finite iterable, built once (a list is
+    not copied), or an index function; a finite index function is called
+    once per index, here.  ``bound`` and ``known`` fold in one pass."""
     if callable(family):
         if size is None:
             return SValue(lambda: Dovetail(lambda i: family(i).make()))
-        items = [family(i) for i in range(size)]
+        items = list(map(family, range(size)))
     else:
-        items = list(family)
+        items = family if type(family) is list else list(family)
         size = len(items)
     # task i accepting at its own step k lands at dovetail_bound(i, k, size)
     bound: Optional[int] = 0
     known: Union[int, float, None] = NEVER
     for i, v in enumerate(items):
+        k = v.known
+        t = None if k is None or k == NEVER else dovetail_bound(i, k, size)
+        if known is not None:
+            if k is None:
+                known = None
+            elif t is not None and t < known:
+                known = t
         if bound is not None:
             b = v.bound
             if b is None:
                 bound = None
             else:
-                t = dovetail_bound(i, b, size)
+                if b != k:  # else the landing of k is the landing of b
+                    t = dovetail_bound(i, b, size)
                 if t > bound:
                     bound = t
-        if known is not None:
-            k = v.known
-            if k is None:
-                known = None
-            elif k != NEVER:
-                t = dovetail_bound(i, k, size)
-                if t < known:
-                    known = t
     if known is not None:
         return SValue(None, bound, known)
     return SValue(lambda: Dovetail(lambda i: items[i].make(), size), bound)
@@ -456,26 +456,37 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     """Read the first value of each name in turn, then accept iff
     ``decide(*values)``: the leaf of every finite-table open, and `_read`
     continuing with `top` or `bot` by the table, so ``bound`` is the sum
-    of the names' ``cost(0)`` and a rejected read goes ``never``.  One
-    warm name answers with one of its two shared known values
-    (`Name.leaves`: accept at its first step, or never), built once per
-    name, so a warm leaf is a lookup.  An exception from ``decide`` is
-    left to the stepping run, so it surfaces at the arrival step and
-    nothing is cached for it."""
-    if len(names) == 1:
-        nm = names[0]
+    of the names' ``cost(0)`` and a rejected read goes ``never``.  When
+    every name is warm (`Name.first`) the read is answered here in one
+    pass over the names, with no stepper or continuation: several names
+    with one known value at the sum of their first steps, one name with
+    one of its two shared known values (`Name.leaves`: accept at its
+    first step, or never), built once per name, so a warm leaf is a
+    lookup.  An exception from ``decide`` is left to the stepping run, so
+    it surfaces at the arrival step and nothing is cached for it."""
+    at = bound = 0
+    vals = []
+    for nm in names:
         first = nm.first
-        if first is not None:
-            try:
-                ok = decide(first[0])
-            except Exception:  # raised again, in order, by the stepping run
-                pass
-            else:
-                pair = nm.leaves
-                if pair is None:
-                    pair = nm.leaves = (SValue(None, first[2], first[1]),
-                                        SValue(None, first[2], NEVER))
-                return pair[0] if ok else pair[1]
+        if first is None:
+            break
+        vals.append(first[0])
+        at += first[1]
+        c0 = first[2]
+        bound = None if c0 is None or bound is None else bound + c0
+    else:
+        try:
+            ok = decide(*vals)
+        except Exception:  # raised again, in order, by the stepping run
+            pass
+        else:
+            if len(vals) != 1:
+                return SValue(None, bound, at if ok else NEVER)
+            pair = nm.leaves
+            if pair is None:
+                pair = nm.leaves = (SValue(None, bound, at),
+                                    SValue(None, bound, NEVER))
+            return pair[0] if ok else pair[1]
     return _read(tuple(names), lambda *vs: _TOP if decide(*vs) else _BOT, 0)
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
@@ -12,7 +14,7 @@ from synthtop.oracle import (budgeted, closure, compact_members,
                              family_compact, family_overt, finite_point,
                              finite_repr, leaf_compact, leaf_open, leaf_overt,
                              make_space, open_members, overt_members,
-                             saturate)
+                             product_space, saturate, up_sets)
 from synthtop.sierpinski import NEGATIVE_FUEL, SValue
 from synthtop.spaces import (MissingWitnessError, SpaceMismatch, apply_fun,
                              fun_point, identity_fun, pair_point, read_first)
@@ -270,3 +272,50 @@ def test_open_point_round_trip_is_free(monkeypatch):
     monkeypatch.setattr(SValue, "__init__", counting)
     assert budgeted(flt.chi(upt))
     assert len(built) <= 1
+
+
+def test_warm_finite_queries_leave_no_reference_cycles():
+    # a value holding a cycle (a set caching its own point, say) would
+    # leave garbage for the cycle collector on every query
+    h = product_space(SIERP2, CHAIN3)
+    sp = finite_repr(h)
+    pts = [finite_point(sp, e) for e in range(h.n)]
+    full = (1 << h.n) - 1
+    for p in pts:  # read every name once, so every leaf below is warm
+        assert budgeted(leaf_open(sp, full).chi(p))
+    ups = up_sets(h)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in ups:
+            emb = filter_embed(leaf_compact(sp, k))
+            back = filter_invert(emb)
+            for u in h.opens:
+                inside = k & ~u == 0
+                assert budgeted(emb.chi(leaf_open(sp, u).as_point())) == inside
+                assert budgeted(back.forall_(leaf_open(sp, u))) == inside
+                assert budgeted(leaf_compact(sp, k).forall_(
+                    leaf_open(sp, u))) == inside
+                assert budgeted(leaf_overt(sp, k).exists_(
+                    leaf_open(sp, u))) == bool(k & u)
+        for u in h.opens:
+            emb = box_embed(leaf_open(sp, u))
+            back = box_invert(emb)
+            for k in ups:
+                assert budgeted(emb.chi(leaf_compact(sp, k).as_point())) == (
+                    k & ~u == 0)
+            a = full & ~u
+            tw = trace_embed(leaf_overt(sp, a))
+            tback = trace_invert(tw)
+            for v in h.opens:
+                assert budgeted(tw.chi(leaf_open(sp, v).as_point())) == bool(a & v)
+                assert budgeted(tback.exists_(leaf_open(sp, v))) == bool(a & v)
+            for x, p in enumerate(pts):
+                assert budgeted(back.chi(p)) == bool(u >> x & 1)
+                flt = neighborhood_filter(p)
+                assert budgeted(flt.chi(leaf_open(sp, u).as_point())) == bool(
+                    u >> x & 1)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
-                             dovetail_bound, literal_name)
-from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
+                             dovetail_bound, literal_name, map_name)
+from synthtop.hyper import OpenSet
+from synthtop.oracle import (finite_point, finite_repr, leaf_compact,
+                             leaf_open, leaf_overt, make_space)
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
-                                 SValue, _Seq, accept_at, after, and_finite,
-                                 bind_name_value, bot, first_accepting,
-                                 or_countable, read_table, top)
+                                 SValue, _Read, _Seq, accept_at, after,
+                                 and_finite, bind_name_value, bot,
+                                 first_accepting, or_countable, read_table,
+                                 top)
 
 
 def test_top_accepts_at_zero():
@@ -351,6 +354,112 @@ def test_read_table_matches_nested_reads(specs, table, raises, warm, ctx,
     assert _observe(new, range(61)) == _observe(ref, range(61))
 
 
+# --- derived names and warm multi-name reads against stepped reads -------
+
+
+def _stepped_map(src, table):
+    """The reference image of ``src``: a plain name re-emitting each value
+    through ``table``, warm only once its own run gets there."""
+
+    def gen():
+        r = NameReader(src)
+        while True:
+            v = r.step()
+            yield None if v is None else table[v]
+
+    return Name(gen, cost=src.cost)
+
+
+def _drive(nm, steps):
+    """Run ``nm``'s canonical run ``steps`` steps, through any error."""
+    for _ in range(steps):
+        try:
+            nm.advance()
+        except Exception:
+            pass
+
+
+@given(st.dictionaries(st.integers(0, 3), st.integers(-1, 3)),
+       _NAME_SPECS, st.integers(0, 6),
+       st.booleans(),
+       st.one_of(st.none(), st.tuples(_NAME_SPECS, st.integers(0, 6))),
+       st.sampled_from(["alone", "or", "and"]),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_mapped_names_fold_as_stepped_reads(table, spec, warm, leaves, other,
+                                            ctx, cuts):
+    # a missing table entry raises KeyError and a negative one is not a
+    # natural: either raises at the step where the source emits its key;
+    # ``leaves``: the source's known leaf pair is built before the mapping
+
+    def decide(*vals):
+        return sum(vals) % 2 == 0
+
+    def build(kind):
+        src = _make_name(spec)
+        _drive(src, warm)
+        if leaves:
+            read_table((src,), lambda v: True)
+        if kind == "folded":
+            img = map_name(src, table)
+        else:
+            img = _stepped_map(src, table)
+            if kind == "warmed":  # warm the reference by its own run
+                _drive(img, warm)
+        names = [img]
+        if other is not None:
+            nm = _make_name(other[0])
+            _drive(nm, other[1])
+            names.append(nm)
+        leaf = read_table(names, decide)
+        if ctx == "or":
+            return img, leaf, or_countable([bot(), leaf, accept_at(25)])
+        if ctx == "and":
+            return img, leaf, and_finite([accept_at(2), leaf])
+        return img, leaf, leaf
+
+    img, leaf, new = build("folded")
+    ref_img, ref_leaf, _ = build("warmed")
+    assert img.first == ref_img.first
+    assert (leaf.known, leaf.bound) == (ref_leaf.known, ref_leaf.bound)
+    _, cold_leaf, ref = build("cold")
+    assert cold_leaf.bound == leaf.bound and new.bound == ref.bound
+    fuels = list(itertools.accumulate(cuts)) + [60]
+    assert _observe(new, fuels) == _observe(ref, fuels)
+    # the step where acceptance or an error first shows, fuel by fuel
+    _, _, new = build("folded")
+    _, _, ref = build("cold")
+    assert _observe(new, range(61)) == _observe(ref, range(61))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=2, max_size=3),
+       st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.integers(0, 3))),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_warm_multi_name_read_steps_as_its_reader(specs, table, raises):
+    def decide(*vals):
+        if raises and vals[-1] == 2:
+            raise LookupError("no row for 2")
+        return (vals + (0,))[:3] in table
+
+    def names():
+        out = [delayed_name([(d, v)], tail=v) for d, v in specs]
+        for nm in out:
+            _warm(nm, 5)
+        return out
+
+    folded = read_table(names(), decide)
+    nms = names()
+    stepped = SValue(lambda: _Read(nms, lambda *vs: top() if decide(*vs)
+                                   else bot()), folded.bound)
+    assert folded.bound == sum(d + 1 for d, _ in specs)
+    if not raises:
+        assert folded.known is not None
+    assert _observe(folded, range(20)) == _observe(stepped, range(20))
+
+
 def test_read_table_answers_cached_names_without_a_reader():
     x, y = literal_name([2], tail=2), delayed_name([(2, 1)], tail=1)
     _warm(x, 1)
@@ -684,3 +793,63 @@ def test_folded_values_match_stepped_ones(tree, cuts):
     # the step where acceptance or an error first shows, fuel by fuel
     folded, stepped = _fold_build(tree, True), _fold_build(tree, False)
     assert _observe(folded, range(61)) == _observe(stepped, range(61))
+
+
+# --- streamed children: any iterable folds as the list would --------------
+
+
+@given(st.lists(fold_trees(), max_size=4), st.booleans(),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_streamed_children_fold_as_a_list(trees, fold, cuts):
+    def kids():
+        return [_fold_build(t, fold) for t in trees]
+
+    fuels = list(itertools.accumulate(cuts)) + [60]
+    for combine in (and_finite, or_countable):
+        listed = combine(kids())
+        streamed = combine(iter(kids()))
+        assert (streamed.bound, streamed.known) == (listed.bound, listed.known)
+        assert _observe(streamed, fuels) == _observe(listed, fuels)
+        assert _observe(combine(v for v in kids()), range(61)) == _observe(
+            combine(kids()), range(61))
+    # the race's winner and its step, from the list and from a stream
+    def outcome(run):
+        try:
+            return run()
+        except Exception as exc:
+            return type(exc)
+
+    for fuel in fuels:
+        members = kids()
+        won = outcome(lambda: first_accepting(members.__getitem__,
+                                              len(members), fuel))
+        at = outcome(lambda: Query(or_countable(iter(kids()))).status(fuel))
+        if won is None or isinstance(won, type):
+            assert at == won
+        else:
+            assert at == won[1] and members[won[0]].status(fuel) is not None
+
+
+def test_child_raising_mid_stream_raises_when_the_value_is_built():
+    def children():
+        yield accept_at(1)
+        yield bot()
+        raise LookupError("no third child")
+
+    for combine in (and_finite, or_countable):
+        with pytest.raises(LookupError):
+            combine(children())
+    sp = finite_repr(make_space(2, [0, 0b10, 0b11]))
+    p = finite_point(sp, 1)
+
+    def chi(q):
+        if q is p:
+            raise LookupError("no answer at 1")
+        return top()
+
+    u = OpenSet(sp, chi)
+    with pytest.raises(LookupError):
+        leaf_compact(sp, 0b11).forall_(u)
+    with pytest.raises(LookupError):
+        leaf_overt(sp, 0b11).exists_(u)
