@@ -372,7 +372,7 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
     if callable(family):
         if size is None:
             return SValue(lambda: Dovetail(lambda i: family(i).make()))
-        items = list(map(family, range(size)))
+        items = [family(i) for i in range(size)]
     else:
         items = family if type(family) is list else list(family)
         size = len(items)
@@ -380,22 +380,22 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
     bound: Optional[int] = 0
     known: Union[int, float, None] = NEVER
     for i, v in enumerate(items):
-        k = v.known
-        t = None if k is None or k == NEVER else dovetail_bound(i, k, size)
-        if known is not None:
-            if k is None:
-                known = None
-            elif t is not None and t < known:
-                known = t
         if bound is not None:
             b = v.bound
             if b is None:
                 bound = None
             else:
-                if b != k:  # else the landing of k is the landing of b
-                    t = dovetail_bound(i, b, size)
+                t = dovetail_bound(i, b, size)
                 if t > bound:
                     bound = t
+        if known is not None:
+            k = v.known
+            if k is None:
+                known = None
+            elif k != NEVER:
+                t = dovetail_bound(i, k, size)
+                if t < known:
+                    known = t
     if known is not None:
         return SValue(None, bound, known)
     return SValue(lambda: Dovetail(lambda i: items[i].make(), size), bound)
@@ -456,37 +456,27 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     """Read the first value of each name in turn, then accept iff
     ``decide(*values)``: the leaf of every finite-table open, and `_read`
     continuing with `top` or `bot` by the table, so ``bound`` is the sum
-    of the names' ``cost(0)`` and a rejected read goes ``never``.  When
-    every name is warm (`Name.first`) the read is answered here in one
-    pass over the names, with no stepper or continuation: several names
-    with one known value at the sum of their first steps, one name with
-    one of its two shared known values (`Name.leaves`: accept at its
-    first step, or never), built once per name, so a warm leaf is a
-    lookup.  An exception from ``decide`` is left to the stepping run, so
-    it surfaces at the arrival step and nothing is cached for it."""
-    at = bound = 0
-    vals = []
-    for nm in names:
+    of the names' ``cost(0)`` and a rejected read goes ``never``.  One
+    warm name answers with one of its two shared known values
+    (`Name.leaves`: accept at its first step, or never), built once per
+    name, so a warm leaf is a lookup; several warm names fold in `_read`
+    to one known value at the sum of their first steps.  An exception
+    from ``decide`` is left to the stepping run, so it surfaces at the
+    arrival step and nothing is cached for it."""
+    if len(names) == 1:
+        nm = names[0]
         first = nm.first
-        if first is None:
-            break
-        vals.append(first[0])
-        at += first[1]
-        c0 = first[2]
-        bound = None if c0 is None or bound is None else bound + c0
-    else:
-        try:
-            ok = decide(*vals)
-        except Exception:  # raised again, in order, by the stepping run
-            pass
-        else:
-            if len(vals) != 1:
-                return SValue(None, bound, at if ok else NEVER)
-            pair = nm.leaves
-            if pair is None:
-                pair = nm.leaves = (SValue(None, bound, at),
-                                    SValue(None, bound, NEVER))
-            return pair[0] if ok else pair[1]
+        if first is not None:
+            try:
+                ok = decide(first[0])
+            except Exception:  # raised again, in order, by the stepping run
+                pass
+            else:
+                pair = nm.leaves
+                if pair is None:
+                    pair = nm.leaves = (SValue(None, first[2], first[1]),
+                                        SValue(None, first[2], NEVER))
+                return pair[0] if ok else pair[1]
     return _read(tuple(names), lambda *vs: _TOP if decide(*vs) else _BOT, 0)
 
 

@@ -14,6 +14,7 @@ from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
                                  and_finite, bind_name_value, bot,
                                  first_accepting, or_countable, read_table,
                                  top)
+from synthtop.spaces import Point
 
 
 def test_top_accepts_at_zero():
@@ -458,6 +459,25 @@ def test_warm_multi_name_read_steps_as_its_reader(specs, table, raises):
     if not raises:
         assert folded.known is not None
     assert _observe(folded, range(20)) == _observe(stepped, range(20))
+
+
+@given(_NAME_SPECS, st.integers(0, 6), st.integers(0, 15), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_leaf_open_reads_as_its_table(spec, warm, mask, leaves):
+    # ``leaves``: the name's leaf pair is built before the open is read
+    sp = finite_repr(make_space(4, [0, 0b1111]))
+
+    def build():
+        nm = _make_name(spec)
+        _warm(nm, warm)
+        if leaves:
+            read_table((nm,), lambda v: True)
+        return nm
+
+    new = leaf_open(sp, mask).chi(Point(sp, build()))
+    ref = read_table((build(),), lambda v: mask >> v & 1)
+    assert (new.known, new.bound) == (ref.known, ref.bound)
+    assert _observe(new, range(31)) == _observe(ref, range(31))
 
 
 def test_read_table_answers_cached_names_without_a_reader():
