@@ -6,7 +6,7 @@ and prebase machinery with the induced representations, a brute-force
 finite-topology oracle, and an exact-real representation-repair demo.
 """
 
-from .kernel import (EncodingError, EnumSet, Name, NameReader, decode_enum,
+from .kernel import (EncodingError, Name, NameReader, decode_enum,
                      dovetail_bound, literal_name, delayed_name, map_name,
                      pair, project, tuple_names, unpair)
 from .sierpinski import (DEFAULT_FUEL, NEGATIVE_FUEL, SValue, accept_at,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 
@@ -322,22 +321,6 @@ def decode_enum(p: Name, fuel: int) -> set[int]:
         if v is not None and v >= 1:
             out.add(v - 1)
     return out
-
-
-@dataclass(frozen=True)
-class EnumSet:
-    """A name read as an enumeration of a subset of N."""
-
-    source: Name
-
-    def decode(self, fuel: int) -> set[int]:
-        return decode_enum(self.source, fuel)
-
-
-def enum_name(members: Sequence[int]) -> Name:
-    """A name enumerating exactly the given members (as n+1 codes), one
-    per step, then 0 forever."""
-    return literal_name([m + 1 for m in members], tail=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from . import oracle as orc
 from .bases import (GaloisWitness, galois_backward, galois_forward,
                     kolmogorov_completion, presubbase_space, embed_point,
-                    tau_k_open)
+                    tau_k_open, transpose)
 from .hyper import (OpenSet, box_embed, box_invert, compact_image,
                     compact_intersection, compact_open_embed,
                     compact_open_invert, compact_union, closed_image,
@@ -100,11 +100,13 @@ def _run(law: str, body: Callable[[_Suite, int, int, int], None],
 # Law: presubbase-representation
 
 
-def _subbase_instances(max_index: int, max_carrier: int, t0_only: bool):
-    for ny in range(max_index + 1):
+def _subbase_instances(max_size: int, t0_only: bool):
+    """Every well-defined family over every index space with at most
+    ``max_size`` points, on every carrier with at most ``max_size``."""
+    for ny in range(max_size + 1):
         for ysp in enumerate_spaces(ny, t0_only=t0_only):
             order = specialization(ysp)
-            for nx in range(max_carrier + 1):
+            for nx in range(max_size + 1):
                 for fam in monotone_families(order, nx):
                     yield FiniteSubbase(nx, fam, order)
 
@@ -122,7 +124,7 @@ def law_presubbase_representation(s: _Suite, max_size: int, fuel: int, seed: int
     families: membership semideciders of the induced representation accept
     exactly the oracle base sets, and the generated topology is T0 exactly
     when the transpose is injective."""
-    for sub in _subbase_instances(max_size, max_size, t0_only=True):
+    for sub in _subbase_instances(max_size, t0_only=True):
         s.instances += 1
         tk = tau_K(sub)
         inj = sub.injective()
@@ -238,8 +240,7 @@ _HYPER_CASES = {
         e.ask(e.pu.chi(pair_point(e.X.pts[e.x], e.Y.pts[e.y]))),
         bool(e.u >> e.x & 1) and bool(e.v >> e.y & 1))),
     "product-closed": ("a b w", lambda e: (
-        e.ask(e.pv.exists_(e.wopen)),
-        any(e.w >> (i * e.Y.f.n + j) & 1 for i in bits(e.a) for j in bits(e.b)))),
+        e.ask(e.pv.exists_(e.wopen)), bool(e.w & e.ab))),
     # (4) compact and (5) closed images, (15) the compact-open embedding
     "compact-image": ("f k got want", lambda e: (compact_members(
         e.Y.sp, compact_image(e.fpt, leaf_compact(e.X.sp, e.k)), e.fuel),
@@ -356,6 +357,7 @@ def _two_spaces(e: SimpleNamespace, x: _Side, y: _Side):
     for e.a in x.closeds:
         for e.b in y.closeds:
             e.pv = product_closed(leaf_overt(x.sp, e.a), leaf_overt(y.sp, e.b))
+            e.ab = reduce(or_, (e.b << i * y.f.n for i in bits(e.a)), 0)
             yield from ("product-closed" for e.w, e.wopen in wopens.items())
     for e.f in continuous_maps(x.f, y.f):
         e.fpt = _map_point(x.sp, y.sp, e.f)
@@ -479,7 +481,7 @@ _FIGURE1_CASES = (("chain", "chain_ok"), ("sequential-collapse", "inf_equals_K")
 def law_figure1(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     """Inclusion chain of the four topologies induced by a presubbase, the
     finite-instance equalities, and discrete-order collapse."""
-    for sub in _subbase_instances(max_size, max_size, t0_only=False):
+    for sub in _subbase_instances(max_size, t0_only=False):
         s.instances += 1
         rep = figure1_check(sub)
         if not s.check(rep["well_defined"],
@@ -497,44 +499,40 @@ def law_figure1(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
 # Law: galois-roundtrip
 
 
-def _galois_instances(max_carrier: int = 2, max_index: int = 2):
-    """All pairs of a T0 finite carrier topology and a family of its opens
-    over a discrete index: exactly the finite instances on which the
-    representation refines the induced one."""
+def _galois_instances(max_carrier: int):
+    """All pairs of a T0 finite carrier topology and a family of one or two
+    of its opens over a discrete index: exactly the finite instances on
+    which the representation refines the induced one."""
     for nx in range(max_carrier + 1):
         for f in enumerate_spaces(nx, t0_only=True):
-            for m in range(1, max_index + 1):
+            for m in (1, 2):
                 for fam in itertools.product(f.opens, repeat=m):
                     yield f, fam
 
 
-def _rep_to_base_witness(f: FiniteSpace, fam: tuple, spx, isp) -> GaloisWitness:
-    """The canonical point-side witness: read the point, emit its transpose
-    set over the index space."""
-
-    member = lambda yv, xv: fam[yv] >> xv & 1
-
-    def t(x: Point) -> OpenSet:
-        return OpenSet(isp, lambda y: read_table((y.payload, x.payload),
-                                                 member))
-
-    return GaloisWitness("rep_to_base", spx, isp, t)
+def _rep_to_base_witness(f: FiniteSpace, fam: tuple) -> GaloisWitness:
+    """The canonical point-side witness: a point's transpose (`transpose`)
+    in the finite presubbase of ``fam`` over a discrete index, with
+    carrier topology ``f``."""
+    iorder = tuple(1 << y for y in range(len(fam)))
+    b = finite_presubbase(FiniteSubbase(f.n, fam, iorder), f)
+    return GaloisWitness("rep_to_base", b.carrier, b.index,
+                         lambda x: transpose(b, x))
 
 
 def _validate_rep_to_base(w: GaloisWitness, f: FiniteSpace, fam: tuple,
-                          spx, isp, rng: random.Random, samples: int,
-                          fuel: int) -> bool:
+                          rng: random.Random, samples: int, fuel: int) -> bool:
     """Check the translator's denotation on sampled delayed names."""
     if not f.n:
         return True
     for _ in range(samples):
         x = rng.randrange(f.n)
-        xp = finite_point(spx, x, delay=rng.randrange(4))
+        xp = finite_point(w.x_space, x, delay=rng.randrange(4))
         tx = w.translator(xp)
         if not fam:
             continue
         y = rng.randrange(len(fam))
-        yp = finite_point(isp, y, delay=rng.randrange(4))
+        yp = finite_point(w.y_space, y, delay=rng.randrange(4))
         want = bool(fam[y] >> x & 1)
         if budgeted(tx.chi(yp), fuel) != want:
             return False
@@ -542,17 +540,16 @@ def _validate_rep_to_base(w: GaloisWitness, f: FiniteSpace, fam: tuple,
 
 
 def _validate_base_to_rep(w: GaloisWitness, f: FiniteSpace, fam: tuple,
-                          spx, isp, rng: random.Random, samples: int,
-                          fuel: int) -> bool:
+                          rng: random.Random, samples: int, fuel: int) -> bool:
     """The family-side witness must produce genuine opens of the carrier
     topology with the right members."""
     for _ in range(samples):
         if not fam:
             return True
         y = rng.randrange(len(fam))
-        yp = finite_point(isp, y, delay=rng.randrange(4))
+        yp = finite_point(w.y_space, y, delay=rng.randrange(4))
         u = w.translator(yp)
-        got = open_members(spx, u, fuel)
+        got = open_members(w.x_space, u, fuel)
         if got != fam[y] or got not in f.opens:
             return False
     return True
@@ -561,24 +558,21 @@ def _validate_base_to_rep(w: GaloisWitness, f: FiniteSpace, fam: tuple,
 def law_galois(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     rng = random.Random(seed)
     samples = 100
-    for f, fam in _galois_instances(min(max_size, 2), 2):
+    for f, fam in _galois_instances(min(max_size, 2)):
         s.instances += 1
-        spx = finite_repr(f)
-        iorder = tuple(1 << y for y in range(len(fam)))  # a discrete index
-        isp = finite_repr(FiniteSubbase(f.n, fam, iorder).index_space())
-        t = _rep_to_base_witness(f, fam, spx, isp)
+        t = _rep_to_base_witness(f, fam)
         if not s.check(
-                _validate_rep_to_base(t, f, fam, spx, isp, rng, samples, fuel),
+                _validate_rep_to_base(t, f, fam, rng, samples, fuel),
                 _galois_case("forward-input", f, fam)):
             return
         u = galois_forward(t)
         if not s.check(
-                _validate_base_to_rep(u, f, fam, spx, isp, rng, samples, fuel),
+                _validate_base_to_rep(u, f, fam, rng, samples, fuel),
                 _galois_case("forward-output", f, fam)):
             return
         t2 = galois_backward(u)
         if not s.check(
-                _validate_rep_to_base(t2, f, fam, spx, isp, rng, samples, fuel),
+                _validate_rep_to_base(t2, f, fam, rng, samples, fuel),
                 _galois_case("roundtrip", f, fam)):
             return
 
@@ -587,11 +581,9 @@ def law_galois(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
     s.instances += 1
     f = orc.make_space(2, [0, 0b10, 0b11])
     fam = (0b01,)  # {0} is not open here
-    spx = finite_repr(f)
-    isp = finite_repr(orc.make_subbase(2, [0b01]).index_space())
-    t = _rep_to_base_witness(f, fam, spx, isp)
+    t = _rep_to_base_witness(f, fam)
     u = galois_forward(t)
-    flagged = not _validate_base_to_rep(u, f, fam, spx, isp, rng, 20, fuel)
+    flagged = not _validate_base_to_rep(u, f, fam, rng, 20, fuel)
     s.check(flagged, _galois_case("planted-non-reduction-not-flagged", f, fam))
 
 
@@ -629,7 +621,7 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
 
     # base completion: completing twice adds no new range sets, and the
     # completion of the point-open family is a base of the Scott topology
-    for sub in _subbase_instances(min(max_size, 2), min(max_size, 2), t0_only=True):
+    for sub in _subbase_instances(min(max_size, 2), t0_only=True):
         if not sub.injective():
             continue
         s.instances += 1

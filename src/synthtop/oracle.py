@@ -24,8 +24,7 @@ from typing import Iterable, Optional, Sequence
 from .bases import Presubbase
 from .kernel import delayed_name, literal_name
 from .sierpinski import NEGATIVE_FUEL, SValue, and_finite, or_countable, read_table
-from .spaces import (Point, Space, compacts, meet_left, meet_right, opens,
-                     read_first)
+from .spaces import Point, Space, compacts, opens
 from .hyper import CompactSat, OpenSet, OvertClosed, as_open
 
 
@@ -85,24 +84,12 @@ def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
     return FiniteSpace(n, tuple(sorted(set(opens))))
 
 
-def generate_topology(sets: Sequence[int], n: int) -> FiniteSpace:
-    """Smallest topology containing the given subsets: close under pairwise
-    intersection and union, always including the empty set and carrier."""
-    fam = {0, full_mask(n)}
-    fam.update(sets)
-    while True:
-        new = set()
-        items = list(fam)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                u, v = a | b, a & b
-                if u not in fam:
-                    new.add(u)
-                if v not in fam:
-                    new.add(v)
-        if not new:
-            return make_space(n, fam)
-        fam |= new
+def generate_topology(sets: Iterable[int], n: int) -> FiniteSpace:
+    """Smallest topology containing the given subsets of the carrier: the
+    up-sets of the preorder whose row x is the meet of the sets holding x,
+    since a finite topology is the family of up-sets of its
+    specialization preorder."""
+    return topology_from_preorder(_rows(n, sets))
 
 
 def is_topology(n: int, fam: frozenset) -> bool:
@@ -116,21 +103,23 @@ def is_topology(n: int, fam: frozenset) -> bool:
     return True
 
 
-def minimal_open(space: FiniteSpace, x: int) -> int:
-    return specialization(space)[x]
+def _rows(n: int, sets: Iterable[int]) -> tuple[int, ...]:
+    """Row x is the meet of the carrier and every given set holding x: the
+    minimal open of x in the topology the sets generate."""
+    rows = [full_mask(n)] * n
+    for u in sets:
+        for x in bits(u):
+            rows[x] &= u
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def specialization(space: FiniteSpace) -> tuple[int, ...]:
     """Row i is the mask {j : i <= j}, i.e. the minimal open of i:
     i <= j iff every open containing i contains j.  Computed once per
-    space (spaces are frozen); saturation, closure, up-sets and minimal
-    opens all read these rows."""
-    rows = [full_mask(space.n)] * space.n
-    for u in space.opens:
-        for x in bits(u):
-            rows[x] &= u
-    return tuple(rows)
+    space (spaces are frozen); saturation, closure, interior, up-sets and
+    minimal opens all read these rows."""
+    return _rows(space.n, space.opens)
 
 
 def _up_closure(rows: tuple[int, ...], a: int) -> int:
@@ -157,11 +146,9 @@ def closure(space: FiniteSpace, a: int) -> int:
 
 
 def interior(space: FiniteSpace, a: int) -> int:
-    out = 0
-    for u in space.opens:
-        if u & ~a == 0:
-            out |= u
-    return out
+    """The points whose minimal open lies inside a."""
+    rows = specialization(space)
+    return mask_of(x for x in range(space.n) if rows[x] & ~a == 0)
 
 
 def up_sets(space: FiniteSpace) -> tuple[int, ...]:
@@ -661,9 +648,9 @@ def open_members(sp: Space, u: OpenSet, fuel: Optional[int] = None) -> int:
 def overt_members(sp: Space, a: OvertClosed, fuel: Optional[int] = None) -> int:
     """Denotation of an overt value over a finite space: x lies in the
     closed set iff the set meets the minimal open of x."""
-    f: FiniteSpace = sp.parts[0]
-    return mask_of(e for e in range(f.n)
-                   if budgeted(a.exists_(leaf_open(sp, minimal_open(f, e))), fuel))
+    rows = specialization(sp.parts[0])
+    return mask_of(e for e, row in enumerate(rows)
+                   if budgeted(a.exists_(leaf_open(sp, row)), fuel))
 
 
 def compact_members(sp: Space, k: CompactSat, fuel: Optional[int] = None) -> int:
@@ -675,20 +662,6 @@ def compact_members(sp: Space, k: CompactSat, fuel: Optional[int] = None) -> int
         if budgeted(k.forall_(leaf_open(sp, u)), fuel):
             out &= u
     return out
-
-
-def check_meet_views(p: Point, fuel: Optional[int] = None) -> int:
-    """Validate a meet point over finite spaces: both views must denote
-    the same carrier element.  Returns it, or raises on a mismatch (the
-    kernel itself cannot detect one)."""
-    budget = fuel if fuel is not None else NEGATIVE_FUEL
-    left = read_first(meet_left(p), budget)
-    right = read_first(meet_right(p), budget)
-    if left is None or right is None:
-        raise ValueError("meet views did not produce elements within fuel")
-    if left != right:
-        raise ValueError(f"meet views denote different elements: {left} != {right}")
-    return left
 
 
 def _finite_filter_inverse(sp: Space, f: FiniteSpace, flt: OpenSet,

@@ -401,10 +401,11 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
     return SValue(lambda: Dovetail(lambda i: items[i].make(), size), bound)
 
 
-def _read(names: tuple[Name, ...], then: Callable[..., SValue],
-          inner_bound: Optional[int]) -> SValue:
+def read_names(names: Sequence[Name], then: Callable[..., SValue],
+               inner_bound: Optional[int] = None) -> SValue:
     """Read the first value of each name in turn, then continue with
-    ``then(*values)``: the one read of `bind_name_value` and `read_table`.
+    ``then(*values)``: the one name read, under `read_table` and
+    `spaces.on_value`.  ``names`` is kept as it is, not copied.
 
     The last arrival lands at the sum of the names' first-emission step
     counts; a born-accepted continuation accepts on it, a ``never`` one
@@ -444,25 +445,17 @@ def _read(names: tuple[Name, ...], then: Callable[..., SValue],
     return SValue(lambda: _Read(names, then), bound)
 
 
-def bind_name_value(name: Name, k: Callable[[int], SValue],
-                    inner_bound: Optional[int] = None) -> SValue:
-    """Read the first value of ``name`` and continue with ``k(value)``:
-    `_read` of one name, so ``inner_bound`` must dominate the bound of
-    every continuation ``k`` can return."""
-    return _read((name,), k, inner_bound)
-
-
 def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     """Read the first value of each name in turn, then accept iff
-    ``decide(*values)``: the leaf of every finite-table open, and `_read`
-    continuing with `top` or `bot` by the table, so ``bound`` is the sum
-    of the names' ``cost(0)`` and a rejected read goes ``never``.  One
-    warm name answers with one of its two shared known values
-    (`Name.leaves`: accept at its first step, or never), built once per
-    name, so a warm leaf is a lookup; several warm names fold in `_read`
-    to one known value at the sum of their first steps.  An exception
-    from ``decide`` is left to the stepping run, so it surfaces at the
-    arrival step and nothing is cached for it."""
+    ``decide(*values)``: the leaf of every finite-table open, and
+    `read_names` continuing with `top` or `bot` by the table, so ``bound``
+    is the sum of the names' ``cost(0)`` and a rejected read goes
+    ``never``.  One warm name answers with one of its two shared known
+    values (`Name.leaves`: accept at its first step, or never), built once
+    per name, so a warm leaf is a lookup; several warm names fold in
+    `read_names` to one known value at the sum of their first steps.  An
+    exception from ``decide`` is left to the stepping run, so it surfaces
+    at the arrival step and nothing is cached for it."""
     if len(names) == 1:
         nm = names[0]
         first = nm.first
@@ -477,7 +470,7 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
                     pair = nm.leaves = (SValue(None, first[2], first[1]),
                                         SValue(None, first[2], NEVER))
                 return pair[0] if ok else pair[1]
-    return _read(tuple(names), lambda *vs: _TOP if decide(*vs) else _BOT, 0)
+    return read_names(names, lambda *vs: _TOP if decide(*vs) else _BOT, 0)
 
 
 def first_accepting(family: Callable[[int], SValue], size: Optional[int],

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 from .kernel import Name, delayed_name, literal_name
-from .sierpinski import SValue, bind_name_value
+from .sierpinski import SValue, read_names
 
 
 class SpaceMismatch(ValueError):
@@ -153,8 +153,10 @@ def sierp_value(p: Point) -> SValue:
 
 def on_value(p: Point, k: Callable[[int], SValue],
              inner_bound: Optional[int] = None) -> SValue:
-    """Semidecision reading the first value of a name-backed point."""
-    return bind_name_value(p.payload, k, inner_bound=inner_bound)
+    """Semidecision reading the first value of a name-backed point and
+    continuing with ``k(value)``; ``inner_bound`` must dominate the bound
+    of every continuation ``k`` can return (`read_names`)."""
+    return read_names((p.payload,), k, inner_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +187,9 @@ def inj1(other: Space, y: Point) -> Point:
     return Point(coproduct(other, y.space), (1, y))
 
 
-def case_point(p: Point, f: Callable[[Point], Point],
-               g: Callable[[Point], Point]) -> Point:
-    if p.space.tag != "coproduct":
-        raise SpaceMismatch(f"case on {p.space!r}")
-    tag, inner = p.payload
-    if tag == 0:
-        return f(inner)
-    if tag == 1:
-        return g(inner)
-    raise SpaceMismatch(f"coproduct tag {tag!r}")
-
-
 def meet_point(x_view: Point, y_view: Point) -> Point:
     """Both views must denote the same carrier element; that obligation is
-    the caller's, checkable only at oracle scale."""
+    the caller's, since the kernel cannot detect a mismatch."""
     return Point(meet(x_view.space, y_view.space), (x_view, y_view))
 
 

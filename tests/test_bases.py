@@ -254,8 +254,8 @@ def _trivial_resolver(b):
 
 
 def _upmask(f, y):
-    from synthtop.oracle import minimal_open
-    return minimal_open(f, y)
+    from synthtop.oracle import specialization
+    return specialization(f)[y]
 
 
 def test_product_construction_generates_product_topology():
@@ -476,17 +476,6 @@ def test_point_closure_leaves_its_argument_without_a_resolver():
     # each record induces its own space
     assert presubbase_space(b) is bsp
     assert presubbase_space(pre) is not bsp
-
-
-def test_meet_view_validation_rejects_mismatch():
-    from synthtop.oracle import check_meet_views
-    from synthtop.spaces import meet_point
-    sp = finite_repr(SIERP2)
-    good = meet_point(finite_point(sp, 1), finite_point(sp, 1))
-    assert check_meet_views(good) == 1
-    bad = meet_point(finite_point(sp, 0), finite_point(sp, 1))
-    with pytest.raises(ValueError):
-        check_meet_views(bad)
 
 
 def test_filter_inverse_off_range_is_a_detectable_error():

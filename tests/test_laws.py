@@ -1,4 +1,4 @@
-"""Planted faults in the hyper-ops-vs-oracle suite.
+"""Planted faults in the hyper-ops-vs-oracle and galois-roundtrip suites.
 
 Each fault makes one hyperspace operation, as the suite calls it, answer
 wrongly on some carriers only, so the first counterexample lands in a
@@ -170,3 +170,22 @@ def test_planted_fault_report_is_exact(monkeypatch, op):
     rep = laws.run_law_suite("hyper-ops-vs-oracle", 2)
     assert not rep.passed
     assert rep.stable_json() == EXPECTED[op]
+
+
+def test_planted_transpose_fault_fails_the_galois_law(monkeypatch):
+    # the law's point-side witness is `bases.transpose` as the suite calls
+    # it: a transpose putting each point of a two-point carrier in every
+    # member is caught on the first such carrier
+    real = laws.transpose
+
+    def transpose(b, x):
+        t = real(b, x)
+        if _n(b.carrier) != 2:
+            return t
+        return OpenSet(t.space, lambda y: top())
+
+    monkeypatch.setattr(laws, "transpose", transpose)
+    rep = laws.run_law_suite("galois-roundtrip", 2)
+    assert not rep.passed
+    assert rep.counterexample["case"] == "forward-input"
+    assert rep.counterexample["space"]["n"] == 2

@@ -41,6 +41,57 @@ def test_generate_topology_idempotent_and_monotone(n, data):
     assert set(t.opens) <= set(t2.opens)
 
 
+def _pairwise_closure(sets, n):
+    """The reference: close the sets, the empty set and the carrier under
+    pairwise union and intersection."""
+    fam = {0, full_mask(n), *sets}
+    todo = list(fam)
+    while todo:
+        a = todo.pop()
+        for b in list(fam):
+            for c in (a | b, a & b):
+                if c not in fam:
+                    fam.add(c)
+                    todo.append(c)
+    return tuple(sorted(fam))
+
+
+def test_generate_topology_matches_pairwise_closure_on_every_small_family():
+    for n in range(4):
+        subsets = range(1 << n)
+        for pick in range(1 << len(subsets)):
+            sets = [u for u in subsets if pick >> u & 1]
+            assert generate_topology(sets, n).opens == \
+                _pairwise_closure(sets, n), (n, sets)
+
+
+def test_generate_topology_matches_pairwise_closure_on_seeded_families():
+    import random
+    from synthtop.oracle import MAX_SUBBASE_SIZE
+    rng = random.Random(5)
+    for n in range(4, MAX_SUBBASE_SIZE + 1):
+        for _ in range(6):
+            sets = [rng.randrange(1 << n) for _ in range(rng.randrange(6))]
+            assert generate_topology(sets, n).opens == \
+                _pairwise_closure(sets, n), (n, sets)
+    # the largest topology a subbase file can generate: the discrete one
+    n = MAX_SUBBASE_SIZE
+    singletons = [1 << x for x in range(n)]
+    assert generate_topology(singletons, n).opens == \
+        _pairwise_closure(singletons, n) == tuple(range(1 << n))
+
+
+def test_interior_is_the_union_of_the_opens_inside():
+    for n in range(4):
+        for space in enumerate_spaces(n):
+            for a in range(1 << n):
+                want = 0
+                for u in space.opens:
+                    if u & ~a == 0:
+                        want |= u
+                assert interior(space, a) == want, (space, a)
+
+
 def test_enumerate_counts_small():
     assert len(enumerate_spaces(2)) == 4
     assert len(enumerate_spaces(2, t0_only=True)) == 3

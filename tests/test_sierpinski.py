@@ -11,9 +11,8 @@ from synthtop.oracle import (finite_point, finite_repr, leaf_compact,
                              leaf_open, leaf_overt, make_space)
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
                                  SValue, _Read, _Seq, accept_at, after,
-                                 and_finite, bind_name_value, bot,
-                                 first_accepting, or_countable, read_table,
-                                 top)
+                                 and_finite, bot, first_accepting,
+                                 or_countable, read_names, read_table, top)
 from synthtop.spaces import Point
 
 
@@ -180,11 +179,11 @@ def test_negative_fuel_is_pending_on_every_call():
 
 def test_bind_name_value_costs_one_step_per_name_step():
     nm = literal_name([4], tail=4)
-    v = bind_name_value(nm, lambda k: accept_at(k), inner_bound=4)
+    v = read_names((nm,), lambda k: accept_at(k), inner_bound=4)
     assert v.status(5) == 5  # 1 read step + 4 inner steps
     assert v.bound == 5
-    born = bind_name_value(literal_name([0], tail=0), lambda k: top(),
-                           inner_bound=0)
+    born = read_names((literal_name([0], tail=0),), lambda k: top(),
+                      inner_bound=0)
     assert born.status(1) == 1  # arrival observes the born-accepted inner
 
 
@@ -193,10 +192,10 @@ def test_bind_name_value_steps_its_continuation_after_the_arrival():
     def cold():
         return delayed_name([(2, 1)], tail=1)
 
-    unknown = bind_name_value(cold(), lambda v: SValue(accept_at(3).make, 3))
+    unknown = read_names((cold(),), lambda v: SValue(accept_at(3).make, 3))
     assert unknown.status(5) is None and unknown.status(6) == 6
 
-    dead = Query(bind_name_value(cold(), lambda v: bot()))
+    dead = Query(read_names((cold(),), lambda v: bot()))
     t0 = TALLY.n
     assert dead.status(100) is None
     assert TALLY.n - t0 == 100
@@ -205,7 +204,7 @@ def test_bind_name_value_steps_its_continuation_after_the_arrival():
     def boom(v):
         raise LookupError(f"no continuation for {v}")
 
-    raising = bind_name_value(cold(), boom)
+    raising = read_names((cold(),), boom)
     assert raising.status(2) is None
     for fuel in (3, 10):
         with pytest.raises(LookupError):
@@ -254,11 +253,11 @@ def test_first_accepting_charges_the_tally_when_a_task_raises():
     assert via_race == via_status > 0
 
 
-# --- read_table against the nested bind_name_value construction ---------
+# --- read_table against nested one-name reads -----------------------------
 
 
 def _nested_reads(names, decide):
-    """The reference: one bind_name_value per name, continuing with
+    """The reference: a one-name `read_names` per name, continuing with
     top()/bot() by the table after the last read."""
 
     def go(i, vals):
@@ -271,11 +270,11 @@ def _nested_reads(names, decide):
                 break
             hint += c0
         if not rest:
-            return bind_name_value(
-                names[i], lambda v: top() if decide(*vals, v) else bot(),
+            return read_names(
+                (names[i],), lambda v: top() if decide(*vals, v) else bot(),
                 inner_bound=0)
-        return bind_name_value(names[i], lambda v: go(i + 1, vals + (v,)),
-                               inner_bound=hint)
+        return read_names((names[i],), lambda v: go(i + 1, vals + (v,)),
+                          inner_bound=hint)
 
     return go(0, ())
 
@@ -799,7 +798,7 @@ def _fold_build(tree, fold):
 
         bounds = [_fold_build(t, fold).bound for t in kids]
         inner = None if None in bounds else max(bounds)
-        return bind_name_value(name(spec), k, inner_bound=inner)
+        return read_names((name(spec),), k, inner_bound=inner)
     return v if fold else SValue(v.make, v.bound)
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
 from synthtop.spaces import (NAT, SIERP, Point, SpaceMismatch, apply_fun,
-                             case_point, check_space, compacts, coproduct,
-                             curry, fun_point, function, identity_fun, inj0,
-                             inj1, meet, meet_left, meet_point, meet_right,
+                             check_space, compacts, coproduct, curry,
+                             fun_point, function, identity_fun, inj0, inj1,
+                             meet, meet_left, meet_point, meet_right,
                              nat_point, opens, overts, pair_point, product,
                              proj1, proj2, read_first, seq_at, seq_point,
                              sequence, sierp_point, sierp_value, subspace,
@@ -119,19 +119,6 @@ def test_nested_products_associate_extensionally():
             == read_first(proj2(proj2(right)), 10)
 
 
-def test_coproduct_case_applies_branch():
-    space = sp()
-    x = finite_point(space, 1)
-    out = case_point(inj0(x, space),
-                     lambda p: nat_point(read_first(p, 10)),
-                     lambda p: nat_point(99))
-    assert read_first(out, 10) == 1
-    out = case_point(inj1(space, x),
-                     lambda p: nat_point(99),
-                     lambda p: nat_point(read_first(p, 10) + 5))
-    assert read_first(out, 10) == 6
-
-
 def test_coproduct_tags_roundtrip():
     space = sp()
     rng = random.Random(1)
@@ -139,9 +126,7 @@ def test_coproduct_tags_roundtrip():
         tag = rng.randrange(2)
         x = finite_point(space, rng.randrange(2))
         p = inj0(x, space) if tag == 0 else inj1(space, x)
-        got = case_point(p, lambda q: ("L", q), lambda q: ("R", q))
-        assert got[0] == ("L" if tag == 0 else "R")
-        assert got[1] is x
+        assert p.payload == (tag, x)
 
 
 def test_meet_projections_recover_views():
