@@ -8,7 +8,7 @@ finite-topology oracle, and an exact-real representation-repair demo.
 
 from .kernel import (EncodingError, Name, NameReader, decode_enum,
                      dovetail_bound, literal_name, delayed_name, map_name,
-                     pair, project, tuple_names, unpair)
+                     pair, unpair)
 from .sierpinski import (DEFAULT_FUEL, NEGATIVE_FUEL, SValue, accept_at,
                          after, and_finite, bot, or_countable, top)
 from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,

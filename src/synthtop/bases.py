@@ -142,27 +142,26 @@ def prebase_from_presubbase(base: Presubbase) -> Presubbase:
     """Close a presubbase under compact intersections: the new family maps
     a compact index set K to the intersection of the original members over
     K, with the empty K denoting the whole carrier.  Any resolver of
-    ``base`` is ignored; the result resolves by compact unions."""
-    index = base.index
+    ``base`` is ignored; the result resolves by compact unions, and it has
+    a transpose inverse when ``base`` does."""
+    index, inv = base.index, base.transpose_inverse
 
     def family(kpt: Point) -> OpenSet:
         k = as_compact(kpt, index)
         return OpenSet(base.carrier, lambda x: k.forall_(transpose(base, x)))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if base.transpose_inverse is None:
-            raise MissingWitnessError("underlying presubbase has no inverse")
         # the original transpose is recovered through singleton saturations
         orig = OpenSet(index,
                        lambda y: w.chi(point_to_compact(y).as_point()))
-        return base.transpose_inverse(orig, fuel)
+        return inv(orig, fuel)
 
     def resolver(kk: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         z = compact_union(kk)
         return point_to_closed(z.as_point())
 
     return Presubbase(compacts(index), base.carrier, family,
-                      transpose_inverse, resolver)
+                      None if inv is None else transpose_inverse, resolver)
 
 
 def prebase_from_point_closure(base: Presubbase,
@@ -237,9 +236,10 @@ def _pairwise_prebase(basex: Presubbase, basey: Presubbase, who: str,
                       combine: Callable[[Space, OpenSet, OpenSet], OpenSet],
                       point_of: Callable[[Point, Point], Point]) -> Presubbase:
     """Members of two presubbases combined pairwise over the product of
-    their (overt) indices.  A transpose is inverted componentwise through
-    overt projections, and compact intersections resolve componentwise
-    when both factors carry a resolver."""
+    their (overt) indices.  Transposes invert through overt projections
+    and compact intersections resolve, componentwise, each when both
+    factors carry the witness."""
+    invx, invy = basex.transpose_inverse, basey.transpose_inverse
     resx, resy = basex.resolver, basey.resolver
     _need_overt(basex.index, who)
     _need_overt(basey.index, who)
@@ -251,8 +251,6 @@ def _pairwise_prebase(basex: Presubbase, basey: Presubbase, who: str,
                        basey.family(proj2(rs)))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if basex.transpose_inverse is None or basey.transpose_inverse is None:
-            raise MissingWitnessError("factor presubbase has no inverse")
         wr = overt_project(w)
 
         def right_slice(s: Point) -> OpenSet:
@@ -262,15 +260,15 @@ def _pairwise_prebase(basex: Presubbase, basey: Presubbase, who: str,
 
         ws = OpenSet(basey.index,
                      lambda s: basex.index.overt.exists_(right_slice(s)))
-        return point_of(basex.transpose_inverse(wr, fuel),
-                        basey.transpose_inverse(ws, fuel))
+        return point_of(invx(wr, fuel), invy(ws, fuel))
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         a1 = resx(compact_image(fun_point(index, basex.index, proj1), k), fuel)
         a2 = resy(compact_image(fun_point(index, basey.index, proj2), k), fuel)
         return product_closed(a1, a2)
 
-    return Presubbase(index, carrier, family, transpose_inverse,
+    return Presubbase(index, carrier, family,
+                      None if invx is None or invy is None else transpose_inverse,
                       None if resx is None or resy is None else resolver)
 
 
@@ -295,10 +293,11 @@ def meet_prebase(bx: Presubbase, by: Presubbase) -> Presubbase:
 
 
 def subspace_prebase(basex: Presubbase, zspace: Space) -> Presubbase:
-    """Members restricted to a subspace; no index overtness needed and the
-    resolver carries over unchanged."""
+    """Members restricted to a subspace; no index overtness needed and
+    both witnesses carry over unchanged."""
     if zspace.tag != "subspace":
         raise SpaceMismatch(f"subspace_prebase needs a subspace, got {zspace!r}")
+    inv = basex.transpose_inverse
 
     def as_base(z: Point) -> Point:
         return Point(basex.carrier, z.payload)
@@ -308,19 +307,18 @@ def subspace_prebase(basex: Presubbase, zspace: Space) -> Presubbase:
         return OpenSet(zspace, lambda z: u.chi(as_base(z)))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if basex.transpose_inverse is None:
-            raise MissingWitnessError("factor presubbase has no inverse")
-        xp = basex.transpose_inverse(w, fuel)
-        return Point(zspace, xp.payload)
+        return Point(zspace, inv(w, fuel).payload)
 
-    return Presubbase(basex.index, zspace, family, transpose_inverse,
+    return Presubbase(basex.index, zspace, family,
+                      None if inv is None else transpose_inverse,
                       basex.resolver)
 
 
 def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
     """Tagged union of two families over the coproduct of their (overt)
-    indices; compact intersections resolve per summand when both carry a
-    resolver."""
+    indices; transposes invert and compact intersections resolve per
+    summand, each when both summands carry the witness."""
+    invx, invy = basex.transpose_inverse, basey.transpose_inverse
     resx, resy = basex.resolver, basey.resolver
     wx = _need_overt(basex.index, "coproduct_prebase")
     wy = _need_overt(basey.index, "coproduct_prebase")
@@ -342,8 +340,6 @@ def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
         return OpenSet(carrier, chi)
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if basex.transpose_inverse is None or basey.transpose_inverse is None:
-            raise MissingWitnessError("factor presubbase has no inverse")
         w0 = OpenSet(basex.index, lambda r: w.chi(inj0(r, basey.index)))
         w1 = OpenSet(basey.index, lambda s: w.chi(inj1(basex.index, s)))
         # exactly one section is nonempty on the image; race the two
@@ -353,8 +349,8 @@ def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
         if hit is None:
             raise ValueError("transpose inverse search exhausted its fuel")
         if hit[0] == 0:
-            return inj0(basex.transpose_inverse(w0, fuel), basey.carrier)
-        return inj1(basex.carrier, basey.transpose_inverse(w1, fuel))
+            return inj0(invx(w0, fuel), basey.carrier)
+        return inj1(basex.carrier, invy(w1, fuel))
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         k0 = CompactSat(basex.index, lambda u: k.forall_(
@@ -363,7 +359,8 @@ def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
             OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 1 else top())))
         return coproduct_closed(index, resx(k0, fuel), resy(k1, fuel))
 
-    return Presubbase(index, carrier, family, transpose_inverse,
+    return Presubbase(index, carrier, family,
+                      None if invx is None or invy is None else transpose_inverse,
                       None if resx is None or resy is None else resolver)
 
 
@@ -403,8 +400,9 @@ SEQUENCE_LENGTH_CAP = 64
 
 def sequence_prebase(basey: Presubbase) -> Presubbase:
     """Cylinder opens over the sequence space: a tuple of indices
-    constrains that many leading components and leaves the tail free."""
-    resy = basey.resolver
+    constrains that many leading components and leaves the tail free;
+    each witness is there when ``basey`` carries it."""
+    invy, resy = basey.transpose_inverse, basey.resolver
     sw = _need_overt(basey.index, "sequence_prebase")
     index = star(basey.index)
     carrier = sequence(basey.carrier)
@@ -422,10 +420,8 @@ def sequence_prebase(basey: Presubbase) -> Presubbase:
             lambda t: w.chi(star_point(index, t + (s_last,)))))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        if basey.transpose_inverse is None:
-            raise MissingWitnessError("factor presubbase has no inverse")
-        return seq_point(basey.carrier, lambda n: basey.transpose_inverse(
-            component_open(w, n), fuel))
+        return seq_point(basey.carrier,
+                         lambda n: invy(component_open(w, n), fuel))
 
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         budget = fuel if fuel is not None else DEFAULT_FUEL
@@ -450,7 +446,8 @@ def sequence_prebase(basey: Presubbase) -> Presubbase:
         return OvertClosed(index, lambda w: _exists_tuple(
             basey.index, ais, lambda t: w.chi(star_point(index, t))))
 
-    return Presubbase(index, carrier, family, transpose_inverse,
+    return Presubbase(index, carrier, family,
+                      None if invy is None else transpose_inverse,
                       None if resy is None else resolver)
 
 

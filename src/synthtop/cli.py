@@ -26,7 +26,7 @@ from .oracle import (MAX_EXHAUSTIVE, SchemaError, bits, decode_finite,
 from .sierpinski import DEFAULT_FUEL
 
 # The largest --max-size at which these laws finish: at size 4 each of them
-# ran past a minute (hyper-ops-vs-oracle takes over two minutes at size 3);
+# ran past a minute (hyper-ops-vs-oracle takes close to a minute at size 3);
 # the other laws finish within seconds up to MAX_EXHAUSTIVE.
 SIZE_CEILING = {"hyper-ops-vs-oracle": 3, "presubbase-representation": 3,
                 "figure1-chain": 3}
@@ -60,7 +60,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("file", help="FiniteSpace or FiniteSubbase JSON file")
     q.add_argument("--query", required=True,
                    choices=["t0", "order", "tauk", "decode-demo"])
-    q.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     return p
 
 
@@ -180,7 +179,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if args.fuel < 0:
+    if getattr(args, "fuel", 0) < 0:
         print("--fuel must be nonnegative", file=sys.stderr)
         return 2
     command = {"verify": cmd_verify, "repair": cmd_repair,

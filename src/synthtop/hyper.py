@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .kernel import Dovetail, Name
+from .kernel import Name
 from .sierpinski import SValue, and_finite, or_countable, read_table, top
 from .spaces import (NAT, Point, SIERP, Space, SpaceMismatch,
                      MissingWitnessError, apply_fun, check_space, compacts,
@@ -396,15 +396,14 @@ def _install_ground_witnesses() -> None:
 
     def nat_inv(flt: OpenSet, fuel=None) -> Point:
         # lazily emit the index whose singleton open the filter accepts;
-        # the point is pending until the dovetailed search lands
+        # the point is pending until the race over all singletons lands
         def gen():
-            engine = Dovetail(
-                lambda i: flt.chi(nat_singleton_open(i).as_point()).make(),
-                None)
-            while not engine.step():
+            race = or_countable(
+                lambda i: flt.chi(nat_singleton_open(i).as_point())).make()
+            while not race.step():
                 yield None
             while True:
-                yield engine.winner
+                yield race.winner
 
         return Point(NAT, Name(gen))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class EncodingError(ValueError):
@@ -230,75 +230,6 @@ def map_name(src: Name, table) -> Name:
         if isinstance(out, int) and out >= 0:
             nm.first, nm.leaves = (out, first[1], first[2]), src.leaves
     return nm
-
-
-# ---------------------------------------------------------------------------
-# Tupling
-
-
-def tuple_names(components: Union[Sequence[Name], Callable[[int], Name]],
-                size: Optional[int] = None) -> Name:
-    """Interleave countably many names into one: value ``pair(i, j)`` of the
-    tuple is component i's value j.
-
-    A finite family is padded with constant-0 names.  Each emission drives
-    only the component it needs, so every component is consulted finitely
-    often per emitted value.
-    """
-    if not callable(components):
-        items = list(components)
-        size = len(items)
-        lookup = items.__getitem__
-    else:
-        lookup = components
-
-    def component(i: int) -> Name:
-        if size is not None and i >= size:
-            return literal_name([], tail=0)
-        return lookup(i)
-
-    def gen() -> Iterator[Optional[int]]:
-        readers: dict[int, NameReader] = {}
-        buffers: dict[int, list[int]] = {}
-        k = 0
-        while True:
-            i, j = unpair(k)
-            if i not in readers:
-                readers[i] = NameReader(component(i))
-                buffers[i] = []
-            r, buf = readers[i], buffers[i]
-            while len(buf) <= j:
-                v = r.step()
-                if v is not None:
-                    buf.append(v)
-                if len(buf) <= j:
-                    yield None
-            yield buf[j]
-            k += 1
-
-    return Name(gen)
-
-
-def project(p: Name, i: int) -> Name:
-    """Component i of a tupled name: emits p's values at positions
-    pair(i, 0), pair(i, 1), ..."""
-
-    def gen() -> Iterator[Optional[int]]:
-        r = NameReader(p)
-        buf: list[int] = []
-        j = 0
-        while True:
-            target = pair(i, j)
-            while len(buf) <= target:
-                v = r.step()
-                if v is not None:
-                    buf.append(v)
-                if len(buf) <= target:
-                    yield None
-            yield buf[target]
-            j += 1
-
-    return Name(gen)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bases import Presubbase
 from .kernel import delayed_name, literal_name
@@ -153,40 +153,42 @@ def interior(space: FiniteSpace, a: int) -> int:
 
 def up_sets(space: FiniteSpace) -> tuple[int, ...]:
     """All up-closed subsets = all saturated sets = all compact saturated
-    sets of a finite space."""
-    return topology_from_preorder(specialization(space)).opens
+    sets of a finite space: its opens, since a finite topology is the
+    family of up-sets of its specialization preorder."""
+    return space.opens
 
 
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[tuple[int, ...]]:
     """All continuous (= specialization-monotone) maps dom -> cod."""
-    if dom.n == 0:
-        return [()]
-    rd = specialization(dom)
-    rc = specialization(cod)
-    if cod.n == 0:
-        return []
-    out = []
-    fs = [0] * dom.n
+    return list(_monotone_maps(specialization(dom), specialization(cod)))
 
-    def rec(i: int):
-        if i == dom.n:
-            out.append(tuple(fs))
+
+def _monotone_maps(dom_rows: Sequence[int],
+                   cod_rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All monotone maps between two preorders (rows as in
+    `specialization`), lazily, in lexicographic order.  The candidates
+    for f(i) are one mask: the meet of the up-rows of f(j) over placed
+    j <= i and the down-rows of f(j) over placed j with i <= j."""
+    n, m = len(dom_rows), len(cod_rows)
+    down = [mask_of(u for u in range(m) if cod_rows[u] >> v & 1)
+            for v in range(m)]
+    fs = [0] * n
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(fs)
             return
-        for v in range(cod.n):
+        cand = full_mask(m)
+        for j in range(i):
+            if dom_rows[j] >> i & 1:
+                cand &= cod_rows[fs[j]]
+            if dom_rows[i] >> j & 1:
+                cand &= down[fs[j]]
+        for v in bits(cand):
             fs[i] = v
-            ok = True
-            for j in range(i + 1):
-                if rd[j] >> i & 1 and not rc[fs[j]] >> v & 1:
-                    ok = False
-                    break
-                if rd[i] >> j & 1 and not rc[v] >> fs[j] & 1:
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1)
+            yield from rec(i + 1)
 
-    rec(0)
-    return out
+    return rec(0)
 
 
 def image_mask(f: Sequence[int], a: int) -> int:
@@ -287,7 +289,7 @@ def preorder_is_partial_order(rows: Sequence[int]) -> bool:
 def topology_from_preorder(rows: tuple[int, ...]) -> FiniteSpace:
     """The up-sets of a preorder (rows as in `specialization`) as a
     topology: the one up-set enumerator, computed once per preorder.
-    `up_sets`, `FiniteSubbase.index_space` and Figure 1 all read it."""
+    `generate_topology`, `FiniteSubbase.index_space` and Figure 1 read it."""
     return make_space(len(rows), (s for s in range(1 << len(rows))
                                   if _up_closure(rows, s) == s))
 
@@ -702,34 +704,13 @@ def compact_family_of_compacts(sp: Space, members: Sequence["CompactSat"]) -> Co
     return CompactSat(compacts(sp), lambda w: and_finite(map(w.chi, pts)))
 
 
-def monotone_families(order: Sequence[int], n_carrier: int) -> Iterable[tuple[int, ...]]:
+def monotone_families(order: Sequence[int], n_carrier: int) -> Iterator[tuple[int, ...]]:
     """All families of subsets of the carrier indexed by the preordered set
-    whose transpose is well-defined, i.e. monotone along the order."""
-    m = len(order)
-    if m == 0:
-        yield ()
-        return
-    choices = range(1 << n_carrier)
-    fam = [0] * m
-
-    def rec(y: int):
-        if y == m:
-            yield tuple(fam)
-            return
-        for s in choices:
-            ok = True
-            for y2 in range(y):
-                if order[y2] >> y & 1 and fam[y2] & ~s:
-                    ok = False
-                    break
-                if order[y] >> y2 & 1 and s & ~fam[y2]:
-                    ok = False
-                    break
-            if ok:
-                fam[y] = s
-                yield from rec(y + 1)
-
-    yield from rec(0)
+    whose transpose is well-defined, i.e. monotone along the order: the
+    monotone maps into the subsets ordered by inclusion."""
+    subsets = range(1 << n_carrier)
+    return _monotone_maps(order, [mask_of(t for t in subsets if s & ~t == 0)
+                                  for s in subsets])
 
 
 def finite_presubbase(sub: FiniteSubbase,

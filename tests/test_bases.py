@@ -23,7 +23,7 @@ from synthtop.oracle import (bits, budgeted, compact_family_of_compacts,
                              finite_repr, full_mask, leaf_compact, leaf_open,
                              leaf_overt, make_space, make_subbase, mask_of,
                              open_members, product_space, up_sets)
-from synthtop.reals import DECIMAL
+from synthtop.reals import DECIMAL, rational_interval_subbase
 from synthtop.sierpinski import NEGATIVE_FUEL, and_finite
 from synthtop.spaces import (MissingWitnessError, Point, Space, compacts,
                              opens, pair_point, product, proj1, proj2,
@@ -463,6 +463,32 @@ def test_subspace_prebase_keeps_the_factor_resolver():
     assert subspace_prebase(b, zsp).resolver is None
     pre = prebase_from_wrap(b)
     assert subspace_prebase(pre, zsp).resolver is pre.resolver
+
+
+# --- the transpose-inverse slot ---------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: product_prebase(b, b), lambda b: meet_prebase(b, b),
+    lambda b: coproduct_prebase(b, b), sequence_prebase,
+    lambda b: subspace_prebase(b, subspace(b.carrier, lambda p: True)),
+    prebase_from_presubbase],
+    ids=["product", "meet", "coproduct", "sequence", "subspace",
+         "prebase_from_presubbase"])
+def test_constructions_invert_only_when_their_factors_do(build):
+    _, b, _ = chain_instance()
+    assert build(b).transpose_inverse is not None
+    # the rational-interval subbase of the reals carries no inverse
+    assert build(rational_interval_subbase()).transpose_inverse is None
+
+
+@pytest.mark.parametrize("build", [product_prebase, meet_prebase,
+                                   coproduct_prebase])
+def test_pairwise_prebase_inverts_only_when_both_factors_do(build):
+    _, b, _ = chain_instance()
+    bare = replace(b, transpose_inverse=None)
+    assert build(b, bare).transpose_inverse is None
+    assert build(bare, b).transpose_inverse is None
 
 
 def test_point_closure_leaves_its_argument_without_a_resolver():

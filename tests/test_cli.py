@@ -133,6 +133,24 @@ def test_repair_negative_fuel_exits_2(capsys):
     assert "--fuel" in err
 
 
+def test_verify_negative_fuel_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--laws", "enumeration-crosscheck",
+                         "--fuel", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--fuel" in err
+
+
+def test_spaces_takes_no_fuel_option(tmp_path, capsys):
+    f = tmp_path / "sierp.json"
+    f.write_text(json.dumps({"n": 2, "opens": [[], [1], [0, 1]]}))
+    code, out, err = run(capsys, "spaces", str(f), "--query", "t0",
+                         "--fuel", "5")
+    assert code == 2
+    assert out == ""
+    assert "--fuel" in err
+
+
 def test_repair_fuel_exhaustion_is_partial(capsys):
     code, out, err = run(capsys, "repair", "0.3(3)", "--bits", "20",
                          "--fuel", "40")

@@ -6,7 +6,8 @@ from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
                             compact_intersection, compact_open_embed,
                             compact_open_invert, compact_union, closed_image,
                             filter_embed, filter_invert, membership,
-                            neighborhood_filter, overt_project, overt_union,
+                            nat_singleton_open, neighborhood_filter,
+                            overt_project, overt_union,
                             point_to_closed, point_to_compact, product_closed,
                             product_open, section, trace_embed, trace_invert,
                             whole_open)
@@ -15,9 +16,10 @@ from synthtop.oracle import (budgeted, closure, compact_members,
                              finite_repr, leaf_compact, leaf_open, leaf_overt,
                              make_space, open_members, overt_members,
                              product_space, saturate, up_sets)
-from synthtop.sierpinski import NEGATIVE_FUEL, SValue
-from synthtop.spaces import (MissingWitnessError, SpaceMismatch, apply_fun,
-                             fun_point, identity_fun, pair_point, read_first)
+from synthtop.sierpinski import NEGATIVE_FUEL, SValue, first_accepting
+from synthtop.spaces import (NAT, MissingWitnessError, SpaceMismatch,
+                             apply_fun, fun_point, identity_fun, nat_point,
+                             pair_point, read_first)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 CHAIN3 = make_space(3, [0, 0b100, 0b110, 0b111])
@@ -319,3 +321,20 @@ def test_warm_finite_queries_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert garbage == 0
+
+
+# (k, delay) -> the step at which the race over N's singletons accepts
+# the filter of the point k delayed by ``delay`` steps
+NAT_RACE_LANDINGS = {(0, 0): 2, (0, 3): 11, (1, 0): 5, (1, 3): 17,
+                     (5, 0): 27, (5, 3): 51, (17, 0): 189, (17, 3): 249}
+
+
+@pytest.mark.parametrize("k, d", sorted(NAT_RACE_LANDINGS))
+def test_nat_filter_inverse_emits_where_the_singleton_race_lands(k, d):
+    flt = neighborhood_filter(nat_point(k, d))
+    hit = first_accepting(
+        lambda i: flt.chi(nat_singleton_open(i).as_point()), None, 10 ** 4)
+    assert hit == (k, NAT_RACE_LANDINGS[k, d])
+    nm = NAT.filter_inverse(flt).payload
+    nm.prefix(1, 10 ** 4)
+    assert nm.first[:2] == hit

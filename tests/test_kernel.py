@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
                              decode_enum, dovetail_bound, delayed_name,
-                             literal_name, pair, project, tuple_names,
-                             unpair, zigzag, zigzag_inv)
+                             literal_name, pair, unpair, zigzag,
+                             zigzag_inv)
 from synthtop.sierpinski import (TALLY, Query, accept_at, after, bot,
                                  or_countable, top)
 
@@ -65,28 +65,6 @@ def test_name_rejects_bad_emissions():
     evil = Name(lambda: iter([-1]))
     with pytest.raises(EncodingError):
         evil.advance()
-
-
-def test_project_of_tuple_is_component():
-    p = literal_name(range(100, 200))
-    q = literal_name(range(50))
-    t = tuple_names([p, q])
-    assert project(t, 0).prefix(5, 10 ** 5) == [100, 101, 102, 103, 104]
-    assert project(t, 1).prefix(5, 10 ** 5) == [0, 1, 2, 3, 4]
-
-
-def test_tuple_of_constant_names():
-    t = tuple_names(lambda i: literal_name([], tail=i))
-    assert project(t, 3).prefix(4, 10 ** 5) == [3, 3, 3, 3]
-
-
-def test_tuple_project_roundtrip_random_family():
-    import random
-    rng = random.Random(7)
-    fams = [[rng.randrange(100) for _ in range(64)] for _ in range(8)]
-    t = tuple_names([literal_name(vals) for vals in fams])
-    for i in range(8):
-        assert project(t, i).prefix(32, 10 ** 6) == fams[i][:32]
 
 
 def test_decode_enum_all_zero_is_empty():

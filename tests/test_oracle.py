@@ -1,15 +1,19 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.bases import embed_point
 from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, closure,
-                             decode_finite, enumerate_spaces,
+                             continuous_maps, decode_finite,
+                             enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
                              figure1_check, finite_point, finite_presubbase,
                              full_mask, generate_topology, interior, is_T0,
-                             make_space, make_subbase, saturate,
-                             scott_converges, space_from_json, specialization,
-                             subbase_from_json, tau_B, tau_K, up_sets)
+                             make_space, make_subbase, monotone_families,
+                             saturate, scott_converges, space_from_json,
+                             specialization, subbase_from_json, tau_B, tau_K,
+                             topology_from_preorder, up_sets)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 
@@ -137,7 +141,36 @@ def test_up_sets_are_saturated_sets():
     # up-set enumerator against the closure-family enumeration
     for n in range(MAX_EXHAUSTIVE + 1):
         for f in enumerate_spaces(n):
-            assert up_sets(f) == f.opens, f
+            assert topology_from_preorder(specialization(f)) == f, f
+
+
+def _monotone(dom, cod, f):
+    """Is f monotone from preorder rows ``dom`` to preorder rows ``cod``?"""
+    return all(cod[f[i]] >> f[j] & 1 for i in range(len(dom))
+               for j in range(len(dom)) if dom[i] >> j & 1)
+
+
+def test_continuous_maps_are_the_monotone_maps_in_lexicographic_order():
+    spaces = [f for n in range(4) for f in enumerate_spaces(n)]
+    for f in spaces:
+        rf = specialization(f)
+        for g in spaces:
+            rg = specialization(g)
+            want = [m for m in itertools.product(range(g.n), repeat=f.n)
+                    if _monotone(rf, rg, m)]
+            assert continuous_maps(f, g) == want, (f, g)
+
+
+def test_monotone_families_are_the_monotone_maps_into_inclusion():
+    for m in range(4):
+        for order in enumerate_preorders(m):
+            for n in range(4):
+                subsets = range(1 << n)
+                inclusion = [sum(1 << t for t in subsets if s & ~t == 0)
+                             for s in subsets]
+                want = [fam for fam in itertools.product(subsets, repeat=m)
+                        if _monotone(order, inclusion, fam)]
+                assert list(monotone_families(order, n)) == want, (order, n)
 
 
 def test_non_monotone_family_is_not_well_defined():
