@@ -10,7 +10,7 @@ from .kernel import (EncodingError, Name, NameReader, decode_enum,
                      dovetail_bound, literal_name, delayed_name, map_name,
                      pair, unpair)
 from .sierpinski import (DEFAULT_FUEL, NEGATIVE_FUEL, SValue, accept_at,
-                         after, and_finite, bot, or_countable, top)
+                         and_finite, bot, or_countable, top)
 from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
                      apply_fun, curry, fun_point, pair_point, sierp_point,
                      uncurry)

@@ -33,10 +33,9 @@ from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
                      seq_point, sequence)
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
                     as_overt, compact_image, compact_intersection,
-                    compact_union, coproduct_closed, neighborhood_filter,
-                    overt_project, overt_union, point_to_closed,
-                    point_to_compact, product_closed, product_open,
-                    attach_product_witnesses)
+                    compact_union, coproduct_closed, overt_project,
+                    overt_union, point_to_closed, point_to_compact,
+                    product_closed, product_open, attach_product_witnesses)
 
 
 @dataclass(eq=False)
@@ -113,6 +112,7 @@ def dsub_point(bspace: Space, transpose_open: OpenSet) -> Point:
 
 def embed_point(b: Presubbase, x: Point) -> Point:
     """The canonical name of a carrier point in the induced space."""
+    check_space(x, b.carrier)
     return dsub_point(presubbase_space(b), transpose(b, x))
 
 
@@ -352,12 +352,19 @@ def coproduct_prebase(basex: Presubbase, basey: Presubbase) -> Presubbase:
             return inj0(invx(w0, fuel), basey.carrier)
         return inj1(basex.carrier, invy(w1, fuel))
 
+    def part(k: CompactSat, tag: int, sp: Space, res, fuel) -> OvertClosed:
+        # the summand's resolved index set, empty unless K lies in the
+        # summand: a K meeting both summands has an empty intersection
+        kt = CompactSat(sp, lambda u: k.forall_(OpenSet(
+            index, lambda t: u.chi(t.payload[1]) if t.payload[0] == tag else top())))
+        a = res(kt, fuel)
+        inside = k.forall_(OpenSet(
+            index, lambda t: top() if t.payload[0] == tag else bot()))
+        return OvertClosed(sp, lambda u: and_finite([inside, a.exists_(u)]))
+
     def resolver(k: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
-        k0 = CompactSat(basex.index, lambda u: k.forall_(
-            OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 0 else top())))
-        k1 = CompactSat(basey.index, lambda u: k.forall_(
-            OpenSet(index, lambda t: u.chi(t.payload[1]) if t.payload[0] == 1 else top())))
-        return coproduct_closed(index, resx(k0, fuel), resy(k1, fuel))
+        return coproduct_closed(index, part(k, 0, basex.index, resx, fuel),
+                                part(k, 1, basey.index, resy, fuel))
 
     return Presubbase(index, carrier, family,
                       None if invx is None or invy is None else transpose_inverse,
@@ -473,15 +480,8 @@ def kolmogorov_completion(x: Space) -> Completion:
     only detectable at oracle scale."""
     b = identity_presubbase(x)
     sp = presubbase_space(b)
-
-    def forward(p: Point) -> Point:
-        return dsub_point(sp, neighborhood_filter(p))
-
-    def open_back(u: OpenSet) -> OpenSet:
-        upt = u.as_point()
-        return OpenSet(sp, lambda q: point_transpose(q).chi(upt))
-
-    return Completion(sp, forward, open_back)
+    return Completion(sp, lambda p: embed_point(b, p),
+                      lambda u: subbase_open(sp, u.as_point()))
 
 
 def base_completion(b: Presubbase) -> LacombeBase:
@@ -511,25 +511,21 @@ class GaloisWitness:
     translator: Callable
 
 
+def _swap(w: GaloisWitness, want: str, to: str, index: Space,
+          carrier: Space) -> GaloisWitness:
+    """The other side of the adjunction: ``w``'s translator read as a
+    family from ``index`` to opens of ``carrier``, and transposed."""
+    if w.direction != want:
+        raise ValueError(f"expected a {want} witness, got {w.direction}")
+    b = Presubbase(index, carrier, w.translator)
+    return GaloisWitness(to, w.x_space, w.y_space, lambda a: transpose(b, a))
+
+
 def galois_forward(w: GaloisWitness) -> GaloisWitness:
     """Transpose a point-side witness into a family-side witness."""
-    if w.direction != "rep_to_base":
-        raise ValueError(f"expected a rep_to_base witness, got {w.direction}")
-    t = w.translator
-
-    def u(y: Point) -> OpenSet:
-        return OpenSet(w.x_space, lambda x: t(x).chi(y))
-
-    return GaloisWitness("base_to_rep", w.x_space, w.y_space, u)
+    return _swap(w, "rep_to_base", "base_to_rep", w.x_space, w.y_space)
 
 
 def galois_backward(w: GaloisWitness) -> GaloisWitness:
     """Transpose a family-side witness into a point-side witness."""
-    if w.direction != "base_to_rep":
-        raise ValueError(f"expected a base_to_rep witness, got {w.direction}")
-    u = w.translator
-
-    def t(x: Point) -> OpenSet:
-        return OpenSet(w.y_space, lambda y: u(y).chi(x))
-
-    return GaloisWitness("rep_to_base", w.x_space, w.y_space, t)
+    return _swap(w, "base_to_rep", "rep_to_base", w.y_space, w.x_space)

@@ -2,9 +2,9 @@
 
 An `OpenSet` over X carries its membership semidecider chi; an
 `OvertClosed` (A+) carries the meets-this-open semidecider; a
-`CompactSat` (K-) carries the inside-this-open semidecider.  Negative
-closed sets (A-) are stored as their complementary opens verbatim, and
-the two-sided closed/compact values are meets of views.
+`CompactSat` (K-) carries the inside-this-open semidecider.  These
+positive views are the only hyperspace values: there are no negative
+(A-) or two-sided closed and compact values.
 
 Every operation below is a realizer composition; none of them decides
 anything.  The inverse embeddings perform unbounded dovetailed search, so

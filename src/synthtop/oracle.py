@@ -750,7 +750,7 @@ def decode_finite(point: Point, sub: FiniteSubbase, fuel: int) -> int:
     element consistent with the indices accepted so far.  Always contains
     the denoted point; antitone in fuel; its limit is the specialization
     up-set of the point in the generated topology."""
-    q = point.payload if isinstance(point.payload, OpenSet) else as_open(point.payload)
+    q = as_open(point.payload)
     isp = finite_repr(sub.index_space())
 
     def seen(y: int) -> bool:

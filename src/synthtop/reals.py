@@ -108,8 +108,8 @@ class DecimalName(Name):
     digit per emission, each after ``delay`` silent steps.  It keeps its
     ``spec``, the spec's ``value``, computed once here, and ``prefixes``,
     the digit-prefix integers P_j = int_part*10^j + (first j digits),
-    grown on demand by `prefix`, so interval membership can be answered
-    without reading the name."""
+    grown on demand by `digit_prefix`, so interval membership can be
+    answered without reading the name."""
 
     __slots__ = ("spec", "value", "prefixes")
 
@@ -135,7 +135,7 @@ class DecimalName(Name):
         self.value = spec.value
         self.prefixes = [spec.int_part]
 
-    def prefix(self, j: int) -> int:
+    def digit_prefix(self, j: int) -> int:
         """P_j, the magnitude's first j fraction digits as an integer."""
         ps = self.prefixes
         digit = self.spec.digit
@@ -265,7 +265,7 @@ def _interval_outcome(name: DecimalName, a: Fraction, b: Fraction) -> SValue:
         return _OUTSIDE
     if name.spec.sign < 0:
         pa, qa, pb, qb = -pb, qb, -pa, qa
-    prefix = name.prefix
+    prefix = name.digit_prefix
 
     def enough(j: int) -> bool:
         pj, tj = prefix(j), 10 ** j

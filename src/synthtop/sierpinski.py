@@ -10,7 +10,9 @@ depend on what other queries happen to have computed already.
 There is deliberately no negation and no countable conjunction here:
 waiting is one-sided, and unbounded universal quantification exists only
 as the forall carried by compact-set values.  Finite conjunction and
-countable disjunction are the whole logic.
+countable disjunction are the whole logic, and the only combinators.  A
+delay is not a combinator: it lives in the name a value reads
+(`kernel.delayed_name`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class SValue:
 
     ``known``, where set, is the outcome of every run, fixed at
     construction: the exact acceptance step, or `NEVER`.  The combinators
-    fold it from children that are all known (constants, delays, finite
+    fold it from children that are all known (constants, finite
     conjunctions and disjunctions, and reads of names whose first values
     are already cached).  Its ``make`` returns a flat stepper accepting at
     that step, or ``never``, so an unknown parent steps it as a leaf.
@@ -229,30 +231,6 @@ class _All:
         return False
 
 
-class _Seq:
-    """``delay`` silent steps, then the inner stepper."""
-
-    __slots__ = ("delay", "inner", "done")
-    never = False
-
-    def __init__(self, delay: int, inner):
-        self.delay = delay
-        self.inner = inner
-        self.done = delay <= 0 and inner.done
-
-    def step(self) -> bool:
-        if self.delay > 0:
-            self.delay -= 1
-            if self.delay == 0 and self.inner.done:
-                self.done = True
-                return True
-            return False
-        if self.inner.step():
-            self.done = True
-            return True
-        return False
-
-
 class _Read:
     """Read the first value of each name in turn, one reader step per own
     step; the step after an arrival goes to the next name's reader.  On
@@ -312,35 +290,6 @@ def bot() -> SValue:
 def accept_at(n: int) -> SValue:
     k = max(n, 0)
     return SValue(None, k, k)
-
-
-class _Delayed:
-    """The ``make`` of an unknown `after` value: ``delay`` silent steps,
-    then a fresh stepper of ``inner``."""
-
-    __slots__ = ("delay", "inner")
-
-    def __init__(self, delay: int, inner: SValue):
-        self.delay = delay
-        self.inner = inner
-
-    def __call__(self) -> _Seq:
-        return _Seq(self.delay, self.inner.make())
-
-
-def after(delay: int, v: SValue) -> SValue:
-    """The same semidecision, delayed by ``max(delay, 0)`` silent steps.
-    A delay of a delay is one `_Seq` with the summed delay, which accepts
-    at the same step, so deep chains build and step without recursion."""
-    d = max(delay, 0)
-    b = None if v.bound is None else v.bound + d
-    if v.known is not None:
-        return SValue(None, b, v.known + d)
-    make = v._make
-    if isinstance(make, _Delayed):
-        d += make.delay
-        v = make.inner
-    return SValue(_Delayed(d, v), b)
 
 
 def and_finite(vs: Iterable[SValue]) -> SValue:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Union
 
-from .kernel import Name, delayed_name, literal_name
+from .kernel import Name, delayed_name
 from .sierpinski import SValue, read_names
 
 
@@ -130,9 +130,7 @@ class Point:
 
 
 def nat_point(k: int, delay: int = 0) -> Point:
-    if delay:
-        return Point(NAT, delayed_name([(delay, k)], tail=k))
-    return Point(NAT, literal_name([k], tail=k))
+    return Point(NAT, delayed_name([(delay, k)], tail=k))
 
 
 def read_first(p: Point, fuel: int) -> Optional[int]:

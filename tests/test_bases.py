@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -24,8 +25,9 @@ from synthtop.oracle import (bits, budgeted, compact_family_of_compacts,
                              leaf_overt, make_space, make_subbase, mask_of,
                              open_members, product_space, up_sets)
 from synthtop.reals import DECIMAL, rational_interval_subbase
-from synthtop.sierpinski import NEGATIVE_FUEL, and_finite
-from synthtop.spaces import (MissingWitnessError, Point, Space, compacts,
+from synthtop.sierpinski import NEGATIVE_FUEL, and_finite, bot
+from synthtop.spaces import (MissingWitnessError, Point, Space,
+                             SpaceMismatch, compacts, inj0, inj1, meet_point,
                              opens, pair_point, product, proj1, proj2,
                              read_first, seq_at, seq_point, sequence,
                              subspace)
@@ -367,6 +369,100 @@ def test_coproduct_prebase_generates_disjoint_union_topology():
             assert read_first(back.payload[1], 100) == x
 
 
+def _compacts_over(index, points):
+    """The saturation of every subset of ``points``, as compact values."""
+    for r in range(len(points) + 1):
+        for pts in itertools.combinations(points, r):
+            yield CompactSat(index, lambda u, _p=pts: and_finite(
+                [u.chi(t) for t in _p]))
+
+
+def _resolver_mismatches(pre, index_points, carrier_points):
+    """Count (K, z) where z lies in the intersection of the members over K
+    but not in the union over ``resolver(K)``, or the other way round."""
+    bad = 0
+    for k in _compacts_over(pre.index, index_points):
+        a = pre.resolver(k, None)
+        for z in carrier_points:
+            members = transpose(pre, z)
+            bad += budgeted(k.forall_(members), 10 ** 4) != \
+                budgeted(a.exists_(members), 10 ** 4)
+    return bad
+
+
+def test_coproduct_prebase_resolver_keeps_each_summand_apart():
+    # a K inside one summand resolves to index sets in that summand only:
+    # the other summand's empty intersection (all of it) must not leak in
+    sub, b, _ = chain_instance()
+    isp = b.index
+    # index 0 exactly when K holds index 0 ({1} is the open missing it)
+    pre = prebase_from_point_closure(b, lambda k: finite_point(
+        isp, 1 if budgeted(k.forall_(leaf_open(isp, 0b10)), 10 ** 4) else 0))
+    cp = coproduct_prebase(pre, pre)
+    index_points = ([inj0(finite_point(isp, y), isp) for y in range(sub.m)] +
+                    [inj1(isp, finite_point(isp, y)) for y in range(sub.m)])
+    carrier_points = (
+        [inj0(finite_point(b.carrier, x), b.carrier) for x in range(sub.n)] +
+        [inj1(b.carrier, finite_point(b.carrier, x)) for x in range(sub.n)])
+    # K = sat{inj0(1)}: inj1(0) lies outside B_inj0(1), so outside the union
+    k = CompactSat(cp.index, lambda u: u.chi(index_points[1]))
+    members = transpose(cp, carrier_points[2])
+    assert not budgeted(cp.resolver(k, None).exists_(members), 10 ** 4)
+    assert _resolver_mismatches(cp, index_points, carrier_points) == 0
+
+
+@pytest.mark.parametrize("build, point_of", [(product_prebase, pair_point),
+                                             (meet_prebase, meet_point)])
+def test_pairwise_prebase_resolver_defining_equation(build, point_of):
+    sub, b, _ = chain_instance()
+    pre = build(prebase_from_wrap(b), prebase_from_wrap(b))
+    index_points = [pair_point(finite_point(b.index, r),
+                               finite_point(b.index, s_))
+                    for r in range(sub.m) for s_ in range(sub.m)]
+    # both views of a meet point denote one carrier element
+    carrier_points = [point_of(finite_point(b.carrier, i),
+                               finite_point(b.carrier, j))
+                      for i in range(sub.n) for j in range(sub.n)
+                      if point_of is pair_point or i == j]
+    assert _resolver_mismatches(pre, index_points, carrier_points) == 0
+
+
+def test_transpose_inverses_recover_the_point():
+    sub, b, _ = chain_instance()
+    pre = prebase_from_presubbase(b)
+    zsp = subspace(b.carrier, lambda p: True)
+    restricted = subspace_prebase(b, zsp)
+    for x in range(sub.n):
+        xp = finite_point(b.carrier, x)
+        back = pre.transpose_inverse(transpose(pre, xp), 10 ** 4)
+        assert read_first(back, 100) == x
+        back = restricted.transpose_inverse(
+            transpose(restricted, Point(zsp, xp.payload)), 10 ** 4)
+        assert back.space is zsp and read_first(back, 100) == x
+    sp = finite_repr(SIERP2)
+    pre = lacombe_to_prebase(identity_base(sp))
+    for x in range(2):
+        back = pre.transpose_inverse(transpose(pre, finite_point(sp, x)),
+                                     10 ** 4)
+        assert read_first(back, 100) == x
+
+
+def test_star_overt_witness_meets_exactly_the_inhabited_opens():
+    _, b, _ = chain_instance()
+    s = star(b.index)
+
+    def tuples(length, mask):
+        # the tuples of that length with every component in ``mask``
+        return OpenSet(s, lambda t: and_finite(
+            [leaf_open(b.index, mask).chi(c) for c in t.payload])
+            if len(t.payload) == length else bot())
+
+    assert budgeted(s.overt.exists_(tuples(0, 0)), 10 ** 4)
+    assert s.overt.exists_(tuples(1, 0b10)).status(23) == 23
+    # the race over lengths never ends; the length-n task has 2^n leaves
+    assert s.overt.exists_(tuples(1, 0)).status(40) is None
+
+
 @pytest.mark.parametrize("build, who", [(product_prebase, "product_prebase"),
                                         (meet_prebase, "meet_prebase"),
                                         (coproduct_prebase, "coproduct_prebase")])
@@ -532,6 +628,12 @@ def test_completion_preserves_membership_and_idempotence():
                 want = bool(u >> x & 1)
                 assert budgeted(u1.chi(x1), 10 ** 4) == want
                 assert budgeted(u2.chi(x2), 10 ** 4) == want
+
+
+def test_completion_forward_rejects_a_point_of_another_space():
+    sp, other = finite_repr(SIERP2), finite_repr(DISC2)
+    with pytest.raises(SpaceMismatch):
+        kolmogorov_completion(sp).forward(finite_point(other, 0))
 
 
 def test_base_completion_covers_original_members():

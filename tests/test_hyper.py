@@ -1,13 +1,15 @@
 import gc
+import itertools
 
 import pytest
 
-from synthtop.hyper import (as_open, box_embed, box_invert, compact_image,
+from synthtop.hyper import (OpenSet, as_open, attach_product_witnesses,
+                            box_embed, box_invert, compact_image,
                             compact_intersection, compact_open_embed,
                             compact_open_invert, compact_union, closed_image,
-                            filter_embed, filter_invert, membership,
-                            nat_singleton_open, neighborhood_filter,
-                            overt_project, overt_union,
+                            coproduct_closed, filter_embed, filter_invert,
+                            membership, nat_singleton_open,
+                            neighborhood_filter, overt_project, overt_union,
                             point_to_closed, point_to_compact, product_closed,
                             product_open, section, trace_embed, trace_invert,
                             whole_open)
@@ -16,10 +18,13 @@ from synthtop.oracle import (budgeted, closure, compact_members,
                              finite_repr, leaf_compact, leaf_open, leaf_overt,
                              make_space, open_members, overt_members,
                              product_space, saturate, up_sets)
-from synthtop.sierpinski import NEGATIVE_FUEL, SValue, first_accepting
-from synthtop.spaces import (NAT, MissingWitnessError, SpaceMismatch,
-                             apply_fun, fun_point, identity_fun, nat_point,
-                             pair_point, read_first)
+from synthtop.sierpinski import (NEGATIVE_FUEL, SValue, and_finite, bot,
+                                 first_accepting, top)
+from synthtop.spaces import (NAT, SIERP, MissingWitnessError, SpaceMismatch,
+                             apply_fun, coproduct, curry, fun_point,
+                             identity_fun, nat_point, pair_point, product,
+                             proj1, proj2, read_first, sierp_point,
+                             sierp_value)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 CHAIN3 = make_space(3, [0, 0b100, 0b110, 0b111])
@@ -338,3 +343,45 @@ def test_nat_filter_inverse_emits_where_the_singleton_race_lands(k, d):
     nm = NAT.filter_inverse(flt).payload
     nm.prefix(1, 10 ** 4)
     assert nm.first[:2] == hit
+
+
+# --- witnesses checked against their defining equations --------------------
+
+
+def test_coproduct_closed_meets_an_open_by_either_summand():
+    sp = finite_repr(SIERP2)
+    cop = coproduct(sp, sp)
+    for a, b in itertools.product(range(4), repeat=2):
+        closed = coproduct_closed(cop, leaf_overt(sp, a), leaf_overt(sp, b))
+        for w0, w1 in itertools.product(range(4), repeat=2):
+            w = OpenSet(cop, lambda z: leaf_open(
+                sp, (w0, w1)[z.payload[0]]).chi(z.payload[1]))
+            assert budgeted(closed.exists_(w)) == bool(a & w0 or b & w1)
+
+
+def test_product_filter_inverse_returns_both_components():
+    sp = finite_repr(SIERP2)
+    prod = attach_product_witnesses(product(sp, sp))
+    for i, j in itertools.product(range(2), repeat=2):
+        p = pair_point(finite_point(sp, i), finite_point(sp, j))
+        back = prod.filter_inverse(neighborhood_filter(p), 10 ** 4)
+        assert (read_first(proj1(back), 100),
+                read_first(proj2(back), 100)) == (i, j)
+
+
+def test_sierpinski_filter_inverse_recovers_the_point():
+    for v, accepts in ((top(), True), (bot(), False)):
+        back = SIERP.filter_inverse(neighborhood_filter(sierp_point(v)))
+        assert budgeted(sierp_value(back)) == accepts
+
+
+def test_curried_map_into_sierpinski_is_an_open():
+    # a plain function point into S, not an `OpenSet`, read as an open
+    sp = finite_repr(SIERP2)
+    u, v = leaf_open(sp, 0b10), leaf_open(sp, 0b11)
+    f = fun_point(product(sp, sp), SIERP, lambda pr: sierp_point(
+        and_finite([u.chi(proj1(pr)), v.chi(proj2(pr))])))
+    for x in range(2):
+        row = as_open(apply_fun(curry(f), finite_point(sp, x)))
+        assert row.space is sp
+        assert open_members(sp, row, 10 ** 4) == (0b11 if x == 1 else 0)

@@ -5,7 +5,7 @@ from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
                              decode_enum, dovetail_bound, delayed_name,
                              literal_name, pair, unpair, zigzag,
                              zigzag_inv)
-from synthtop.sierpinski import (TALLY, Query, accept_at, after, bot,
+from synthtop.sierpinski import (TALLY, Query, accept_at, bot,
                                  or_countable, top)
 
 
@@ -149,8 +149,14 @@ def _task(kind):
     if kind is None:
         return bot()
     if kind < 0:
-        return after(1, bot())
+        return or_countable(lambda i: bot())
     return top() if kind == 0 else accept_at(kind)
+
+
+def test_task_kinds_are_dead_and_live_as_named():
+    # kind -1 must stay a live slot, or no run has one that never accepts
+    assert _task(None).make().never is True
+    assert _task(-1).make().never is False
 
 
 def _family(kinds):

@@ -17,7 +17,7 @@ from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query, SValue,
                                  accept_at, bot, first_accepting,
                                  or_countable)
-from synthtop.spaces import Point, nat_point
+from synthtop.spaces import Point, nat_point, read_first
 
 
 def val(text):
@@ -67,6 +67,16 @@ def test_boundary_query_on_a_decimal_name_reads_no_digit():
     assert TALLY.n - before == 10 ** 6
     assert d.payload.steps == 0  # nothing read, nothing cached
     assert sv.bound is None
+
+
+@pytest.mark.parametrize("text, sign_code", [("0.5", 0), ("-1.25", 1),
+                                              ("-0.0(5)", 1)])
+@pytest.mark.parametrize("delay", [0, 2])
+def test_read_first_of_a_decimal_point_is_its_sign_code(text, sign_code, delay):
+    # a decimal name is a name: the generic first-value read applies to it
+    p = decimal_point(parse_decimal(text), delay)
+    assert read_first(p, delay) is None
+    assert read_first(p, delay + 1) == sign_code
 
 
 def test_decimal_point_rejects_a_negative_delay():

@@ -10,9 +10,9 @@ from synthtop.hyper import OpenSet
 from synthtop.oracle import (finite_point, finite_repr, leaf_compact,
                              leaf_open, leaf_overt, make_space)
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
-                                 SValue, _Read, _Seq, accept_at, after,
-                                 and_finite, bot, first_accepting,
-                                 or_countable, read_names, read_table, top)
+                                 SValue, _Read, accept_at, and_finite, bot,
+                                 first_accepting, or_countable, read_names,
+                                 read_table, top)
 from synthtop.spaces import Point
 
 
@@ -101,9 +101,9 @@ def trees(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         return draw(st.sampled_from(["top", "bot"])) \
             if draw(st.booleans()) else ("at", draw(st.integers(0, 12)))
-    op = draw(st.sampled_from(["and", "or", "after"]))
-    if op == "after":
-        return ("after", draw(st.integers(0, 5)), draw(trees(depth + 1)))
+    op = draw(st.sampled_from(["and", "or", "delay"]))
+    if op == "delay":
+        return ("delay", draw(st.integers(0, 5)), draw(trees(depth + 1)))
     kids = draw(st.lists(trees(depth + 1), min_size=1, max_size=3))
     return (op, kids)
 
@@ -116,8 +116,9 @@ def build(tree):
     tag = tree[0]
     if tag == "at":
         return accept_at(tree[1])
-    if tag == "after":
-        return after(tree[1], build(tree[2]))
+    if tag == "delay":  # read a name whose value comes after d silent steps
+        v = build(tree[2])
+        return read_names((delayed_name([(tree[1], 0)]),), lambda _: v, v.bound)
     kids = [build(t) for t in tree[1]]
     return and_finite(kids) if tag == "and" else or_countable(kids)
 
@@ -145,22 +146,6 @@ def test_bound_certifies_acceptance_horizon(tree):
     if st_at_bound is None:
         # beyond the horizon nothing changes
         assert v.status(v.bound + 123) is None
-
-
-def test_after_shifts_acceptance():
-    v = after(5, accept_at(2))
-    assert v.status(6) is None
-    assert v.status(7) == 7
-    assert after(3, top()).status(3) == 3
-
-
-def test_after_with_negative_delay_certifies_a_sound_horizon():
-    # a negative delay adds no silent steps, so it cannot pull the bound
-    # below the inner value's own acceptance step
-    v = after(-5, accept_at(3))
-    assert v.bound == 3
-    assert v.status(v.bound) == 3
-    assert after(-5, top()).bound == 0
 
 
 def test_accept_at_negative_is_born_accepted_with_bound_zero():
@@ -529,7 +514,7 @@ def test_raising_make_is_a_sticky_error_at_step_zero():
 
 
 def test_known_value_answers_without_a_stepper(monkeypatch):
-    v = and_finite([accept_at(3), after(2, top())])
+    v = and_finite([accept_at(3), accept_at(2)])
     assert v.known == 5 and v.bound == 5
 
     def boom(self):
@@ -552,36 +537,6 @@ def test_deep_known_conjunction_answers_without_recursion():
     for _ in range(1500):
         v = and_finite([v])
     assert v.status(10) == 0
-
-
-def test_deep_known_delay_answers_without_recursion():
-    v = accept_at(1)
-    for _ in range(3000):
-        v = after(1, v)
-    assert v.status(10 ** 4) == 3001
-
-
-# A delay of an unknown delay is built as one `_Seq` with the summed delay.
-
-
-def test_deep_unknown_delay_answers_without_recursion():
-    leaf = accept_at(1)
-    v = SValue(leaf.make, leaf.bound)
-    for _ in range(3000):
-        v = after(1, v)
-    assert v.status(10 ** 4) == 3001
-
-
-@pytest.mark.parametrize("outer", [-2, 0, 1, 3])
-@pytest.mark.parametrize("inner", [-1, 0, 2])
-@pytest.mark.parametrize("leaf", [top(), accept_at(2), bot()])
-def test_flattened_delays_step_as_nested_ones(outer, inner, leaf):
-    unknown = SValue(leaf.make, leaf.bound)
-    flat = after(outer, after(inner, unknown))
-    nested = SValue(lambda: _Seq(outer, _Seq(inner, leaf.make())))
-    assert flat.bound == leaf.bound + max(outer, 0) + max(inner, 0)
-    for fuel in range(-1, 9):
-        assert _charged(Query(flat), fuel) == _charged(Query(nested), fuel)
 
 
 # Deep chains of unknown conjunctions still recurse when stepped: building
@@ -617,7 +572,7 @@ def test_one_value_shared_by_two_queries_charges_each_a_fresh_run():
     assert _charged(second, at + 5) == (at, 1)
     assert first.runner is not second.runner
     # a known value shared the same way
-    k = after(4, top())
+    k = accept_at(4)
     first, second = Query(k), Query(k)
     assert [_charged(first, 2), _charged(second, 3), _charged(first, 9),
             _charged(second, 9)] == [(None, 2), (None, 3), (4, 2), (4, 1)]
@@ -733,10 +688,7 @@ def fold_trees(draw, depth=0):
             st.tuples(st.just("raise"), st.integers(0, 8)),
             st.tuples(st.just("table"), _TABLE_NAMES, st.integers(0, 4),
                       st.booleans())))
-    op = draw(st.sampled_from(["after", "unknown", "and", "or", "or_fn",
-                               "bind"]))
-    if op == "after":
-        return ("after", draw(st.integers(-2, 5)), draw(fold_trees(depth + 1)))
+    op = draw(st.sampled_from(["unknown", "and", "or", "or_fn", "bind"]))
     if op == "unknown":
         return ("unknown", draw(fold_trees(depth + 1)))
     kids = draw(st.lists(fold_trees(depth + 1), min_size=0 if op != "bind"
@@ -779,8 +731,6 @@ def _fold_build(tree, fold):
     elif tag == "unknown":
         v = _fold_build(tree[1], fold)
         return SValue(v.make, v.bound)
-    elif tag == "after":
-        return after(tree[1], _fold_build(tree[2], fold))
     elif tag == "and":
         return and_finite([_fold_build(t, fold) for t in tree[1]])
     elif tag == "or":
