@@ -539,6 +539,33 @@ def test_deep_known_conjunction_answers_without_recursion():
     assert v.status(10) == 0
 
 
+# Delays live in names.  One read of two delayed names steps as two nested
+# reads of one name each: either way the second reader starts on the step
+# after the first arrival.  A negative delay is not encodable in a name.
+
+
+@pytest.mark.parametrize("outer", [-2, 0, 1, 3])
+@pytest.mark.parametrize("inner", [-1, 0, 2])
+@pytest.mark.parametrize("leaf", [top(), accept_at(2), bot()])
+def test_flattened_delays_step_as_nested_ones(outer, inner, leaf):
+    if min(outer, inner) < 0:
+        with pytest.raises(EncodingError):
+            delayed_name([(outer, 0), (inner, 0)])
+        return
+    unknown = SValue(leaf.make, leaf.bound)
+    flat = read_names((delayed_name([(outer, 0)]), delayed_name([(inner, 0)])),
+                      lambda *_: unknown, leaf.bound)
+    second = read_names((delayed_name([(inner, 0)]),), lambda _: unknown,
+                        leaf.bound)
+    nested = read_names((delayed_name([(outer, 0)]),), lambda _: second,
+                        second.bound)
+    assert flat.bound == nested.bound == leaf.bound + outer + inner + 2
+    for fuel in range(-1, 12):
+        assert _charged(Query(flat), fuel) == _charged(Query(nested), fuel)
+    assert flat.status(20) == (None if leaf.known == NEVER
+                               else outer + inner + 2 + leaf.known)
+
+
 # Deep chains of unknown conjunctions still recurse when stepped: building
 # the nested steppers and stepping them both go one Python frame per level.
 
