@@ -32,10 +32,10 @@ from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
                      pair_point, product, coproduct, proj1, proj2, seq_at,
                      seq_point, sequence)
 from .hyper import (CompactSat, OpenSet, OvertClosed, as_compact, as_open,
-                    as_overt, compact_image, compact_intersection,
+                    as_overt, box_invert, compact_image, compact_intersection,
                     compact_union, coproduct_closed, overt_project,
-                    overt_union, point_to_closed, point_to_compact,
-                    product_closed, product_open, attach_product_witnesses)
+                    overt_union, point_to_closed, product_closed,
+                    product_open, attach_product_witnesses)
 
 
 @dataclass(eq=False)
@@ -100,20 +100,10 @@ def presubbase_space(b: Presubbase) -> Space:
     return sp
 
 
-def dsub_point(bspace: Space, transpose_open: OpenSet) -> Point:
-    """Wrap an O(Y) value (the transpose set of some carrier point) as a
-    point of the induced space."""
-    b: Presubbase = bspace.parts[0]
-    if transpose_open.space is not b.index:
-        raise SpaceMismatch(
-            f"payload over {transpose_open.space!r}, index is {b.index!r}")
-    return Point(bspace, transpose_open)
-
-
 def embed_point(b: Presubbase, x: Point) -> Point:
     """The canonical name of a carrier point in the induced space."""
     check_space(x, b.carrier)
-    return dsub_point(presubbase_space(b), transpose(b, x))
+    return Point(presubbase_space(b), transpose(b, x))
 
 
 def point_transpose(p: Point) -> OpenSet:
@@ -152,9 +142,7 @@ def prebase_from_presubbase(base: Presubbase) -> Presubbase:
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         # the original transpose is recovered through singleton saturations
-        orig = OpenSet(index,
-                       lambda y: w.chi(point_to_compact(y).as_point()))
-        return inv(orig, fuel)
+        return inv(box_invert(w), fuel)
 
     def resolver(kk: CompactSat, fuel: Optional[int] = None) -> OvertClosed:
         z = compact_union(kk)

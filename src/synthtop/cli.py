@@ -30,6 +30,10 @@ from .sierpinski import DEFAULT_FUEL
 # the other laws finish within seconds up to MAX_EXHAUSTIVE.
 SIZE_CEILING = {"hyper-ops-vs-oracle": 3, "presubbase-representation": 3,
                 "figure1-chain": 3}
+# The most --bits repair accepts: each printed delta has a denominator of
+# about 0.51 decimal digits per bit, and the interpreter refuses to print
+# an integer past 4300 digits, which happens from about 8400 bits.
+MAX_REPAIR_BITS = 8000
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -99,8 +103,9 @@ def cmd_verify(args) -> int:
 def cmd_repair(args) -> int:
     from .reals import (FuelExhausted, decimal_point, decimal_to_cauchy_direct,
                         parse_decimal, repair_decimal)
-    if args.bits < 1:
-        print("--bits must be at least 1", file=sys.stderr)
+    if not 1 <= args.bits <= MAX_REPAIR_BITS:
+        print(f"--bits must be between 1 and {MAX_REPAIR_BITS}",
+              file=sys.stderr)
         return 2
     try:
         spec = parse_decimal(args.decimal)

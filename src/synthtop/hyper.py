@@ -318,10 +318,7 @@ def compact_open_invert(w: OpenSet, fuel: Optional[int] = None) -> Point:
         raise MissingWitnessError(f"{y!r} carries no neighborhood-map inverse")
 
     def transform(xp: Point) -> Point:
-        k = point_to_compact(xp)
-        flt = OpenSet(opens(y),
-                      lambda upt: w.chi(pair_point(k.as_point(), upt)))
-        return inv(flt, fuel)
+        return inv(section(point_to_compact(xp).as_point(), w), fuel)
 
     return fun_point(x, y, transform)
 
@@ -378,10 +375,6 @@ def attach_product_witnesses(sp: Space) -> Space:
 # naturals; a point is recovered by searching for the accepted singleton.
 
 
-def sierp_accepting_open() -> OpenSet:
-    return OpenSet(SIERP, sierp_value)
-
-
 def nat_singleton_open(n: int) -> OpenSet:
     return OpenSet(NAT, lambda p: read_table((p.payload,), lambda v: v == n))
 
@@ -389,7 +382,7 @@ def nat_singleton_open(n: int) -> OpenSet:
 def _install_ground_witnesses() -> None:
     SIERP.overt = OvertClosed(SIERP, lambda u: u.chi(sierp_point(top())))
     SIERP.filter_inverse = lambda flt, fuel=None: sierp_point(
-        flt.chi(sierp_accepting_open().as_point()))
+        flt.chi(OpenSet(SIERP, sierp_value).as_point()))
 
     NAT.overt = OvertClosed(
         NAT, lambda u: or_countable(lambda i: u.chi(nat_point(i))))

@@ -375,15 +375,10 @@ def make_subbase(n: int, sets: Sequence[int],
         if not (0 <= a < m and 0 <= b < m):
             raise SchemaError(f"index_order pair ({a},{b}) out of range")
         rows[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
+    for k in range(m):  # Warshall: close through index k, one k at a time
         for i in range(m):
-            reach = rows[i]
-            for j in bits(rows[i]):
-                if rows[j] & ~reach:
-                    rows[i] |= rows[j]
-                    changed = True
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
     return FiniteSubbase(n, tuple(int(s) for s in sets), tuple(rows))
 
 
@@ -502,15 +497,19 @@ def space_from_json(doc: dict) -> FiniteSpace:
     opens = doc["opens"]
     if not isinstance(opens, list):
         raise SchemaError("field 'opens': expected a list of element lists")
-    masks = set()
     for i, u in enumerate(opens):
         if not isinstance(u, list) or not all(_is_int(e) for e in u):
             raise SchemaError(f"field 'opens[{i}]': expected a list of integers")
         if any(e < 0 or e >= n for e in u):
             raise SchemaError(f"field 'opens[{i}]': element out of range 0..{n - 1}")
-        masks.add(mask_of(u))
+    missing = "field 'opens': must include [] and the full carrier"
+    # the full carrier lists n elements, so a larger n is refused before
+    # any mask of n bits is built
+    if n > max(map(len, opens), default=0):
+        raise SchemaError(missing)
+    masks = {mask_of(u) for u in opens}
     if 0 not in masks or full_mask(n) not in masks:
-        raise SchemaError("field 'opens': must include [] and the full carrier")
+        raise SchemaError(missing)
     if not is_topology(n, frozenset(masks)):
         raise SchemaError("field 'opens': not closed under union/intersection")
     return make_space(n, masks)
@@ -563,6 +562,10 @@ def load_json(path: str) -> dict:
             raise SchemaError(f"not UTF-8 text: byte {e.start}: {e.reason}")
         except RecursionError:
             raise SchemaError("JSON nested too deeply")
+        except ValueError:
+            # the interpreter refuses to convert an integer of more than
+            # 4300 digits; every other decoding error is caught above
+            raise SchemaError("JSON integer has too many digits")
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +675,10 @@ def _finite_filter_inverse(sp: Space, f: FiniteSpace, flt: OpenSet,
     lying in every open the filter has accepted, then take the least
     candidate in the specialization order (unique for a T0 space when the
     input is a genuine neighborhood filter)."""
-    accepted = [u for u in f.opens
-                if budgeted(flt.chi(leaf_open(sp, u).as_point()), fuel)]
     cand = full_mask(f.n)
-    for u in accepted:
-        cand &= u
+    for u in f.opens:
+        if budgeted(flt.chi(leaf_open(sp, u).as_point()), fuel):
+            cand &= u
     rows = specialization(f)
     for x in bits(cand):
         if cand & ~rows[x] == 0:

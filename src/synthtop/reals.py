@@ -41,6 +41,11 @@ from .spaces import NAT, Point, Space, on_value
 
 DECIMAL = Space("decimal", label="Dec")
 
+# Most digits a decimal literal may have, counted over its integer part,
+# fixed digits and repetend: its exact value converts those digits to one
+# integer, and the interpreter refuses conversions past 4300 digits.
+MAX_DECIMAL_DIGITS = 4000
+
 _DEC_RE = re.compile(
     r"""^\s*(?P<sign>[+-])?
         (?P<int>\d+)
@@ -97,6 +102,10 @@ def parse_decimal(text: str) -> DecimalSpec:
     m = _DEC_RE.match(text)
     if not m:
         raise EncodingError(f"not a decimal literal: {text!r}")
+    ndigits = sum(len(g or "") for g in m.group("int", "fixed", "rep"))
+    if ndigits > MAX_DECIMAL_DIGITS:
+        raise EncodingError(f"decimal literal has {ndigits} digits, "
+                            f"more than {MAX_DECIMAL_DIGITS}")
     sign = -1 if m.group("sign") == "-" else 1
     fixed = tuple(int(c) for c in (m.group("fixed") or ""))
     rep = tuple(int(c) for c in (m.group("rep") or ""))
@@ -307,16 +316,12 @@ def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
 # The countable interval subbase
 
 
-def rational_for_index(i: int) -> Fraction:
-    s, d = unpair(i)
-    return Fraction(zigzag(s), d + 1)
-
-
 def interval_for_index(n: int) -> tuple[Fraction, Fraction]:
     """A fixed pairing of every rational open interval: left endpoint code
     and positive width code."""
     i, j = unpair(n)
-    a = rational_for_index(i)
+    s, d = unpair(i)
+    a = Fraction(zigzag(s), d + 1)
     u, v = unpair(j)
     return a, a + Fraction(u + 1, v + 1)
 
@@ -400,10 +405,7 @@ class CauchyName:
     """A fast-converging rational sequence: level n is within 2^-n of the
     denoted real."""
 
-    levels: Callable[[int], Fraction]
-
-    def level(self, n: int) -> Fraction:
-        return self.levels(n)
+    level: Callable[[int], Fraction]
 
     def as_name(self) -> Name:
         """Levels coded as naturals (zigzag numerator paired with
@@ -412,7 +414,7 @@ class CauchyName:
         def gen() -> Iterator[Optional[int]]:
             n = 0
             while True:
-                q = self.levels(n)
+                q = self.level(n)
                 yield pair(zigzag_inv(q.numerator), q.denominator - 1)
                 n += 1
 

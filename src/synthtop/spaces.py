@@ -21,6 +21,7 @@ Spaces without a witness simply lack the corresponding operations.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .kernel import Name, delayed_name
@@ -208,21 +209,10 @@ def meet_right(p: Point) -> Point:
 
 
 def seq_point(x: Space, terms: Union[Sequence[Point], Callable[[int], Point]]) -> Point:
-    if not callable(terms):
-        items = list(terms)
-
-        def get(i: int, _items=items) -> Point:
-            return _items[i]
-
-        terms = get
-    cache: dict[int, Point] = {}
-
-    def lookup(i: int) -> Point:
-        if i not in cache:
-            cache[i] = terms(i)
-        return cache[i]
-
-    return Point(sequence(x), lookup)
+    """A sequence point; a callable ``terms`` is asked for each term once."""
+    if callable(terms):
+        return Point(sequence(x), lru_cache(maxsize=None)(terms))
+    return Point(sequence(x), list(terms).__getitem__)
 
 
 def seq_at(p: Point, n: int) -> Point:

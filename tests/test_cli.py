@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
+
 import synthtop
-from synthtop.cli import main
+from synthtop.cli import MAX_REPAIR_BITS, main
 from synthtop.oracle import MAX_SUBBASE_SIZE
+from synthtop.reals import MAX_DECIMAL_DIGITS, parse_decimal
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_max_size_2.jsonl"
 
@@ -126,6 +132,39 @@ def test_repair_nonpositive_bits_exits_2(capsys):
         assert "--bits" in err
 
 
+def test_repair_overlong_integer_part_exits_2(capsys):
+    code, out, err = run(capsys, "repair", "1" * 5000)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "digits" in err
+
+
+def test_repair_overlong_fraction_digits_exit_2(capsys):
+    for literal in ("0." + "3" * 5000, "0.(" + "3" * 5000 + ")"):
+        code, out, err = run(capsys, "repair", literal)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert "digits" in err
+
+
+def test_repair_at_the_digit_limit_prints(capsys):
+    literal = "0." + "3" * (MAX_DECIMAL_DIGITS - 1)
+    assert str(parse_decimal(literal)) == literal
+    code, out, _ = run(capsys, "repair", literal, "--bits", "8")
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == 8
+
+
+def test_repair_too_many_bits_exits_2(capsys):
+    # refused before the search, which at this size would run for a
+    # minute and then fail to print its deltas
+    code, out, err = run(capsys, "repair", "0.3(3)", "--bits", "15000",
+                         "--fuel", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert f"between 1 and {MAX_REPAIR_BITS}" in err
+
+
 def test_repair_negative_fuel_exits_2(capsys):
     code, out, err = run(capsys, "repair", "0.3(3)", "--fuel", "-3")
     assert code == 2
@@ -229,6 +268,27 @@ def test_spaces_schema_violation_exits_2(tmp_path, capsys):
         assert out == "" and "Traceback" not in err, name
 
 
+def test_spaces_huge_carrier_size_exits_2(tmp_path, capsys):
+    # n = 10^20 is refused from the listed opens, without a 2^n mask, also
+    # when an element would need a mask of 2^(10^15)
+    f = tmp_path / "huge.json"
+    for opens in ([[], [0]], [[], [10 ** 15]]):
+        f.write_text(json.dumps({"n": 10 ** 20, "opens": opens}))
+        code, out, err = run(capsys, "spaces", str(f), "--query", "t0")
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert "full carrier" in err
+
+
+def test_spaces_overlong_json_integer_exits_2(tmp_path, capsys):
+    f = tmp_path / "long.json"
+    f.write_text('{"n": ' + "9" * 5000 + ', "opens": [[]]}')
+    code, out, err = run(capsys, "spaces", str(f), "--query", "t0")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "digits" in err
+
+
 def test_spaces_oversize_subbase_exits_2(tmp_path, capsys):
     # singleton sets with no index order: the index space and tau_K grow
     # as 2^sets, so one set past the cap must be refused, not computed
@@ -255,3 +315,67 @@ def test_spaces_subbase_at_cap_answers(tmp_path, capsys):
     f.write_text(json.dumps({"n": m, "sets": [[i] for i in range(m)]}))
     code, out, _ = run(capsys, "spaces", str(f), "--query", "t0")
     assert code == 0 and json.loads(out) == {"t0": True}
+
+
+# --- the command line on generated input ---------------------------------
+
+
+def run_quiet(*argv):
+    """`main` with stdout and stderr captured; usable inside @given, where
+    the function-scoped capsys fixture is not."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                  st.text(max_size=3), st.floats(allow_nan=False))
+_elements = st.lists(st.one_of(st.integers(-1, 4), _junk), max_size=4)
+_field = st.one_of(st.integers(-1, 4), _junk,
+                   st.lists(st.one_of(_elements, _junk), max_size=4))
+_doc = st.one_of(
+    st.dictionaries(st.sampled_from(["n", "opens", "sets", "index_order"]),
+                    _field, max_size=4),
+    _junk, st.lists(_field, max_size=2))
+_spaces_input = st.tuples(
+    st.just("spaces"),
+    st.one_of(_doc.map(lambda d: json.dumps(d).encode()),
+              st.binary(max_size=16)),
+    st.sampled_from(["t0", "order", "tauk", "decode-demo", "bogus"]))
+_repair_input = st.tuples(
+    st.just("repair"),
+    st.text("0123456789.()-+ e", max_size=8),
+    st.integers(-1, 30))
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@settings(max_examples=150, deadline=5000)
+@example(("spaces", b"\xff\xfe{}", "t0"))
+@example(("spaces", _DEEP, "t0"))
+@example(("spaces", b'{"n": 100000000000000000000, "opens": [[], [0]]}',
+          "order"))
+@example(("spaces", b'{"n": ' + b"9" * 5000 + b', "opens": [[]]}', "t0"))
+@example(("repair", "1" * 5000, 20))
+@example(("repair", "0." + "3" * 5000, 20))
+@example(("repair", "0.3(3)", 15000))
+@example(("spaces", b'{"n": 2, "sets": [[1], [0, 1]], "index_order": [[0, 1]]}',
+          "decode-demo"))
+@given(st.one_of(_spaces_input, _repair_input))
+def test_command_line_exits_cleanly_on_any_input(case):
+    # every run ends in 0, 1 or 2; an exception would fail the test
+    if case[0] == "spaces":
+        _, data, query = case
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.json"
+            path.write_bytes(data)
+            code, out, err = run_quiet("spaces", str(path), "--query", query)
+    else:
+        _, literal, bits = case
+        code, out, err = run_quiet("repair", "--bits", str(bits), "--",
+                                   literal)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""

@@ -1,16 +1,18 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.bases import embed_point
-from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, closure,
+from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, bits, closure,
                              continuous_maps, decode_finite,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
                              figure1_check, finite_point, finite_presubbase,
                              full_mask, generate_topology, interior, is_T0,
-                             make_space, make_subbase, monotone_families,
+                             make_space, make_subbase, mask_of,
+                             monotone_families,
                              saturate, scott_converges, space_from_json,
                              specialization, subbase_from_json, tau_B, tau_K,
                              topology_from_preorder, up_sets)
@@ -171,6 +173,33 @@ def test_monotone_families_are_the_monotone_maps_into_inclusion():
                 want = [fam for fam in itertools.product(subsets, repeat=m)
                         if _monotone(order, inclusion, fam)]
                 assert list(monotone_families(order, n)) == want, (order, n)
+
+
+def test_make_subbase_rebuilds_every_preorder_from_its_pairs():
+    for n in range(4):
+        for rows in enumerate_preorders(n):
+            pairs = [(i, j) for i in range(n) for j in bits(rows[i]) if j != i]
+            assert make_subbase(1, [0] * n, pairs).order == rows, rows
+
+
+def test_make_subbase_closes_random_pairs_to_reachability():
+    rng = random.Random(20)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        pairs = [(rng.randrange(m), rng.randrange(m))
+                 for _ in range(rng.randint(0, 10))]
+        want = []
+        for i in range(m):
+            # brute-force reachability from i along the pairs
+            seen, todo = {i}, [i]
+            while todo:
+                a = todo.pop()
+                for x, y in pairs:
+                    if x == a and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            want.append(mask_of(seen))
+        assert make_subbase(1, [0] * m, pairs).order == tuple(want), pairs
 
 
 def test_non_monotone_family_is_not_well_defined():

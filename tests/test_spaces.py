@@ -151,6 +151,34 @@ def test_sequence_projection():
         assert read_first(seq_at(listed, n), 10) == n % 2
 
 
+def test_sequence_computes_each_term_once():
+    space = sp()
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return finite_point(space, n % 2)
+
+    q = seq_point(space, term)
+    for _ in range(3):
+        for n in (4, 0, 7, 4):
+            assert read_first(seq_at(q, n), 10) == n % 2
+    assert sorted(calls) == [0, 4, 7]
+    # a second point over the same terms keeps its own memo
+    seq_at(seq_point(space, term), 4)
+    assert sorted(calls) == [0, 4, 4, 7]
+
+
+def test_listed_sequence_reads_like_its_list():
+    space = sp()
+    items = [finite_point(space, i % 2) for i in range(5)]
+    q = seq_point(space, iter(items))
+    assert [seq_at(q, n) for n in range(5)] == items
+    assert seq_at(q, -1) is items[-1]
+    with pytest.raises(IndexError):
+        seq_at(q, 5)
+
+
 def test_sequence_random_prefixes_roundtrip():
     space = sp()
     rng = random.Random(9)
