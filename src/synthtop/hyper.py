@@ -59,7 +59,9 @@ class OvertClosed:
         self.exists_fn = exists_fn
 
     def exists_(self, u: Union[OpenSet, Point]) -> SValue:
-        return self.exists_fn(as_open(u, self.space))
+        if type(u) is not OpenSet or u.space is not self.space:
+            u = as_open(u, self.space)
+        return self.exists_fn(u)
 
     def as_point(self) -> Point:
         return Point(overts(self.space), self)
@@ -78,7 +80,9 @@ class CompactSat:
         self.forall_fn = forall_fn
 
     def forall_(self, u: Union[OpenSet, Point]) -> SValue:
-        return self.forall_fn(as_open(u, self.space))
+        if type(u) is not OpenSet or u.space is not self.space:
+            u = as_open(u, self.space)
+        return self.forall_fn(u)
 
     def as_point(self) -> Point:
         return Point(compacts(self.space), self)
@@ -179,11 +183,20 @@ def check_fun(f: Point, dom: Space) -> None:
 
 
 def section(x: Point, u: OpenSet) -> OpenSet:
-    """The slice {y : (x, y) in U} of an open over a product."""
-    if u.space.tag != "product":
-        raise SpaceMismatch(f"section over {u.space!r}")
-    check_space(x, u.space.parts[0])
-    return OpenSet(u.space.parts[1], lambda y: u.chi(pair_point(x, y)))
+    """The slice {y : (x, y) in U} of an open over a product; each pair is
+    built over U's own space, so a y over another space is refused here."""
+    sp = u.space
+    if sp.tag != "product":
+        raise SpaceMismatch(f"section over {sp!r}")
+    ys = sp.parts[1]
+    check_space(x, sp.parts[0])
+
+    def chi(y: Point) -> SValue:
+        if y.space is not ys:
+            raise SpaceMismatch(f"point lives over {y.space!r}, expected {ys!r}")
+        return u.chi(Point(sp, (x, y)))
+
+    return OpenSet(ys, chi)
 
 
 def product_open(v: OpenSet, u: OpenSet) -> OpenSet:

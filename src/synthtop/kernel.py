@@ -82,7 +82,8 @@ class Name:
     ``first`` is the first clean emission ``(value, step, cost(0))``, set
     by the canonical run when it appends its first value with no error
     before it, and None until then (or forever, behind an error); a
-    `map_name` image may hold it, and its source's ``leaves``, at once.
+    `map_name` image may hold it, and its source's ``leaves``, at once,
+    and `peek` may set it by taking the run's first step early.
     ``leaves`` belongs to the Sierpinski layer: the name's shared pair of
     known finite-leaf outcomes (accept at ``step``, never), built from
     ``first`` on first use.
@@ -135,6 +136,20 @@ class Name:
                               None if self.cost is None else self.cost(0))
             self._vals.append(out)
             self._costs.append(self._steps)
+
+    def peek(self) -> Optional[tuple[int, int, Optional[int]]]:
+        """``first``, after taking the canonical run's first step if no
+        step is taken yet and ``cost(0) == 1``: one bounded step that every
+        reader takes first.  An error there is recorded against step 1
+        (`advance`) and raised again by the readers that reach it; any
+        other cold name is left alone."""
+        if self.first is None and self._steps == 0 and self.cost is not None \
+                and self.cost(0) == 1:
+            try:
+                self.advance()
+            except Exception:  # kept at step 1 for the readers to raise
+                pass
+        return self.first
 
     def prefix(self, k: int, max_steps: int) -> list[int]:
         """First k values, driving the canonical run to at most max_steps."""

@@ -37,6 +37,9 @@ MAX_EXHAUSTIVE = 4
 # space, its up-sets and the generated topology grow exponentially in
 # both, and a query on 12 singleton sets already takes seconds.
 MAX_SUBBASE_SIZE = 10
+# Largest carrier a plain-space file may give: the specialization order
+# alone has up to n^2 pairs to compute and print.
+MAX_SPACE_SIZE = 64
 
 
 def full_mask(n: int) -> int:
@@ -507,6 +510,9 @@ def space_from_json(doc: dict) -> FiniteSpace:
     # any mask of n bits is built
     if n > max(map(len, opens), default=0):
         raise SchemaError(missing)
+    if n > MAX_SPACE_SIZE:
+        raise SchemaError(f"field 'n': a space carrier has at most "
+                          f"{MAX_SPACE_SIZE} points, got {n}")
     masks = {mask_of(u) for u in opens}
     if 0 not in masks or full_mask(n) not in masks:
         raise SchemaError(missing)

@@ -51,8 +51,9 @@ class SValue:
     construction: the exact acceptance step, or `NEVER`.  The combinators
     fold it from children that are all known (constants, finite
     conjunctions and disjunctions, and reads of names whose first values
-    are already cached).  Its ``make`` returns a flat stepper accepting at
-    that step, or ``never``, so an unknown parent steps it as a leaf.
+    are cached or due at their first step).  Its ``make`` returns a flat
+    stepper accepting at that step, or ``never``, so an unknown parent
+    steps it as a leaf.
 
     No code writes a slot after ``__init__``: the state of a run lives on
     a `Query`, one per observation."""
@@ -325,10 +326,12 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
     else:
         items = family if type(family) is list else list(family)
         size = len(items)
-    # task i accepting at its own step k lands at dovetail_bound(i, k, size)
+    # task i accepting at its own step k lands at dovetail_bound(i, k, size);
+    # a child known to accept at its bound reuses the bound's landing
     bound: Optional[int] = 0
     known: Union[int, float, None] = NEVER
     for i, v in enumerate(items):
+        b = t = None
         if bound is not None:
             b = v.bound
             if b is None:
@@ -342,7 +345,8 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
             if k is None:
                 known = None
             elif k != NEVER:
-                t = dovetail_bound(i, k, size)
+                if k != b:
+                    t = dovetail_bound(i, k, size)
                 if t < known:
                     known = t
     if known is not None:
@@ -361,15 +365,18 @@ def read_names(names: Sequence[Name], then: Callable[..., SValue],
     goes ``never``, and any other is stepped from the next step (`_Read`).
     ``bound`` is ``inner_bound``, which must dominate the bound of every
     continuation, plus the names' ``cost(0)`` (None if any is unknown).
-    When every name's first clean emission is cached (`Name.first`),
-    ``then`` is called here and the value is known if the continuation is;
-    one that raises is called again by the stepping run, so the error
-    surfaces at the arrival step."""
+    When every name's first clean emission is cached (`Name.first`), or
+    arrives at its name's first step (`Name.peek`), ``then`` is called
+    here and the value is known if the continuation is; one that raises
+    is called again by the stepping run, so the error surfaces at the
+    arrival step."""
     bound = inner_bound
     vals: Optional[list[int]] = []
     at = 0
     for nm in names:
         first = nm.first
+        if first is None and vals is not None:
+            first = nm.peek()
         if bound is not None:
             if first is not None:
                 c0 = first[2]
@@ -399,15 +406,18 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     ``decide(*values)``: the leaf of every finite-table open, and
     `read_names` continuing with `top` or `bot` by the table, so ``bound``
     is the sum of the names' ``cost(0)`` and a rejected read goes
-    ``never``.  One warm name answers with one of its two shared known
+    ``never``.  One warm name, or one whose first value is due at its
+    first step (`Name.peek`), answers with one of its two shared known
     values (`Name.leaves`: accept at its first step, or never), built once
-    per name, so a warm leaf is a lookup; several warm names fold in
+    per name, so a warm leaf is a lookup; several such names fold in
     `read_names` to one known value at the sum of their first steps.  An
     exception from ``decide`` is left to the stepping run, so it surfaces
     at the arrival step and nothing is cached for it."""
     if len(names) == 1:
         nm = names[0]
         first = nm.first
+        if first is None:
+            first = nm.peek()
         if first is not None:
             try:
                 ok = decide(first[0])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import synthtop
 from synthtop.cli import MAX_REPAIR_BITS, main
-from synthtop.oracle import MAX_SUBBASE_SIZE
+from synthtop.oracle import MAX_SPACE_SIZE, MAX_SUBBASE_SIZE
 from synthtop.reals import MAX_DECIMAL_DIGITS, parse_decimal
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_max_size_2.jsonl"
@@ -315,6 +315,21 @@ def test_spaces_subbase_at_cap_answers(tmp_path, capsys):
     f.write_text(json.dumps({"n": m, "sets": [[i] for i in range(m)]}))
     code, out, _ = run(capsys, "spaces", str(f), "--query", "t0")
     assert code == 0 and json.loads(out) == {"t0": True}
+
+
+def test_spaces_oversize_plain_space_exits_2(tmp_path, capsys):
+    # the indiscrete space lists its full carrier in a few kB, but its
+    # order has n^2 pairs: one point past the cap is refused, not printed
+    f = tmp_path / "wide.json"
+    for n, code_want in ((MAX_SPACE_SIZE, 0), (MAX_SPACE_SIZE + 1, 2)):
+        f.write_text(json.dumps({"n": n, "opens": [[], list(range(n))]}))
+        code, out, err = run(capsys, "spaces", str(f), "--query", "order")
+        assert code == code_want
+        assert "Traceback" not in err
+        if code_want:
+            assert out == "" and "'n'" in err
+        else:
+            assert len(json.loads(out)["order"]) == n * n
 
 
 # --- the command line on generated input ---------------------------------

@@ -13,6 +13,7 @@ from synthtop.hyper import (OpenSet, as_open, attach_product_witnesses,
                             point_to_closed, point_to_compact, product_closed,
                             product_open, section, trace_embed, trace_invert,
                             whole_open)
+from synthtop.laws import _product_leaf_open
 from synthtop.oracle import (budgeted, closure, compact_members,
                              family_compact, family_overt, finite_point,
                              finite_repr, leaf_compact, leaf_open, leaf_overt,
@@ -97,6 +98,35 @@ def test_section_of_rectangle_is_factor():
     assert open_members(spx, sec) == 0b10
     empty = product_open(leaf_open(spx, 0), leaf_open(spx, 0b10))
     assert open_members(spx, section(finite_point(spx, 1), empty)) == 0
+
+
+def test_section_refuses_a_point_over_another_space():
+    # the slice pairs y over the product it holds, so a foreign y is
+    # refused there, even under a leaf that reads names and checks nothing
+    spx, spy = finite_repr(SIERP2), finite_repr(CHAIN3)
+    sec = section(finite_point(spx, 1), _product_leaf_open(spx, spy, 3, 0b111000))
+    assert [budgeted(sec.chi(finite_point(spy, j))) for j in range(3)] == [
+        True] * 3
+    for foreign in (finite_point(spx, 0), nat_point(0)):
+        with pytest.raises(SpaceMismatch):
+            sec.chi(foreign)
+    with pytest.raises(SpaceMismatch):
+        section(finite_point(spy, 0), _product_leaf_open(spx, spy, 3, 0))
+
+
+def test_quantifiers_take_opens_of_their_own_space_only():
+    sp, other = finite_repr(SIERP2), finite_repr(CHAIN3)
+    lo = leaf_open(sp, 0b10)
+    as_fun = fun_point(sp, SIERP, lambda x: sierp_point(lo.chi(x)))
+    for q in (leaf_overt(sp, 0b11).exists_, leaf_compact(sp, 0b10).forall_):
+        for foreign in (leaf_open(other, 0b100),
+                        leaf_open(other, 0b100).as_point(),
+                        finite_point(sp, 1)):
+            with pytest.raises(SpaceMismatch):
+                q(foreign)
+        for u in (lo, lo.as_point(), as_fun):
+            assert budgeted(q(u))
+        assert not budgeted(q(leaf_open(sp, 0)), NEGATIVE_FUEL)
 
 
 def test_product_open_is_rectangle():

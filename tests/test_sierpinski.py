@@ -241,25 +241,38 @@ def test_first_accepting_charges_the_tally_when_a_task_raises():
 # --- read_table against nested one-name reads -----------------------------
 
 
+def _read_bound(names, inner_bound):
+    """The bound `read_names` certifies: ``inner_bound`` plus each name's
+    ``cost(0)``, None if any is unknown."""
+    bound = inner_bound
+    for nm in names:
+        c0 = nm.cost(0) if nm.cost is not None else None
+        bound = None if bound is None or c0 is None else bound + c0
+    return bound
+
+
+def _stepped_read(names, then, inner_bound):
+    """`read_names` that never folds: its `_Read` stepper, run from step
+    one."""
+    return SValue(lambda: _Read(names, then), _read_bound(names, inner_bound))
+
+
+def _stepped_table(names, decide):
+    """`read_table` that never folds (`_stepped_read`)."""
+    return _stepped_read(names, lambda *vs: top() if decide(*vs) else bot(),
+                         0)
+
+
 def _nested_reads(names, decide):
-    """The reference: a one-name `read_names` per name, continuing with
+    """The reference: a stepped one-name read per name, continuing with
     top()/bot() by the table after the last read."""
 
     def go(i, vals):
         rest = names[i + 1:]
-        hint = 0
-        for nm in rest:
-            c0 = nm.cost(0) if nm.cost is not None else None
-            if c0 is None:
-                hint = None
-                break
-            hint += c0
         if not rest:
-            return read_names(
-                (names[i],), lambda v: top() if decide(*vals, v) else bot(),
-                inner_bound=0)
-        return read_names((names[i],), lambda v: go(i + 1, vals + (v,)),
-                          inner_bound=hint)
+            return _stepped_table((names[i],), lambda v: decide(*vals, v))
+        return _stepped_read((names[i],), lambda v: go(i + 1, vals + (v,)),
+                             _read_bound(rest, 0))
 
     return go(0, ())
 
@@ -396,7 +409,10 @@ def test_mapped_names_fold_as_stepped_reads(table, spec, warm, leaves, other,
             nm = _make_name(other[0])
             _drive(nm, other[1])
             names.append(nm)
-        leaf = read_table(names, decide)
+        if kind == "cold":
+            leaf = _stepped_table(names, decide)
+        else:
+            leaf = read_table(names, decide)
         if ctx == "or":
             return img, leaf, or_countable([bot(), leaf, accept_at(25)])
         if ctx == "and":
@@ -461,7 +477,90 @@ def test_leaf_open_reads_as_its_table(spec, warm, mask, leaves):
     new = leaf_open(sp, mask).chi(Point(sp, build()))
     ref = read_table((build(),), lambda v: mask >> v & 1)
     assert (new.known, new.bound) == (ref.known, ref.bound)
-    assert _observe(new, range(31)) == _observe(ref, range(31))
+    stepped = _stepped_table((build(),), lambda v: mask >> v & 1)
+    assert _observe(new, range(31)) == _observe(stepped, range(31))
+
+
+# --- cold first reads: a name whose first value is due at step 1 ---------
+
+
+def _cold_name(kind, v):
+    """A cold name with ``cost(0) == 1`` whose first step emits ``v``,
+    raises (a negative emission), or is silent (a cost that is wrong about
+    the first value, which must not fold)."""
+    head = {"value": [v], "raises": [-1], "silent": [None]}[kind]
+    return Name(lambda: iter(head + [v] * 80), cost=lambda i: i + 1)
+
+
+def _cold_read(via, nm, decide):
+    if via == "read_table":
+        return read_table((nm,), decide)
+    if via == "leaf_open":
+        sp = finite_repr(make_space(4, [0, 0b1111]))
+        return leaf_open(sp, sum(1 << x for x in range(4) if decide(x))).chi(
+            Point(sp, nm))
+    return read_names((nm,), lambda x: accept_at(x) if decide(x) else bot(),
+                      inner_bound=3)
+
+
+def _stepped_cold_read(via, nm, decide):
+    if via == "read_names":
+        return _stepped_read((nm,), lambda x: accept_at(x) if decide(x)
+                             else bot(), 3)
+    return _stepped_table((nm,), decide)
+
+
+@given(st.sampled_from(["value", "raises", "silent"]), st.integers(0, 3),
+       st.integers(0, 15),
+       st.sampled_from(["read_table", "read_names", "leaf_open"]),
+       st.sampled_from(["alone", "or", "and"]))
+@settings(max_examples=300, deadline=None)
+def test_cold_first_read_folds_as_its_stepped_read(kind, v, mask, via, ctx):
+    def decide(x):
+        return bool(mask >> x & 1)
+
+    def wrap(leaf):
+        if ctx == "or":
+            return or_countable([bot(), leaf, accept_at(25)])
+        if ctx == "and":
+            return and_finite([accept_at(2), leaf])
+        return leaf
+
+    nm = _cold_name(kind, v)
+    leaf = _cold_read(via, nm, decide)
+    assert nm.steps == 1  # the one step every reader takes first
+    stepped = _stepped_cold_read(via, _cold_name(kind, v), decide)
+    assert leaf.bound == stepped.bound
+    if kind == "value":
+        warm = _cold_name(kind, v)
+        _warm(warm, 1)
+        ref = _cold_read(via, warm, decide)
+        assert leaf.known is not None
+        assert (leaf.known, leaf.bound) == (ref.known, ref.bound)
+    else:
+        assert leaf.known is None
+    fuels = range(61)
+    assert _observe(wrap(leaf), fuels) == _observe(wrap(stepped), fuels)
+    if kind == "raises":
+        # raised again at every fuel from its step on, and never accepted
+        obs = _observe(_cold_read(via, _cold_name(kind, v), decide), fuels)
+        assert obs[0] == (("ok", None), 0)
+        assert all(got[0] == "raised" for got, _ in obs[1:])
+
+
+@pytest.mark.parametrize("via", ["read_table", "read_names", "leaf_open"])
+def test_names_not_due_at_their_first_step_stay_cold(via):
+    # cost(0) >= 2, or no cost at all: the first value may be far off, so
+    # building the read takes no step of the name
+    for nm in (delayed_name([(1, 2)], tail=2), delayed_name([(3, 0)]),
+               Name(lambda: iter([2]))):
+        leaf = _cold_read(via, nm, lambda x: x == 2)
+        assert nm.steps == 0 and leaf.known is None
+    # a name due at step 1 behind a cold one is not read early either
+    late = delayed_name([(2, 1)], tail=1)
+    due = _cold_name("value", 1)
+    assert read_table((late, due), lambda a, b: a == b).known is None
+    assert late.steps == due.steps == 0
 
 
 def test_read_table_answers_cached_names_without_a_reader():
@@ -728,8 +827,9 @@ def fold_trees(draw, depth=0):
 
 def _fold_build(tree, fold):
     """The value of ``tree``.  Stepped (``fold`` false): every leaf is
-    rewrapped without its known outcome and names are read cold, so every
-    combinator builds real steppers.  Folded: names are warmed first."""
+    rewrapped without its known outcome and names are read cold by their
+    `_Read` steppers, so every combinator builds real steppers.  Folded:
+    names are warmed first."""
 
     def name(spec):
         nm = _make_name(spec[0])
@@ -754,6 +854,8 @@ def _fold_build(tree, fold):
                 raise LookupError("no row for 2")
             return sum(vals) <= cut
 
+        if not fold:  # a cold name due at step 1 would fold (`Name.peek`)
+            return _stepped_table([name(sp) for sp in specs], decide)
         v = read_table([name(sp) for sp in specs], decide)
     elif tag == "unknown":
         v = _fold_build(tree[1], fold)
@@ -775,8 +877,32 @@ def _fold_build(tree, fold):
 
         bounds = [_fold_build(t, fold).bound for t in kids]
         inner = None if None in bounds else max(bounds)
+        if not fold:
+            return _stepped_read((name(spec),), k, inner)
         return read_names((name(spec),), k, inner_bound=inner)
     return v if fold else SValue(v.make, v.bound)
+
+
+@given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 8)),
+                          st.integers(0, 4)), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_or_fold_over_children_known_before_their_bound(kids):
+    # child i accepts at k (None: never) under the bound k + extra, so a
+    # child's known landing may or may not be its bound's landing
+    def child(k, extra):
+        return SValue(None, (k or 0) + extra, NEVER if k is None else k)
+
+    folded = or_countable([child(k, e) for k, e in kids])
+    stepped = or_countable([SValue(child(k, e).make, child(k, e).bound)
+                            for k, e in kids])
+    n = len(kids)
+    want = min((dovetail_bound(i, k, n) for i, (k, _) in enumerate(kids)
+                if k is not None), default=NEVER)
+    assert folded.known == want
+    assert folded.bound == stepped.bound == max(
+        (dovetail_bound(i, (k or 0) + e, n) for i, (k, e) in enumerate(kids)),
+        default=0)
+    assert _observe(folded, range(61)) == _observe(stepped, range(61))
 
 
 @given(fold_trees(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
