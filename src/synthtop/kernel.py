@@ -17,7 +17,7 @@ raise `EncodingError`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -78,6 +78,10 @@ class Name:
     An exception raised at a canonical step (a negative emission, say) is
     recorded with that step and raised again in every reader reaching it,
     so replay stays exact on error paths too.
+
+    `run_to` drives the canonical run to a given step in one call; here
+    it is the `advance` loop, and a subclass whose run is arithmetic may
+    jump, provided `advance` stays ``run_to(steps + 1)``.
 
     ``first`` is the first clean emission ``(value, step, cost(0))``, set
     by the canonical run when it appends its first value with no error
@@ -150,6 +154,12 @@ class Name:
             except Exception:  # kept at step 1 for the readers to raise
                 pass
         return self.first
+
+    def run_to(self, t: int) -> None:
+        """Drive the canonical run to step ``t`` (no-op if it is there); an
+        error at a step on the way is recorded and raised, as by `advance`."""
+        while self._steps < t:
+            self.advance()
 
     def prefix(self, k: int, max_steps: int) -> list[int]:
         """First k values, driving the canonical run to at most max_steps."""
@@ -256,17 +266,22 @@ def decode_enum(p: Name, fuel: int) -> set[int]:
     under-approximation of the set the name enumerates.  The all-zero name
     decodes to the empty set at every fuel.
 
-    Fuel counts generator steps, the uniform budget used everywhere in this
-    package; for names that emit one value per step this is the same as
-    counting emitted values.
+    Fuel counts steps of the name's canonical run, the uniform budget used
+    everywhere in this package; for names that emit one value per step
+    this is the same as counting emitted values.  The run is driven to
+    ``fuel`` in one `Name.run_to` call and the values of cost at most
+    ``fuel`` are read off its cache, so the answer, and the exception at
+    the earliest error step within ``fuel``, are those of a `NameReader`
+    stepped ``fuel`` times, however far other readers have driven ``p``.
     """
-    r = NameReader(p)
-    out: set[int] = set()
-    for _ in range(fuel):
-        v = r.step()
-        if v is not None and v >= 1:
-            out.add(v - 1)
-    return out
+    errs = p._errs
+    if errs is not None:
+        s = min(errs)
+        if s <= fuel:
+            raise errs[s]
+    p.run_to(fuel)  # none recorded within fuel: the first it meets is earliest
+    n = bisect_right(p._costs, fuel)
+    return {v - 1 for v in p._vals[:n] if v >= 1}
 
 
 # ---------------------------------------------------------------------------

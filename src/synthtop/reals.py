@@ -26,6 +26,7 @@ integer operations and one known-outcome race of seven windows.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,8 @@ from typing import Callable, Iterator, List, Optional
 
 from .bases import Presubbase, kolmogorov_completion
 from .hyper import OpenSet
-from .kernel import (Dovetail, EncodingError, Name, NameReader, pair, unpair,
-                     zigzag, zigzag_inv)
+from .kernel import (Dovetail, EncodingError, Name, NameReader,
+                     dovetail_bound, pair, unpair, zigzag, zigzag_inv)
 from .sierpinski import DEFAULT_FUEL, NEVER, SValue, first_accepting
 from .spaces import NAT, Point, Space, on_value
 
@@ -300,7 +301,8 @@ def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
         a = Fraction(a)
     if not isinstance(b, Fraction):
         b = Fraction(b)
-    if not a < b:
+    # a < b by cross-multiplication, without Fraction's ABC dispatch
+    if not a.numerator * b.denominator < b.numerator * a.denominator:
         raise EncodingError(f"need a < b, got {a} >= {b}")
 
     def chi(d: Point) -> SValue:
@@ -375,10 +377,55 @@ class _QueueOnAccept:
         return False
 
 
+class _DecimalEnumName(Name):
+    """`enum_subbase_name` of a `DecimalName` point, run by arithmetic.
+    Every membership of such a point is known, so task i, instantiated at
+    its slot ``dovetail_bound(i, 0)``, emits i+1 at ``dovetail_bound(i,
+    max(k, 1))`` if its membership accepts at step k, and never if it
+    never does: `_QueueOnAccept` steps its membership at least once before
+    queueing.  Slots never coincide, so at most one value is due a step.
+    `run_to` jumps; `advance` is one step of the same schedule."""
+
+    __slots__ = ("point", "tasks", "due")
+
+    def __init__(self, d: Point):
+        super().__init__(None)
+        self.point = d
+        self.tasks = 0  # tasks instantiated so far
+        self.due: list[tuple[int, int]] = []  # sorted (step, index+1)
+
+    def advance(self) -> None:
+        self.run_to(self._steps + 1)
+
+    def run_to(self, t: int) -> None:
+        if t <= self._steps:
+            return
+        i, due, d = self.tasks, self.due, self.point
+        while dovetail_bound(i, 0) <= t:
+            k = interval_open_decimal(*interval_for_index(i)).chi(d).known
+            if k != NEVER:
+                insort(due, (dovetail_bound(i, max(k, 1)), i + 1))
+            i += 1
+        self.tasks = i
+        n = bisect_left(due, (t + 1,))
+        for s, v in due[:n]:
+            if not self._vals:
+                self.first = (v, s, None)
+            self._vals.append(v)
+            self._costs.append(s)
+        del due[:n]
+        self._steps = t
+
+
 def enum_subbase_name(d: Point) -> Name:
     """The enumerated-set name of a decimal under the interval subbase:
     dovetail every interval membership query, one scheduler step per name
-    step, and emit index+1 whenever one accepts."""
+    step, and emit index+1 whenever one accepts.  A `DecimalName` point
+    gets a `_DecimalEnumName`, the same emissions at the same steps
+    computed from its known memberships; any other point steps the
+    `Dovetail` below, which is the reference."""
+    if isinstance(d.payload, DecimalName):
+        return _DecimalEnumName(d)
 
     def gen() -> Iterator[Optional[int]]:
         ready: deque = deque()

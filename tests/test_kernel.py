@@ -87,6 +87,120 @@ def test_decode_enum_monotone_and_planted():
         assert small <= decode_enum(nm, 1000) == planted
 
 
+def _reader_decode(p, fuel):
+    """`decode_enum` as a `NameReader` loop: the reference."""
+    r = NameReader(p)
+    out = set()
+    for _ in range(fuel):
+        v = r.step()
+        if v is not None and v >= 1:
+            out.add(v - 1)
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return "set", f(*args)
+    except Exception as exc:
+        return "raised", exc
+
+
+def _failing_at(s):
+    """A generator name that emits 1, 2, ... and raises at step s."""
+    def gen():
+        for t in range(1, s):
+            yield t if t % 3 else None
+        raise RuntimeError(f"step {s}")
+    return Name(gen)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: literal_name([3, 1, 4, 1, 5], tail=0),
+    lambda: literal_name([2, 7], tail=None),
+    lambda: literal_name([], tail=9),
+    lambda: delayed_name([(2, 5), (0, 1), (4, 8)], tail=3),
+    lambda: delayed_name([(3, 2)], tail=None),
+    lambda: _failing_at(1),
+    lambda: _failing_at(12),
+    lambda: Name(lambda: iter([3, -1, 7, -2, 5])),
+])
+def test_bulk_decode_enum_matches_the_reader_loop(make):
+    fuels = range(-1, 41)
+    # fresh names, one per fuel: the same set, or an error at the same step
+    for fuel in fuels:
+        got, want = _outcome(decode_enum, make(), fuel), \
+            _outcome(_reader_decode, make(), fuel)
+        assert got[0] == want[0], fuel
+        if got[0] == "set":
+            assert got[1] == want[1], fuel
+        else:
+            assert type(got[1]) is type(want[1]) \
+                and str(got[1]) == str(want[1]), fuel
+    # one shared name, decoded in rising and falling fuel order and after
+    # a reader has driven its run past every fuel: the same exception
+    # object as the reader loop, at every fuel from its step on
+    for order in (list(fuels), list(reversed(fuels))):
+        nm = make()
+        for fuel in order:
+            got, want = _outcome(decode_enum, nm, fuel), \
+                _outcome(_reader_decode, nm, fuel)
+            assert got[0] == want[0] and (got[1] == want[1] if got[0] == "set"
+                                          else got[1] is want[1]), fuel
+    nm = make()
+    r = NameReader(nm)
+    for _ in range(60):
+        try:
+            r.step()
+        except Exception:
+            pass
+    assert nm.steps >= 60
+    for fuel in fuels:
+        got, want = _outcome(decode_enum, nm, fuel), \
+            _outcome(_reader_decode, nm, fuel)
+        assert got[0] == want[0] and (got[1] == want[1] if got[0] == "set"
+                                      else got[1] is want[1]), fuel
+
+
+def test_bulk_decode_enum_raises_the_earliest_error_within_fuel():
+    nm = _failing_at(12)
+    assert decode_enum(nm, 11) == {0, 1, 3, 4, 6, 7, 9, 10}
+    with pytest.raises(RuntimeError) as first:
+        decode_enum(nm, 12)
+    for fuel in (12, 13, 40):
+        with pytest.raises(RuntimeError) as again:
+            decode_enum(nm, fuel)
+        assert again.value is first.value
+    assert decode_enum(nm, 11) == {0, 1, 3, 4, 6, 7, 9, 10}
+    # two errors: every fuel past the first raises the first one
+    nm = Name(lambda: iter([3, -1, 7, -2, 5]))
+    assert decode_enum(nm, 1) == {2}
+    errs = [_outcome(decode_enum, nm, fuel)[1] for fuel in (5, 2, 4, 3)]
+    assert all(isinstance(e, EncodingError) for e in errs)
+    assert all(e is errs[0] for e in errs)
+    assert str(errs[0]) == "name emitted -1; naturals only"
+    # a factory that raises: the reader's first step raises it
+    def factory():
+        raise KeyError("factory")
+    nm = Name(factory)
+    assert decode_enum(nm, 0) == set()
+    for fuel in (1, 5):
+        with pytest.raises(KeyError):
+            _reader_decode(nm, fuel)
+        with pytest.raises(KeyError):
+            decode_enum(nm, fuel)
+
+
+def test_run_to_drives_the_canonical_run():
+    nm = delayed_name([(2, 5), (0, 1)], tail=None)
+    nm.run_to(0)
+    assert nm.steps == 0
+    nm.run_to(4)
+    assert nm.steps == 4 and nm.prefix(5, 4) == [5, 1]
+    nm.run_to(2)
+    assert nm.steps == 4
+    assert nm.first == (5, 3, 3)
+
+
 def test_dovetail_accepts_any_accepting_task():
     tasks = [bot(), accept_at(1), bot()]
     engine = Dovetail(lambda i: tasks[i].make(), 3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from synthtop.bases import kolmogorov_completion
+from synthtop.hyper import OpenSet
 from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
                              decode_enum, dovetail_bound, literal_name,
                              zigzag)
@@ -128,6 +129,12 @@ def _interval_cases(draw):
     return spec, delay, a, b
 
 
+def _stepped_twin(d):
+    """The same point with a plain `Name` payload (the same emissions and
+    cost, without the spec): nothing about it is folded."""
+    return Point(DECIMAL, Name(d.payload._factory, cost=d.payload.cost))
+
+
 def _charged(sv, fuel):
     before = TALLY.n
     return sv.status(fuel), TALLY.n - before
@@ -147,9 +154,7 @@ def test_folded_interval_membership_matches_the_stepper(case):
     spec, delay, a, b = case
     d = decimal_point(spec, delay)
     folded = interval_open_decimal(a, b).chi(d)
-    # the same emissions and cost, without the spec: read by the stepper
-    plain = Point(DECIMAL, Name(d.payload._factory, cost=d.payload.cost))
-    stepped = interval_open_decimal(a, b).chi(plain)
+    stepped = interval_open_decimal(a, b).chi(_stepped_twin(d))
     assert stepped.known is None
     assert folded.bound is None
     k = folded.known
@@ -387,6 +392,86 @@ def test_enum_subbase_name_emits_at_the_reference_steps():
         want = _reference_enum_steps(decimal_point(spec, delay=delay), 10_000)
         assert got == want, text
         assert got, text
+
+
+def _emissions(nm, steps):
+    """(step, value) of every emission a fresh reader sees in ``steps``."""
+    r, out = NameReader(nm), []
+    for t in range(1, steps + 1):
+        v = r.step()
+        if v is not None:
+            out.append((t, v))
+    return out
+
+
+_FOLD_TEXTS = ["0.3(3)", "-0.3(3)", "0.5", "-1.25", "1.(142857)", "-0",
+               "0.9(9)", "-1.0(72)"]
+
+
+@pytest.mark.parametrize("text", _FOLD_TEXTS)
+@pytest.mark.parametrize("delay", [0, 1, 2])
+def test_folded_enum_name_matches_the_stepped_dovetail(text, delay):
+    d = decimal_point(parse_decimal(text), delay)
+    twin = _stepped_twin(d)
+    assert type(enum_subbase_name(twin)) is Name
+    want = _emissions(enum_subbase_name(twin), 10_000)
+    assert want, text
+    assert _emissions(enum_subbase_name(d), 10_000) == want
+    jumped = enum_subbase_name(d)
+    jumped.run_to(10_000)
+    assert list(zip(jumped._costs, jumped._vals)) == want
+    assert jumped.steps == 10_000
+    for fuel in (-1, 0, 1, 2, 3, 7, 50, 299, 300, 301, 1234, 10_000):
+        assert decode_enum(enum_subbase_name(d), fuel) \
+            == decode_enum(enum_subbase_name(twin), fuel), fuel
+    # one name, read in turn by a reader, a long decode and a short one
+    nm = enum_subbase_name(d)
+    r = NameReader(nm)
+    seen = [(t, v) for t in range(1, 501) if (v := r.step()) is not None]
+    assert seen == [(t, v) for t, v in want if t <= 500]
+    assert decode_enum(nm, 10_000) == {v - 1 for _, v in want}
+    assert decode_enum(nm, 300) == {v - 1 for t, v in want if t <= 300}
+    assert nm.first == (want[0][1], want[0][0], None)
+
+
+def test_folded_enum_schedule_matches_the_dovetail_for_any_known_outcome(
+        monkeypatch):
+    """Decimal memberships accept at step 2 or later; with every known
+    outcome forced (0 and 1 included) the fold still lands each emission
+    where the `Dovetail` run queues it."""
+    import synthtop.reals as reals
+
+    outcomes = (0, 1, 2, 5, NEVER, 3)
+
+    def forced(a, b):
+        k = outcomes[(a.numerator * 7 + b.denominator * 3) % len(outcomes)]
+        return OpenSet(DECIMAL, lambda d: SValue(None, None, k))
+
+    monkeypatch.setattr(reals, "interval_open_decimal", forced)
+    d = decimal_point(parse_decimal("0.3(3)"))
+    want = _emissions(enum_subbase_name(_stepped_twin(d)), 3_000)
+    assert {k for k in outcomes if k != NEVER} <= {
+        forced(*interval_for_index(v - 1)).chi(d).known for _, v in want}
+    assert _emissions(enum_subbase_name(d), 3_000) == want
+
+
+def test_interval_open_decimal_refuses_empty_and_reversed_intervals():
+    cases = [((Fraction(1, 3), Fraction(1, 3)), "1/3 >= 1/3"),
+             ((Fraction(1, 2), Fraction(-1, 2)), "1/2 >= -1/2"),
+             ((1, 1), "1 >= 1"),
+             ((2, -3), "2 >= -3"),
+             ((0.5, 0.5), "1/2 >= 1/2"),
+             ((2.5, 0.25), "5/2 >= 1/4"),
+             ((-0.5, Fraction(-1, 2)), "-1/2 >= -1/2")]
+    for (a, b), got in cases:
+        with pytest.raises(EncodingError) as err:
+            interval_open_decimal(a, b)
+        assert str(err.value) == f"need a < b, got {got}"
+    d = decimal_point(parse_decimal("0.4(3)"))  # 13/30
+    for a, b in ((Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 2), -0.25),
+                 (Fraction(3, 7), Fraction(4, 9)), (-1, 0.5), (2, 3)):
+        k = interval_open_decimal(a, b).chi(d).known
+        assert (k != NEVER) == (a < Fraction(13, 30) < b), (a, b)
 
 
 def test_repair_examples():
