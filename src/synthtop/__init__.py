@@ -16,7 +16,7 @@ from .spaces import (MissingWitnessError, Point, Space, SpaceMismatch,
                      uncurry)
 from .hyper import (CompactSat, OpenSet, OvertClosed, compact_image,
                     compact_intersection, compact_open_embed, compact_union,
-                    filter_embed, membership, neighborhood_filter,
+                    filter_embed, neighborhood_filter,
                     overt_union, point_to_closed, point_to_compact, section)
 from .bases import (Completion, GaloisWitness, LacombeBase,
                     Presubbase, base_completion, galois_backward,
@@ -24,7 +24,7 @@ from .bases import (Completion, GaloisWitness, LacombeBase,
                     presubbase_space, transpose)
 from .oracle import (FiniteSpace, FiniteSubbase, enumerate_spaces,
                      figure1_check, generate_topology, is_T0, saturate,
-                     scott_converges, specialization, tau_K)
+                     specialization, tau_K)
 from .laws import LAWS, LawReport, run_law_suite
 
 __version__ = "0.1.0"

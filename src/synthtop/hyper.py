@@ -131,15 +131,6 @@ def as_compact(k, space: Optional[Space] = None) -> CompactSat:
 
 
 # ---------------------------------------------------------------------------
-# Membership and the evaluators
-
-
-def membership(u: OpenSet, x: Point) -> SValue:
-    check_space(x, u.space)
-    return u.chi(x)
-
-
-# ---------------------------------------------------------------------------
 # The computable hyperspace operations
 
 

@@ -302,12 +302,13 @@ class Dovetail:
     which.  The slice size is fixed at one step, and which tasks ever
     accept does not depend on it.
 
-    A task instantiated as a ``never`` stepper holds a dead slot.  `run`
-    jumps over dead slots by arithmetic but still counts each as one
-    step, so schedules, ``dovetail_bound`` landings and step counts are
-    those of one-at-a-time `step` calls, which stay the reference.  A
-    finite family whose tasks are all instantiated and all dead is itself
-    ``never``.
+    A task instantiated as a ``never`` stepper holds a dead slot; ``live``
+    lists the other instantiated tasks, from the first task on.  `run`
+    walks every round the same way, from one live task to the next, and
+    counts the dead slots between them by arithmetic, one step each; so
+    schedules, ``dovetail_bound`` landings and step counts are those of
+    one-at-a-time `step` calls, which stay the reference.  A finite family
+    whose tasks are all instantiated and all dead is itself ``never``.
     """
 
     __slots__ = ("family", "size", "steppers", "live", "rnd", "pos", "done",
@@ -317,8 +318,7 @@ class Dovetail:
         self.family = family
         self.size = size
         self.steppers: list = []
-        # indices of the live instantiated tasks; None while none is dead
-        self.live: Optional[list[int]] = None
+        self.live: list[int] = []  # indices of the live instantiated tasks
         self.rnd = 0
         self.pos = 0
         self.done = False  # an empty family stays pending forever
@@ -344,14 +344,10 @@ class Dovetail:
                 self.done = True
                 self.winner = i
                 return True
-            live = self.live
-            if s.never:
-                if live is None:
-                    live = self.live = list(range(i))
-                if i + 1 == size and not live:
-                    self.never = True
-            elif live is not None:
-                live.append(i)
+            if not s.never:
+                self.live.append(i)
+            elif i + 1 == size and not self.live:
+                self.never = True
         elif ss[i].step():
             self.done = True
             self.winner = i
@@ -368,42 +364,27 @@ class Dovetail:
 
     def run(self, budget: int) -> Optional[int]:
         """Advance up to ``budget`` steps; return how many were used if the
-        engine accepted, else None.  Same schedule as `step`, with dead
-        slots skipped in bulk; while there is none it is the plain loop."""
+        engine accepted, else None.  Same schedule as `step`, which takes
+        each instantiation slot; every round's instantiated tasks are
+        walked live task to live task, with the dead slots skipped in bulk."""
         used = 0
         size = self.size
         ss = self.steppers
-        step = self.step
+        live = self.live
         while used < budget:
             if self.never:
                 if size:  # every round now has ``size`` slots
                     self.rnd, self.pos = divmod(
                         self.rnd * size + self.pos + budget - used, size)
                 return None
-            live = self.live
             n = len(ss)
             i = self.pos
-            if live is None or i == n:
-                # dead slots appear only at instantiation: step plainly up
-                # to and including the next one, or to the budget once
-                # every task is instantiated
-                stop = budget
-                if n != size and used + n - i < budget:
-                    stop = used + n - i + 1
-                while used < stop:
-                    used += 1
-                    if step():
-                        return used
+            if i == n:  # this slot instantiates task n and ends round n
+                used += 1
+                if self.step():
+                    return used
                 continue
-            r = self.rnd
-            limit = r + 1 if size is None or r < size else size
-            end = n if n < limit else limit  # slot n, if in this round, spawns
-            k = bisect_left(live, i)
-            nl = len(live)
-            while k < nl:
-                j = live[k]
-                if j >= end:
-                    break
+            for j in live[bisect_left(live, i):]:
                 used += j - i  # the dead slots before j
                 if used >= budget:
                     self.pos = j - (used - budget)
@@ -415,16 +396,15 @@ class Dovetail:
                     self.winner = j
                     return used
                 i = j + 1
-                k += 1
-            used += end - i
+            used += n - i  # the dead slots after the last live task
             if used > budget:
-                self.pos = end - (used - budget)
+                self.pos = n - (used - budget)
                 return None
-            if end == limit:
-                self.rnd = r + 1
+            if n == size:  # every task is instantiated: the round ends
+                self.rnd += 1
                 self.pos = 0
             else:
-                self.pos = end
+                self.pos = n
         return None
 
 

@@ -120,8 +120,8 @@ def _rows(n: int, sets: Iterable[int]) -> tuple[int, ...]:
 def specialization(space: FiniteSpace) -> tuple[int, ...]:
     """Row i is the mask {j : i <= j}, i.e. the minimal open of i:
     i <= j iff every open containing i contains j.  Computed once per
-    space (spaces are frozen); saturation, closure, interior, up-sets and
-    minimal opens all read these rows."""
+    space (spaces are frozen); saturation, closure, up-sets and minimal
+    opens all read these rows."""
     return _rows(space.n, space.opens)
 
 
@@ -146,12 +146,6 @@ def saturate(space: FiniteSpace, a: int) -> int:
 def closure(space: FiniteSpace, a: int) -> int:
     rows = specialization(space)
     return mask_of(x for x in range(space.n) if rows[x] & a)
-
-
-def interior(space: FiniteSpace, a: int) -> int:
-    """The points whose minimal open lies inside a."""
-    rows = specialization(space)
-    return mask_of(x for x in range(space.n) if rows[x] & ~a == 0)
 
 
 def up_sets(space: FiniteSpace) -> tuple[int, ...]:
@@ -407,14 +401,13 @@ def tau_inf(sub: FiniteSubbase) -> FiniteSpace:
     """Topology generated by intersections along convergent index
     sequences.  On a finite index space a sequence converging to y can
     visit an arbitrary finite junk set before settling, so the generated
-    sets are exactly the intersections over S + {y} for finite S."""
+    sets are exactly the intersections over S + {y} for finite S: over
+    every nonempty index set.  ``gens[t]`` is the intersection over the
+    index set t, built from t less its lowest index."""
     gens = [full_mask(sub.n)]
-    for y in range(sub.m):
-        for s in range(1 << sub.m):
-            inter = sub.sets[y]
-            for z in bits(s):
-                inter &= sub.sets[z]
-            gens.append(inter)
+    for t in range(1, 1 << sub.m):
+        low = t & -t
+        gens.append(gens[t ^ low] & sub.sets[low.bit_length() - 1])
     return generate_topology(gens, sub.n)
 
 
@@ -442,42 +435,6 @@ def figure1_check(sub: FiniteSubbase) -> dict:
     }
     report["all_equal"] = sb == si == sk == sf
     return report
-
-
-# ---------------------------------------------------------------------------
-# Scott convergence on finite instances
-
-
-def scott_converges(space: FiniteSpace, terms: Sequence[int], u: int,
-                    cycle_start: Optional[int] = None) -> bool:
-    """Does the open sequence converge to U in the Scott sense?  The
-    criterion is containment of U in the union over k of the interiors of
-    the tail intersections.
-
-    ``terms`` lists opens up to stabilization; from ``cycle_start`` on the
-    listed tail repeats forever (default: the last term is constant).
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty sequence")
-    if cycle_start is None:
-        cycle_start = len(terms) - 1
-    if not 0 <= cycle_start < len(terms):
-        raise ValueError("cycle_start out of range; sequence must stabilize")
-    for t in list(terms) + [u]:
-        if t & ~full_mask(space.n):
-            raise ValueError("term not a subset of the carrier")
-    cycle = terms[cycle_start:]
-    cycle_inter = full_mask(space.n)
-    for t in cycle:
-        cycle_inter &= t
-    union = 0
-    for k in range(cycle_start + 1):
-        tail = cycle_inter
-        for t in terms[k:cycle_start]:
-            tail &= t
-        union |= interior(space, tail)
-    return u & ~union == 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, List, Optional
 from .bases import Presubbase, kolmogorov_completion
 from .hyper import OpenSet
 from .kernel import (Dovetail, EncodingError, Name, NameReader,
-                     dovetail_bound, pair, unpair, zigzag, zigzag_inv)
+                     dovetail_bound, unpair, zigzag)
 from .sierpinski import DEFAULT_FUEL, NEVER, SValue, first_accepting
 from .spaces import NAT, Point, Space, on_value
 
@@ -328,17 +328,6 @@ def interval_for_index(n: int) -> tuple[Fraction, Fraction]:
     return a, a + Fraction(u + 1, v + 1)
 
 
-def index_for_interval(a: Fraction, b: Fraction) -> int:
-    """The canonical index of (a, b) under `interval_for_index` (lowest
-    terms for both the endpoint and the width)."""
-    a, w = Fraction(a), Fraction(b) - Fraction(a)
-    if w <= 0:
-        raise EncodingError("need a < b")
-    i = pair(zigzag_inv(a.numerator), a.denominator - 1)
-    j = pair(w.numerator - 1, w.denominator - 1)
-    return pair(i, j)
-
-
 def rational_interval_subbase() -> Presubbase:
     """The countable subbase of rational intervals, indexed by N; the
     induced representation follows the enumerated-set convention."""
@@ -453,19 +442,6 @@ class CauchyName:
     denoted real."""
 
     level: Callable[[int], Fraction]
-
-    def as_name(self) -> Name:
-        """Levels coded as naturals (zigzag numerator paired with
-        denominator), one per step."""
-
-        def gen() -> Iterator[Optional[int]]:
-            n = 0
-            while True:
-                q = self.level(n)
-                yield pair(zigzag_inv(q.numerator), q.denominator - 1)
-                n += 1
-
-        return Name(gen, cost=lambda i: i + 1)
 
 
 def _digits_for_bits(n: int) -> int:

@@ -236,10 +236,6 @@ def apply_fun(f: Point, x: Point) -> Point:
     return f.payload(x)
 
 
-def identity_fun(x: Space) -> Point:
-    return fun_point(x, x, lambda p: p)
-
-
 def curry(f: Point) -> Point:
     fs = f.space
     if fs.tag != "function" or fs.parts[0].tag != "product":

@@ -8,7 +8,7 @@ from synthtop.hyper import (OpenSet, as_open, attach_product_witnesses,
                             compact_intersection, compact_open_embed,
                             compact_open_invert, compact_union, closed_image,
                             coproduct_closed, filter_embed, filter_invert,
-                            membership, nat_singleton_open,
+                            nat_singleton_open,
                             neighborhood_filter, overt_project, overt_union,
                             point_to_closed, point_to_compact, product_closed,
                             product_open, section, trace_embed, trace_invert,
@@ -23,7 +23,7 @@ from synthtop.sierpinski import (NEGATIVE_FUEL, SValue, and_finite, bot,
                                  first_accepting, top)
 from synthtop.spaces import (NAT, SIERP, MissingWitnessError, SpaceMismatch,
                              apply_fun, coproduct, curry, fun_point,
-                             identity_fun, nat_point, pair_point, product,
+                             nat_point, pair_point, product,
                              proj1, proj2, read_first, sierp_point,
                              sierp_value)
 
@@ -34,8 +34,8 @@ CHAIN3 = make_space(3, [0, 0b100, 0b110, 0b111])
 def test_membership_truth_table_on_sierpinski_space():
     sp = finite_repr(SIERP2)
     u = leaf_open(sp, 0b10)
-    assert membership(u, finite_point(sp, 1)).status(10) is not None
-    assert membership(u, finite_point(sp, 0)).status(NEGATIVE_FUEL) is None
+    assert u.chi(finite_point(sp, 1)).status(10) is not None
+    assert u.chi(finite_point(sp, 0)).status(NEGATIVE_FUEL) is None
 
 
 def test_membership_exhaustive_on_chain():
@@ -44,13 +44,6 @@ def test_membership_exhaustive_on_chain():
         u = leaf_open(sp, mask)
         for x in range(3):
             assert budgeted(u.chi(finite_point(sp, x))) == bool(mask >> x & 1)
-
-
-def test_membership_shape_mismatch():
-    sp = finite_repr(SIERP2)
-    other = finite_repr(CHAIN3)
-    with pytest.raises(SpaceMismatch):
-        membership(leaf_open(sp, 0b10), finite_point(other, 0))
 
 
 def test_neighborhood_filter_accepts_exactly_the_neighborhoods():
@@ -86,7 +79,7 @@ def test_images_are_natural_on_singletons():
     u = leaf_open(spx, 0b10)
     assert budgeted(k.forall_(u))
     assert budgeted(a.exists_(u))
-    ident = identity_fun(spx)
+    ident = fun_point(spx, spx, lambda p: p)
     k2 = compact_image(ident, leaf_compact(spx, 0b10))
     assert compact_members(spx, k2) == 0b10
 
@@ -214,7 +207,7 @@ def test_box_embed_and_invert():
 
 def test_compact_open_embed_identity_and_constant():
     sp = finite_repr(SIERP2)
-    ident = identity_fun(sp)
+    ident = fun_point(sp, sp, lambda p: p)
     w = compact_open_embed(ident)
     k1 = leaf_compact(sp, 0b10).as_point()
     assert budgeted(w.chi(pair_point(k1, leaf_open(sp, 0b10).as_point())))
@@ -238,7 +231,7 @@ def test_compact_open_invert_recovers_function():
 
 def test_compact_open_invert_needs_witness():
     indiscrete = finite_repr(make_space(2, [0, 0b11]))
-    f = identity_fun(indiscrete)
+    f = fun_point(indiscrete, indiscrete, lambda p: p)
     w = compact_open_embed(f)
     with pytest.raises(MissingWitnessError):
         compact_open_invert(w, 100)
@@ -249,7 +242,7 @@ def test_eval_helpers_and_planted_overt_witness():
     x = finite_point(sp, 1)
     u = leaf_open(sp, 0b10)
     assert budgeted(point_to_compact(x).forall_(u)) \
-        == budgeted(membership(u, x))
+        == budgeted(u.chi(x))
     # the whole space is overt: a nonempty open is found by the witness
     assert budgeted(sp.overt.exists_(u))
     assert not budgeted(sp.overt.exists_(leaf_open(sp, 0)))

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
                              decode_enum, dovetail_bound, delayed_name,
                              literal_name, pair, unpair, zigzag,
                              zigzag_inv)
-from synthtop.sierpinski import (TALLY, Query, accept_at, bot,
+from synthtop import sierpinski
+from synthtop.sierpinski import (TALLY, Query, SValue, accept_at, bot,
                                  or_countable, top)
 
 
@@ -335,6 +338,96 @@ def test_status_on_dovetail_matches_step_and_tally(kinds, infinite, cuts):
                        else None)
     charged = fuel if want_at is None else min(want_at, fuel)
     assert TALLY.n - before == charged
+
+
+class _SlotBySlot(Dovetail):
+    """`Dovetail` whose `run` is the one-slot `step` loop: the reference."""
+
+    __slots__ = ()
+
+    def run(self, budget):
+        for used in range(1, budget + 1):
+            if self.step():
+                return used
+        return None
+
+
+class _RaisesAt:
+    """A live stepper that raises at its own k-th step."""
+
+    done = False
+    never = False
+
+    def __init__(self, i, k):
+        self.i, self.k, self.taken = i, k, 0
+
+    def step(self):
+        self.taken += 1
+        if self.taken >= self.k:
+            raise RuntimeError(f"task {self.i} raised at its step {self.k}")
+        return False
+
+
+def _raising_task(kinds, i):
+    """As `_task`, plus "make" (the family call raises at the task's
+    instantiation slot) and ("step", k) (`_RaisesAt` k)."""
+    kind = kinds[i] if i < len(kinds) else None
+    if kind == "make":
+        def make():
+            raise RuntimeError(f"task {i} raised at its instantiation")
+        return SValue(make)
+    if isinstance(kind, tuple):
+        return SValue(lambda: _RaisesAt(i, kind[1]))
+    return _task(kind)
+
+
+def _traces(kinds, size, fuels):
+    """Two traces of ``or_countable`` over ``kinds``: one query asked at
+    each fuel in turn, and a fresh query per fuel.  An entry is the
+    answer, or the exception's type and message, with the ``TALLY``
+    delta; the first query raises one exception object from its first
+    raise on."""
+    value = or_countable(lambda i: _raising_task(kinds, i), size)
+    walked, fresh = [], []
+    q = Query(value)
+    raised = None
+    for fuel in fuels:
+        for query, trace in ((q, walked), (Query(value), fresh)):
+            before = TALLY.n
+            try:
+                got = query.status(fuel)
+            except RuntimeError as exc:
+                if query is q:
+                    assert raised is None or exc is raised
+                    raised = exc
+                got = (type(exc), str(exc))
+            else:
+                assert query is not q or raised is None
+            trace.append((got, TALLY.n - before))
+    return walked, fresh
+
+
+_RAISING_KINDS = st.lists(
+    st.one_of(st.none(), st.integers(-1, 30), st.just("make"),
+              st.tuples(st.just("step"), st.integers(1, 30))),
+    max_size=12)
+
+
+@given(_RAISING_KINDS, st.booleans())
+@settings(max_examples=150, deadline=None)
+# families with no dead task: every instantiated slot is live
+@example([-1, -1, -1], False)
+@example([-1, 30, 2, ("step", 12), 4], False)
+@example([("step", 25), -1, 9, -1, 17, -1], False)
+@example([-1, ("step", 9), -1, -1, "make"], False)
+@example([30, -1, 25, 20, -1, ("step", 30)], True)
+def test_run_matches_the_step_loop_on_raising_and_live_tasks(kinds, infinite):
+    size = None if infinite else len(kinds)
+    fuels = range(121)
+    got = _traces(kinds, size, fuels)
+    with mock.patch.object(sierpinski, "Dovetail", _SlotBySlot):
+        want = _traces(kinds, size, fuels)
+    assert got == want
 
 
 def test_all_dead_finite_family_is_never():

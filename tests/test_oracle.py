@@ -10,11 +10,11 @@ from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, bits, closure,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
                              figure1_check, finite_point, finite_presubbase,
-                             full_mask, generate_topology, interior, is_T0,
+                             full_mask, generate_topology, is_T0,
                              make_space, make_subbase, mask_of,
                              monotone_families,
-                             saturate, scott_converges, space_from_json,
-                             specialization, subbase_from_json, tau_B, tau_K,
+                             saturate, space_from_json, specialization,
+                             subbase_from_json, tau_B, tau_inf, tau_K,
                              topology_from_preorder, up_sets)
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
@@ -85,17 +85,6 @@ def test_generate_topology_matches_pairwise_closure_on_seeded_families():
     singletons = [1 << x for x in range(n)]
     assert generate_topology(singletons, n).opens == \
         _pairwise_closure(singletons, n) == tuple(range(1 << n))
-
-
-def test_interior_is_the_union_of_the_opens_inside():
-    for n in range(4):
-        for space in enumerate_spaces(n):
-            for a in range(1 << n):
-                want = 0
-                for u in space.opens:
-                    if u & ~a == 0:
-                        want |= u
-                assert interior(space, a) == want, (space, a)
 
 
 def test_enumerate_counts_small():
@@ -219,6 +208,27 @@ def test_tau_k_on_chain_index():
     assert set(tau_B(sub).opens) == set(t.opens)
 
 
+def _tau_inf_over_each_index(sub):
+    """τ∞ generated as the intersections over S + {y}, for every index y
+    and every index set S: the one-pass `tau_inf` visits each set once."""
+    gens = [full_mask(sub.n)]
+    for y in range(sub.m):
+        for s in range(1 << sub.m):
+            inter = sub.sets[y]
+            for z in bits(s):
+                inter &= sub.sets[z]
+            gens.append(inter)
+    return generate_topology(gens, sub.n)
+
+
+def test_tau_inf_matches_the_intersections_over_each_index():
+    from synthtop.laws import _subbase_instances
+    subs = list(_subbase_instances(3, t0_only=False))
+    assert len(subs) == 4294
+    for sub in subs:
+        assert tau_inf(sub) is _tau_inf_over_each_index(sub), sub
+
+
 def test_figure1_chain_holds_on_samples():
     for sets, pairs in ([(0b01, 0b11), ((0, 1),)],
                         [(0b01, 0b10), ()],
@@ -228,26 +238,6 @@ def test_figure1_chain_holds_on_samples():
         assert rep["chain_ok"]
         assert rep["final_equals_tau_K"]
         assert rep["t0_iff_injective"]
-
-
-def test_scott_convergence_constant_sequence():
-    assert scott_converges(SIERP2, [0b10], 0b10)
-
-
-def test_scott_convergence_alternating_fails():
-    assert not scott_converges(SIERP2, [0b10, 0], 0b10, cycle_start=0)
-
-
-def test_scott_convergence_growing_to_whole():
-    assert scott_converges(SIERP2, [0, 0b10, 0b11], 0b10)
-    assert scott_converges(SIERP2, [0, 0b10, 0b11], 0b11)
-
-
-def test_scott_convergence_rejects_bad_input():
-    with pytest.raises(ValueError):
-        scott_converges(SIERP2, [], 0)
-    with pytest.raises(ValueError):
-        scott_converges(SIERP2, [0b10], 0b10, cycle_start=5)
 
 
 def test_decode_on_discrete_instance_reaches_singleton():
@@ -328,7 +318,5 @@ def test_unknown_law_id_is_an_error():
 
 
 def test_interior_and_closure():
-    assert interior(SIERP2, 0b01) == 0
-    assert interior(SIERP2, 0b10) == 0b10
     assert closure(SIERP2, 0b10) == 0b11
     assert closure(SIERP2, 0b01) == 0b01

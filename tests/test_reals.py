@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from synthtop.bases import kolmogorov_completion
 from synthtop.hyper import OpenSet
 from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
-                             decode_enum, dovetail_bound, literal_name,
-                             zigzag)
+                             decode_enum, dovetail_bound, literal_name, pair,
+                             zigzag, zigzag_inv)
 from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
                             decimal_point, decimal_to_cauchy_direct,
-                            enum_subbase_name, index_for_interval,
-                            interval_for_index, interval_open_decimal,
+                            enum_subbase_name, interval_for_index,
+                            interval_open_decimal,
                             parse_decimal, rational_interval_subbase,
                             repair_decimal)
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query, SValue,
@@ -301,14 +301,15 @@ def test_direct_oracle_examples():
             assert direct.level(n) == want, (text, n)
 
 
-def test_cauchy_name_coding_roundtrip():
-    c = decimal_to_cauchy_direct(parse_decimal("0.3(3)"))
-    nm = c.as_name()
-    from synthtop.kernel import unpair, zigzag
-    codes = nm.prefix(4, 100)
-    for n, code in enumerate(codes):
-        zn, d = unpair(code)
-        assert Fraction(zigzag(zn), d + 1) == c.level(n)
+def index_for_interval(a, b):
+    """The index of (a, b) under `interval_for_index`, from the lowest
+    terms of the endpoint and the width: the round-trip reference showing
+    that `interval_for_index` reaches every interval."""
+    a, w = Fraction(a), Fraction(b) - Fraction(a)
+    assert w > 0
+    i = pair(zigzag_inv(a.numerator), a.denominator - 1)
+    j = pair(w.numerator - 1, w.denominator - 1)
+    return pair(i, j)
 
 
 def test_interval_index_codec():
