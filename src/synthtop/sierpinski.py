@@ -2,10 +2,9 @@
 
 An `SValue` is a *description* of an accept-or-keep-waiting process.
 Descriptions are immutable and freely shareable (`top` and `bot` are
-single shared values); the state of a run lives on a `Query`, one per
-observation, with its own stepper, so acceptance step counts never
-depend on what other queries happen to have computed already.
-`SValue.status` is one fresh run.
+single shared values).  A run is one `run` call with a stepper of its
+own, so acceptance step counts never depend on what other runs happen
+to have computed already; `SValue.status` is one fresh run.
 
 There is deliberately no negation and no countable conjunction here:
 waiting is one-sided, and unbounded universal quantification exists only
@@ -56,7 +55,7 @@ class SValue:
     steps it as a leaf.
 
     No code writes a slot after ``__init__``: the state of a run lives on
-    a `Query`, one per observation."""
+    the stepper that `run` makes for it."""
 
     __slots__ = ("_make", "bound", "known")
 
@@ -75,13 +74,13 @@ class SValue:
         return _NEVER if k == NEVER else _AcceptAt(k)
 
     def status(self, fuel: int) -> Optional[int]:
-        """`Query.status` of one fresh run.  A known value answers by
-        arithmetic, with no `Query` and no stepper, and charges ``TALLY``
-        what stepping would: ``known`` if it accepts within ``fuel``,
-        else ``max(fuel, 0)``."""
+        """The answer of `run`: one fresh run.  A known value answers by
+        arithmetic, with no stepper, and charges ``TALLY`` what stepping
+        would: ``known`` if it accepts within ``fuel``, else
+        ``max(fuel, 0)``."""
         k = self.known
         if k is None:
-            return Query(self).status(fuel)
+            return run(self, fuel)[0]
         if k <= fuel:
             TALLY.n += k
             return k
@@ -90,85 +89,44 @@ class SValue:
         return None
 
 
-class Query:
-    """One run of a value: its stepper (``runner``, built by the first
-    ``status`` call on an unknown value) and what has been observed of
-    it.  Repeated ``status`` calls continue the same run and charge only
-    the steps beyond those already charged; runs are replay-exact, so the
-    answers agree with fresh runs."""
+def run(value: SValue, fuel: int) -> tuple[Optional[int], object]:
+    """One fresh run of ``value``: (accepted step count if acceptance
+    happens within ``fuel`` steps, else None; the run's stepper).
 
-    __slots__ = ("value", "runner", "_ran", "_at", "_err")
-
-    def __init__(self, value: SValue):
-        self.value = value
-        self.runner = None
-        self._ran = 0
-        self._at: Optional[int] = None
-        self._err: Optional[tuple[Exception, int]] = None
-
-    def status(self, fuel: int) -> Optional[int]:
-        """Accepted step count if acceptance happens within ``fuel`` steps
-        of the run, else None (pending).
-
-        This is the one place where steppers run and ``TALLY`` is charged:
-        every logical step, as if stepped one by one.  A known value
-        answers at once; a ``never`` runner is pending at once; a
-        `Dovetail` runner is advanced by `Dovetail.run`, which skips its
-        dead slots.  Instantiation is the step-0 observation: a runner
-        born accepted accepts at 0.  An exception raised at step s is
-        sticky: it is raised again for every ``fuel >= s`` and the query
-        is pending below s.  A ``make`` that raises is such an exception
-        at step 0; it is called once and charges nothing."""
-        at = self._at
-        if at is not None:
-            return at if at <= fuel else None
-        err = self._err
-        if err is not None:
-            if fuel >= err[1]:
-                raise err[0]
-            return None
-        r = self.runner
-        ran = start = self._ran
-        try:
-            k = self.value.known
-            if k is not None:
-                if k <= fuel:
-                    ran = self._at = k
-                elif ran < fuel:
-                    ran = fuel
-                return self._at
-            if r is None:
-                r = self.runner = self.value._make()
-                if r.done:
-                    self._at = 0
-                    return 0 if fuel >= 0 else None
-            if ran >= fuel:
-                return None
-            if r.never:
-                ran = fuel
-            elif isinstance(r, Dovetail):
-                used = r.run(fuel - start)
-                if used is None:
-                    ran = fuel
-                else:
-                    ran = self._at = start + used
-            else:
-                while ran < fuel:
-                    ran += 1
-                    if r.step():
-                        self._at = ran
-                        break
-        except Exception as exc:
-            if isinstance(r, Dovetail):
-                ran = r.steps + 1
-            self._err = (exc, ran)
-            if ran > fuel:  # a raising make, observed at step 0
-                return None
-            raise
-        finally:
-            self._ran = ran
-            TALLY.n += ran - start
-        return self._at
+    This is the one place where steppers run and, but for the arithmetic
+    of known values in `SValue.status`, where ``TALLY`` is charged: every
+    logical step, as if stepped one by one.  Instantiation is the
+    step-0 observation: a stepper born accepted accepts at 0, and a
+    ``make`` that raises raises at step 0 and charges nothing.  A
+    ``never`` stepper is pending at once; a `Dovetail` is advanced by
+    `Dovetail.run`, which skips its dead slots.  An exception raised at
+    step s is charged s steps and raised; runs are deterministic, so it
+    recurs at every ``fuel >= s``.  Below step 0 (``fuel < 0``) the run
+    is pending, makes no stepper and charges nothing."""
+    if fuel < 0:
+        return None, None
+    r = value.make()
+    if r.done:
+        return 0, r
+    if r.never:
+        TALLY.n += fuel
+        return None, r
+    ran = 0
+    try:
+        if isinstance(r, Dovetail):
+            at = r.run(fuel)
+        else:
+            at = None
+            while ran < fuel:
+                ran += 1
+                if r.step():
+                    at = ran
+                    break
+    except Exception:
+        TALLY.n += r.steps + 1 if isinstance(r, Dovetail) else ran
+        raise
+    TALLY.n += fuel if at is None else at
+    return at, r
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +271,16 @@ def and_finite(vs: Iterable[SValue]) -> SValue:
     return SValue(lambda: _All([v.make() for v in vs]), bound)
 
 
-def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]],
-                 size: Optional[int] = None) -> SValue:
+def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]]
+                 ) -> SValue:
     """Accepts iff some input accepts, with fairness inherited from the
     dovetail schedule.  Accepts any finite iterable, built once (a list is
-    not copied), or an index function; a finite index function is called
-    once per index, here.  ``bound`` and ``known`` fold in one pass."""
+    not copied), or an index function over an infinite family.  ``bound``
+    and ``known`` of a finite family fold in one pass."""
     if callable(family):
-        if size is None:
-            return SValue(lambda: Dovetail(lambda i: family(i).make()))
-        items = [family(i) for i in range(size)]
-    else:
-        items = family if type(family) is list else list(family)
-        size = len(items)
+        return SValue(lambda: Dovetail(lambda i: family(i).make()))
+    items = family if type(family) is list else list(family)
+    size = len(items)
     # task i accepting at its own step k lands at dovetail_bound(i, k, size);
     # a child known to accept at its bound reuses the bound's landing
     bound: Optional[int] = 0
@@ -437,16 +392,18 @@ def first_accepting(family: Callable[[int], SValue], size: Optional[int],
     """Race the family as `or_countable` does and return (winning index,
     global step) of the first acceptance within ``fuel`` steps, else None.
 
-    The race is one `Query` on ``or_countable``, charged as its run is.  A
-    stepped race reads the winner off its `Dovetail`; in a folded one
-    (every member of a finite family known) the winner is the one member
-    whose ``dovetail_bound`` landing is the acceptance step."""
+    The race is one status call on ``or_countable``, charged as its run
+    is.  A stepped race reads the winner off the `Dovetail` that `run`
+    returns; in a folded one (every member of a finite family known) the
+    winner is the one member whose ``dovetail_bound`` landing is the
+    acceptance step."""
     items = family if size is None else [family(i) for i in range(size)]
-    race = Query(or_countable(items))
+    race = or_countable(items)
+    if race.known is None:
+        at, r = run(race, fuel)
+        return None if at is None else (r.winner, at)
     at = race.status(fuel)
     if at is None:
         return None
-    if race.runner is not None:
-        return race.runner.winner, at
     return next(i for i, v in enumerate(items) if v.known != NEVER
                 and dovetail_bound(i, v.known, size) == at), at

@@ -8,7 +8,7 @@ from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
                              literal_name, pair, unpair, zigzag,
                              zigzag_inv)
 from synthtop import sierpinski
-from synthtop.sierpinski import (TALLY, Query, SValue, accept_at, bot,
+from synthtop.sierpinski import (TALLY, SValue, accept_at, bot,
                                  or_countable, top)
 
 
@@ -328,16 +328,16 @@ def test_run_skipping_dead_slots_matches_step(kinds, infinite, cuts):
 def test_status_on_dovetail_matches_step_and_tally(kinds, infinite, cuts):
     size = None if infinite else len(kinds)
     want_at, _, _ = _reference(kinds, size, cuts)
-    q = Query(or_countable(_family(kinds), size))
+    value = or_countable(_family(kinds) if infinite
+                         else [_task(k) for k in kinds])
     fuel = 0
-    before = TALLY.n
     for cut in cuts:
         fuel += cut
-        got = q.status(fuel)
+        before = TALLY.n
+        got = value.status(fuel)
         assert got == (want_at if want_at is not None and want_at <= fuel
                        else None)
-    charged = fuel if want_at is None else min(want_at, fuel)
-    assert TALLY.n - before == charged
+        assert TALLY.n - before == (fuel if got is None else got)
 
 
 class _SlotBySlot(Dovetail):
@@ -381,30 +381,23 @@ def _raising_task(kinds, i):
     return _task(kind)
 
 
-def _traces(kinds, size, fuels):
-    """Two traces of ``or_countable`` over ``kinds``: one query asked at
-    each fuel in turn, and a fresh query per fuel.  An entry is the
-    answer, or the exception's type and message, with the ``TALLY``
-    delta; the first query raises one exception object from its first
-    raise on."""
-    value = or_countable(lambda i: _raising_task(kinds, i), size)
-    walked, fresh = [], []
-    q = Query(value)
-    raised = None
+def _trace(kinds, size, fuels):
+    """A fresh status call on ``or_countable`` over ``kinds`` per fuel:
+    the answer, or the exception's type and message, with the ``TALLY``
+    delta."""
+    if size is None:
+        value = or_countable(lambda i: _raising_task(kinds, i))
+    else:
+        value = or_countable([_raising_task(kinds, i) for i in range(size)])
+    trace = []
     for fuel in fuels:
-        for query, trace in ((q, walked), (Query(value), fresh)):
-            before = TALLY.n
-            try:
-                got = query.status(fuel)
-            except RuntimeError as exc:
-                if query is q:
-                    assert raised is None or exc is raised
-                    raised = exc
-                got = (type(exc), str(exc))
-            else:
-                assert query is not q or raised is None
-            trace.append((got, TALLY.n - before))
-    return walked, fresh
+        before = TALLY.n
+        try:
+            got = value.status(fuel)
+        except RuntimeError as exc:
+            got = (type(exc), str(exc))
+        trace.append((got, TALLY.n - before))
+    return trace
 
 
 _RAISING_KINDS = st.lists(
@@ -424,10 +417,42 @@ _RAISING_KINDS = st.lists(
 def test_run_matches_the_step_loop_on_raising_and_live_tasks(kinds, infinite):
     size = None if infinite else len(kinds)
     fuels = range(121)
-    got = _traces(kinds, size, fuels)
+    got = _trace(kinds, size, fuels)
     with mock.patch.object(sierpinski, "Dovetail", _SlotBySlot):
-        want = _traces(kinds, size, fuels)
+        want = _trace(kinds, size, fuels)
     assert got == want
+
+
+def _resumed(engine_type, kinds, size, cuts):
+    """One ``engine_type`` engine over ``kinds`` (`_raising_task`), driven
+    by `run` through ``cuts`` in turn, to its first acceptance or raise.
+    Per cut: the answer, ``winner`` and ``steps``; for a raise, its type,
+    message and step."""
+    engine = engine_type(lambda i: _raising_task(kinds, i).make(), size)
+    out = []
+    for cut in cuts:
+        try:
+            got = engine.run(cut)
+        except RuntimeError as exc:
+            out.append((type(exc), str(exc), engine.steps + 1))
+            break
+        out.append((got, engine.winner, engine.steps))
+        if got is not None:
+            break
+    return out
+
+
+@given(_RAISING_KINDS, st.booleans(), _CUTS)
+@settings(max_examples=300, deadline=None)
+@example([-1, -1, -1], False, [4, 1, 7, 2])
+@example([-1, ("step", 9), -1, -1, "make"], False, [5, 3, 3, 30])
+@example([None, -1, None, None, -1, ("step", 4)], True, [7, 7, 7, 7, 7, 90])
+def test_run_resumes_mid_round_as_the_step_loop(kinds, infinite, cuts):
+    # no status call resumes an engine; `step` and any view of the
+    # engine read the state `run` leaves after each budget
+    size = None if infinite else len(kinds)
+    assert _resumed(Dovetail, kinds, size, cuts) == _resumed(
+        _SlotBySlot, kinds, size, cuts)
 
 
 def test_all_dead_finite_family_is_never():

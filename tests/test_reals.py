@@ -15,9 +15,9 @@ from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
                             interval_open_decimal,
                             parse_decimal, rational_interval_subbase,
                             repair_decimal)
-from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query, SValue,
+from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue,
                                  accept_at, bot, first_accepting,
-                                 or_countable)
+                                 or_countable, run)
 from synthtop.spaces import Point, nat_point, read_first
 
 
@@ -166,10 +166,9 @@ def test_folded_interval_membership_matches_the_stepper(case):
 
 def _dovetail_race(items, fuel):
     """`first_accepting` stepped on its `Dovetail`, without the fold."""
-    race = Query(SValue(lambda: Dovetail(lambda i: items[i].make(),
-                                         len(items))))
-    at = race.status(fuel)
-    return None if at is None else (race.runner.winner, at)
+    at, race = run(SValue(lambda: Dovetail(lambda i: items[i].make(),
+                                           len(items))), fuel)
+    return None if at is None else (race.winner, at)
 
 
 _KNOWN_MEMBERS = st.one_of(st.just(bot()), st.just(SValue(None, None, NEVER)),
@@ -516,13 +515,13 @@ def _reference_repair(d, bits, fuel):
             u = interval_open_decimal(c - half, c + half)
             return flt.chi(u.as_point())
 
-        race = Query(SValue(lambda: Dovetail(lambda i: candidate(i).make(),
-                                             7 if levels else None)))
-        at = race.status(remaining)
+        at, race = run(SValue(lambda: Dovetail(lambda i: candidate(i).make(),
+                                               7 if levels else None)),
+                       remaining)
         if at is None:
             raise FuelExhausted(k - 1, levels)
         remaining -= at
-        levels.append((m0 + zigzag(race.runner.winner)) * grid)
+        levels.append((m0 + zigzag(race.winner)) * grid)
     return levels
 
 

@@ -9,10 +9,10 @@ from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
 from synthtop.hyper import OpenSet
 from synthtop.oracle import (finite_point, finite_repr, leaf_compact,
                              leaf_open, leaf_overt, make_space)
-from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, Query,
-                                 SValue, _Read, accept_at, and_finite, bot,
-                                 first_accepting, or_countable, read_names,
-                                 read_table, top)
+from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue, _Read,
+                                 accept_at, and_finite, bot, first_accepting,
+                                 or_countable, read_names, read_table, run,
+                                 top)
 from synthtop.spaces import Point
 
 
@@ -180,11 +180,11 @@ def test_bind_name_value_steps_its_continuation_after_the_arrival():
     unknown = read_names((cold(),), lambda v: SValue(accept_at(3).make, 3))
     assert unknown.status(5) is None and unknown.status(6) == 6
 
-    dead = Query(read_names((cold(),), lambda v: bot()))
     t0 = TALLY.n
-    assert dead.status(100) is None
+    at, dead = run(read_names((cold(),), lambda v: bot()), 100)
+    assert at is None
     assert TALLY.n - t0 == 100
-    assert dead.runner.never
+    assert dead.never
 
     def boom(v):
         raise LookupError(f"no continuation for {v}")
@@ -303,12 +303,13 @@ def _warm(nm, steps):
 
 
 def _observe(sv, fuels):
-    q = Query(sv)
+    """A fresh status call per fuel: the answer, or the exception's type
+    and message, with the ``TALLY`` delta."""
     out = []
     for f in fuels:
         t0 = TALLY.n
         try:
-            got = ("ok", q.status(f))
+            got = ("ok", sv.status(f))
         except Exception as exc:
             got = ("raised", type(exc).__name__, str(exc))
         out.append((got, TALLY.n - t0))
@@ -587,22 +588,15 @@ def test_first_accepting_with_negative_fuel_charges_nothing():
 
 
 def test_raising_make_is_a_sticky_error_at_step_zero():
-    calls = []
-
     def make():
-        calls.append(None)
         raise LookupError("no stepper")
 
-    v = Query(SValue(make))
+    v = SValue(make)
     t0 = TALLY.n
     assert v.status(-1) is None
-    raised = []
     for fuel in (0, 5):
-        with pytest.raises(LookupError) as info:
+        with pytest.raises(LookupError, match="no stepper"):
             v.status(fuel)
-        raised.append(info.value)
-    assert raised[0] is raised[1]
-    assert len(calls) == 1
     assert TALLY.n == t0
     # inside a race the same raise lands at the task's first slot, step 1
     race = or_countable([SValue(make)])
@@ -620,13 +614,8 @@ def test_known_value_answers_without_a_stepper(monkeypatch):
         raise AssertionError("a known value built a stepper")
 
     monkeypatch.setattr(SValue, "make", boom)
-    q = Query(v)
-    charged = []
-    for fuel in (2, 1, 4, 9, 3, -1):
-        t0 = TALLY.n
-        got = q.status(fuel)
-        charged.append((got, TALLY.n - t0))
-    assert charged == [(None, 2), (None, 0), (None, 2), (5, 1), (None, 0),
+    charged = [_charged(v, fuel) for fuel in (2, 1, 4, 9, 3, -1)]
+    assert charged == [(None, 2), (None, 1), (None, 4), (5, 5), (None, 3),
                        (None, 0)]
     assert bot().known == NEVER and or_countable([]).known == NEVER
 
@@ -660,7 +649,7 @@ def test_flattened_delays_step_as_nested_ones(outer, inner, leaf):
                         second.bound)
     assert flat.bound == nested.bound == leaf.bound + outer + inner + 2
     for fuel in range(-1, 12):
-        assert _charged(Query(flat), fuel) == _charged(Query(nested), fuel)
+        assert _charged(flat, fuel) == _charged(nested, fuel)
     assert flat.status(20) == (None if leaf.known == NEVER
                                else outer + inner + 2 + leaf.known)
 
@@ -682,26 +671,23 @@ def test_deep_unknown_conjunction_answers_without_recursion():
 # --- descriptions and queries ---------------------------------------------
 
 
-def _charged(q, fuel):
+def _charged(v, fuel):
     t0 = TALLY.n
-    got = q.status(fuel)
+    got = v.status(fuel)
     return got, TALLY.n - t0
 
 
 def test_one_value_shared_by_two_queries_charges_each_a_fresh_run():
     v = or_countable(lambda i: accept_at(3) if i == 2 else bot())
     at = dovetail_bound(2, 3)
-    first, second = Query(v), Query(v)
-    assert _charged(first, at - 1) == (None, at - 1)
-    assert _charged(second, at - 1) == (None, at - 1)
-    assert _charged(first, at) == (at, 1)
-    assert _charged(second, at + 5) == (at, 1)
-    assert first.runner is not second.runner
+    assert [_charged(v, at - 1), _charged(v, at - 1)] == [(None, at - 1)] * 2
+    assert [_charged(v, at), _charged(v, at + 5)] == [(at, at)] * 2
+    (first, engine), (second, other) = run(v, at), run(v, at + 5)
+    assert first == second == at and engine is not other
     # a known value shared the same way
     k = accept_at(4)
-    first, second = Query(k), Query(k)
-    assert [_charged(first, 2), _charged(second, 3), _charged(first, 9),
-            _charged(second, 9)] == [(None, 2), (None, 3), (4, 2), (4, 1)]
+    assert [_charged(k, 2), _charged(k, 3), _charged(k, 9),
+            _charged(k, 9)] == [(None, 2), (None, 3), (4, 4), (4, 4)]
 
 
 def test_status_on_a_value_is_one_fresh_run_per_call():
@@ -751,12 +737,10 @@ def test_warm_leaves_agreeing_on_the_point_share_one_value():
 def test_two_queries_on_a_shared_leaf_are_each_charged_a_fresh_run():
     sp, p, _ = _warm_leaf_point()
     leaf = leaf_open(sp, 0b010).chi(p)
-    first, second = Query(leaf), Query(leaf)
-    assert [_charged(first, 2), _charged(second, 1), _charged(first, 5),
-            _charged(second, 3)] == [(None, 2), (None, 1), (3, 1), (3, 2)]
-    assert [_charged(leaf, 3), _charged(leaf, 3)] == [(3, 3), (3, 3)]
+    assert [_charged(leaf, 2), _charged(leaf, 1), _charged(leaf, 5),
+            _charged(leaf, 3)] == [(None, 2), (None, 1), (3, 3), (3, 3)]
     never = leaf_open(sp, 0b100).chi(p)
-    assert [_charged(never, 7), _charged(Query(never), 7)] == [(None, 7)] * 2
+    assert [_charged(never, 7), _charged(never, 7)] == [(None, 7)] * 2
 
 
 def test_warm_leaf_with_a_raising_table_raises_at_the_arrival():
@@ -814,7 +798,7 @@ def fold_trees(draw, depth=0):
             st.tuples(st.just("raise"), st.integers(0, 8)),
             st.tuples(st.just("table"), _TABLE_NAMES, st.integers(0, 4),
                       st.booleans())))
-    op = draw(st.sampled_from(["unknown", "and", "or", "or_fn", "bind"]))
+    op = draw(st.sampled_from(["unknown", "and", "or", "bind"]))
     if op == "unknown":
         return ("unknown", draw(fold_trees(depth + 1)))
     kids = draw(st.lists(fold_trees(depth + 1), min_size=0 if op != "bind"
@@ -864,9 +848,6 @@ def _fold_build(tree, fold):
         return and_finite([_fold_build(t, fold) for t in tree[1]])
     elif tag == "or":
         return or_countable([_fold_build(t, fold) for t in tree[1]])
-    elif tag == "or_fn":
-        kids = tree[1]
-        return or_countable(lambda i: _fold_build(kids[i], fold), len(kids))
     else:
         _, spec, kids, raises = tree
 
@@ -917,6 +898,33 @@ def test_folded_values_match_stepped_ones(tree, cuts):
     assert _observe(folded, range(61)) == _observe(stepped, range(61))
 
 
+def _fresh_run_contract(v, fuels):
+    """Fresh status calls on ``v`` at ``fuels`` (ascending, from 0): pending
+    below the step s where the run accepts or raises, from s on the same
+    answer (s itself) or an exception of the same type and message, and
+    ``min(s, f)`` steps charged at fuel f."""
+    obs = _observe(v, fuels)
+    s, first = next(((f, got) for f, (got, _) in zip(fuels, obs)
+                     if got != ("ok", None)), (None, None))
+    assert first is None or first[0] == "raised" or first == ("ok", s)
+    for f, (got, charged) in zip(fuels, obs):
+        if s is None or f < s:
+            assert (got, charged) == (("ok", None), f)
+        else:
+            assert (got, charged) == (first, s)
+    assert _observe(v, [-1]) == [(("ok", None), 0)]
+
+
+@given(fold_trees(), st.booleans(), trees())
+@settings(max_examples=200, deadline=None)
+def test_status_is_one_fresh_run_at_every_fuel(tree, fold, plain):
+    # cold (stepped), warm and delayed names, raising makes, steppers,
+    # names and tables; a raise at step s recurs at every fuel >= s
+    fuels = list(range(81))
+    _fresh_run_contract(_fold_build(tree, fold), fuels)
+    _fresh_run_contract(build(plain), fuels)
+
+
 # --- streamed children: any iterable folds as the list would --------------
 
 
@@ -946,7 +954,7 @@ def test_streamed_children_fold_as_a_list(trees, fold, cuts):
         members = kids()
         won = outcome(lambda: first_accepting(members.__getitem__,
                                               len(members), fuel))
-        at = outcome(lambda: Query(or_countable(iter(kids()))).status(fuel))
+        at = outcome(lambda: or_countable(iter(kids())).status(fuel))
         if won is None or isinstance(won, type):
             assert at == won
         else:
