@@ -98,7 +98,9 @@ def run(value: SValue, fuel: int) -> tuple[Optional[int], object]:
     logical step, as if stepped one by one.  Instantiation is the
     step-0 observation: a stepper born accepted accepts at 0, and a
     ``make`` that raises raises at step 0 and charges nothing.  A
-    ``never`` stepper is pending at once; a `Dovetail` is advanced by
+    ``never`` stepper is pending at once, and one that goes ``never``
+    (a `_Read` whose continuation never accepts) is stepped no further:
+    either is charged ``fuel``.  A `Dovetail` is advanced by
     `Dovetail.run`, which skips its dead slots.  An exception raised at
     step s is charged s steps and raised; runs are deterministic, so it
     recurs at every ``fuel >= s``.  Below step 0 (``fuel < 0``) the run
@@ -121,6 +123,8 @@ def run(value: SValue, fuel: int) -> tuple[Optional[int], object]:
                 ran += 1
                 if r.step():
                     at = ran
+                    break
+                if r.never:
                     break
     except Exception:
         TALLY.n += r.steps + 1 if isinstance(r, Dovetail) else ran
@@ -254,20 +258,29 @@ def accept_at(n: int) -> SValue:
 def and_finite(vs: Iterable[SValue]) -> SValue:
     """Accepts iff all inputs accept; total step count is the sum of the
     children's counts (already-accepted children cost nothing).  Any
-    iterable, built once (a list is not copied); ``bound`` and ``known``
-    fold in one pass, ``known`` stopping at the first unknown child."""
+    iterable, built once (a list is not copied).  A known family folds
+    ``known`` and ``bound`` in one loop; at the first unknown child the
+    loop stops, the value steps, and ``bound`` is summed on its own."""
     vs = vs if type(vs) is list else list(vs)
+    known: Union[int, float] = 0
     bound: Optional[int] = 0
-    known: Union[int, float, None] = 0
     for v in vs:
+        k = v.known
+        if k is None:
+            break
+        known += k
         if bound is not None:
             b = v.bound
             bound = None if b is None else bound + b
-        if known is not None:
-            k = v.known
-            known = None if k is None else known + k
-    if known is not None:
+    else:
         return SValue(None, bound, known)
+    bound = 0
+    for v in vs:
+        b = v.bound
+        if b is None:
+            bound = None
+            break
+        bound += b
     return SValue(lambda: _All([v.make() for v in vs]), bound)
 
 

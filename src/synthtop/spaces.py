@@ -10,7 +10,15 @@ returns the one space of that shape, kept in a dict on ``x`` keyed by
 the tag and the right part (a space, a subspace predicate, or nothing).
 A derived space therefore lives exactly as long as its left part (and
 keeps its right part alive that long), there is no module-level table
-of spaces, and "same space?" is ``is``.
+of spaces, and "same space?" is ``is``.  ``opens(x)`` and ``compacts(x)``,
+asked for on every hyperspace query, read their shape from that dict
+under its key, and call `intern` only to make it.
+
+A function point applies its transformer once per argument point: the
+image is kept on the function point, so every query asking for f(x)
+reads the same image.  Sharing it is sound because names replay by step
+count (`kernel.Name`): an image some other query has already driven
+answers each reader as a fresh one would.
 
 Capability witnesses are attached to spaces where available rather than
 derived: ``overt`` is a whole-space overt value and ``filter_inverse``
@@ -37,6 +45,12 @@ class MissingWitnessError(ValueError):
 
 
 class Space:
+    """A space shape.  ``derived`` holds the spaces built on this one,
+    keyed by tag and right part (`intern`, the one place that makes
+    them); `opens` and `compacts` read O(self) and K-(self) from it
+    directly once made.  They get no slots: two more slots would move
+    every space into a larger allocator size class."""
+
     __slots__ = ("tag", "parts", "label", "overt", "filter_inverse",
                  "derived", "__weakref__")
 
@@ -97,7 +111,7 @@ def function(x: Space, y: Space) -> Space:
 
 def opens(x: Space) -> Space:
     """O(x), realized as the function space into Sierpinski."""
-    return function(x, SIERP)
+    return x.derived.get(("function", SIERP)) or function(x, SIERP)
 
 
 def overts(x: Space) -> Space:
@@ -107,7 +121,8 @@ def overts(x: Space) -> Space:
 
 def compacts(x: Space) -> Space:
     """K-(x): saturated compacts given by their inside-this-open semidecider."""
-    return intern("compacts", x, None, "K-({0!r})")
+    return (x.derived.get(("compacts", None))
+            or intern("compacts", x, None, "K-({0!r})"))
 
 
 def check_space(point: "Point", space: Space, what: str = "point") -> None:
@@ -226,10 +241,16 @@ def seq_at(p: Point, n: int) -> Point:
 
 
 def fun_point(dom: Space, cod: Space, transformer: Callable[[Point], Point]) -> Point:
-    return Point(function(dom, cod), transformer)
+    """A point of C(dom, cod) applying ``transformer`` once per argument
+    point: each image is kept in a dict of this point's own, keyed by the
+    argument (by identity), and dies with it.  A transformer that raises
+    keeps nothing, so the next application calls it, and raises, again."""
+    return Point(function(dom, cod), lru_cache(maxsize=None)(transformer))
 
 
 def apply_fun(f: Point, x: Point) -> Point:
+    """f(x): the one image of ``x`` under a `fun_point` (any other
+    function point's payload is called as it is)."""
     if f.space.tag != "function":
         raise SpaceMismatch(f"apply on {f.space!r}")
     check_space(x, f.space.parts[0], "argument")

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from synthtop.kernel import (EncodingError, Name, NameReader, delayed_name,
                              dovetail_bound, literal_name, map_name)
-from synthtop.hyper import OpenSet
+from synthtop.hyper import OpenSet, preimage
+from synthtop.reals import _OUTSIDE
 from synthtop.oracle import (finite_point, finite_repr, leaf_compact,
                              leaf_open, leaf_overt, make_space)
 from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue, _Read,
                                  accept_at, and_finite, bot, first_accepting,
                                  or_countable, read_names, read_table, run,
                                  top)
-from synthtop.spaces import Point
+from synthtop.spaces import NAT, Point, apply_fun, fun_point, function
 
 
 def test_top_accepts_at_zero():
@@ -194,6 +195,65 @@ def test_bind_name_value_steps_its_continuation_after_the_arrival():
     for fuel in (3, 10):
         with pytest.raises(LookupError):
             raising.status(fuel)
+
+
+class _CountedRead(_Read):
+    """A `_Read` that counts the ``step`` calls made on it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, names, then):
+        super().__init__(names, then)
+        self.calls = 0
+
+    def step(self):
+        self.calls += 1
+        return super().step()
+
+
+class _Opaque:
+    """A stepper seen without its ``never``: `run` can only step it on to
+    the fuel, the reference for a read that goes never."""
+
+    __slots__ = ("inner",)
+    never = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def done(self):
+        return self.inner.done
+
+    def step(self):
+        return self.inner.step()
+
+
+def _boom(v):
+    raise LookupError(f"no continuation for {v}")
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3])
+@pytest.mark.parametrize("then, goes_never", [
+    (lambda v: bot(), True), (lambda v: top(), False),
+    (lambda v: SValue(accept_at(2).make, 2), False), (_boom, False)],
+    ids=["bot", "top", "stepped", "raises"])
+def test_run_stops_stepping_a_read_gone_never(delay, then, goes_never):
+    # the first value arrives at step delay + 1, where the read goes never
+    # if its continuation does
+    def value(wrap):
+        return SValue(lambda: wrap(_CountedRead(
+            (delayed_name([(delay, 1)]),), then)))
+
+    fuels = list(range(-1, 12)) + [100, 1000]
+    assert _observe(value(lambda r: r), fuels) \
+        == _observe(value(_Opaque), fuels)
+    if goes_never:
+        t0 = TALLY.n
+        at, r = run(value(lambda r: r), 1000)
+        assert at is None and r.never
+        assert r.calls == delay + 1
+        assert TALLY.n - t0 == 1000
 
 
 def test_no_negation_surface():
@@ -434,6 +494,68 @@ def test_mapped_names_fold_as_stepped_reads(table, spec, warm, leaves, other,
     assert _observe(new, range(61)) == _observe(ref, range(61))
 
 
+# A function point applies its map once per argument, so later queries
+# read an image that earlier ones have driven; a twin whose payload builds
+# a fresh image per application is the reference.
+
+
+@given(st.lists(st.tuples(_NAME_SPECS, st.integers(0, 6)), min_size=1,
+                max_size=3),
+       st.dictionaries(st.integers(0, 3), st.integers(-1, 3)),
+       st.lists(st.tuples(st.sampled_from(["leaf", "preimage", "twice",
+                                           "exists", "forall"]),
+                          st.integers(0, 2)), min_size=1, max_size=6),
+       st.lists(st.integers(0, 12), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_memoized_images_observe_as_fresh_ones(args, table, queries, cuts):
+    # sources: warm ones (driven some steps), cold ones due at their first
+    # step (a delay of 0), delayed ones, and ones with no ``cost`` that
+    # raise before or after their first value; a missing or negative
+    # table entry raises where the source emits its key
+    fuels = list(itertools.accumulate(cuts)) + [40]
+
+    def side(memo):
+        calls = []
+
+        def image(p):
+            calls.append(p)
+            return Point(NAT, map_name(p.payload, table))
+
+        f = (fun_point(NAT, NAT, image) if memo
+             else Point(function(NAT, NAT), image))
+        pts = []
+        for spec, warm in args:
+            nm = _make_name(spec)
+            _drive(nm, warm)
+            pts.append(Point(NAT, nm))
+        even = OpenSet(NAT, lambda p: read_table((p.payload,),
+                                                 lambda v: v % 2 == 0))
+
+        def query(kind, i):
+            x = pts[i % len(pts)]
+            if kind == "leaf":
+                return read_table((apply_fun(f, x).payload,), lambda v: v < 2)
+            if kind == "preimage":
+                return preimage(f, even).chi(x)
+            if kind == "twice":
+                return preimage(f, even).chi(apply_fun(f, x))
+            kids = [preimage(f, even).chi(p) for p in pts]
+            return or_countable(kids) if kind == "exists" else and_finite(kids)
+
+        trace = []
+        for kind, i in queries:
+            try:
+                trace.append(_observe(query(kind, i), fuels))
+            except Exception as exc:
+                trace.append(("built", type(exc).__name__, str(exc)))
+        return trace, calls
+
+    trace, calls = side(True)
+    ref, _ = side(False)
+    assert trace == ref
+    assert len({id(p) for p in calls}) == len(calls)
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                 min_size=2, max_size=3),
        st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3),
@@ -625,6 +747,35 @@ def test_deep_known_conjunction_answers_without_recursion():
     for _ in range(1500):
         v = and_finite([v])
     assert v.status(10) == 0
+
+
+def _stepped(n):
+    """A value accepting at ``n`` that is not known, with bound ``n``."""
+    return SValue(accept_at(n).make, n)
+
+
+@pytest.mark.parametrize("kids, bound, known", [
+    ([accept_at(2), accept_at(3)], 5, 5),
+    ([accept_at(2), _stepped(5)], 7, None),
+    ([_stepped(5), accept_at(2)], 7, None),
+    ([accept_at(1), _stepped(4), accept_at(2), _stepped(3)], 10, None),
+    ([_OUTSIDE, accept_at(3)], None, NEVER),
+    ([accept_at(3), _OUTSIDE], None, NEVER),
+    ([accept_at(3), _OUTSIDE, _stepped(5)], None, None),
+    ([accept_at(3), _stepped(5), _OUTSIDE], None, None),
+    ([SValue(accept_at(1).make), accept_at(3)], None, None),
+    ([accept_at(3), bot(), _stepped(2)], 5, None),
+])
+def test_and_finite_bound_is_the_sum_over_every_child(kids, bound, known):
+    # the known fold stops at the first unknown child; the bound is still
+    # the sum over all of them, each counted once (None if any has none)
+    for family in (kids, iter(kids)):
+        v = and_finite(family)
+        assert (v.bound, v.known) == (bound, known)
+    if known is None and bound is not None:
+        v = and_finite(kids)
+        at = None if any(k.known == NEVER for k in kids) else bound
+        assert v.status(bound) == at and v.status(bound - 1) is None
 
 
 # Delays live in names.  One read of two delayed names steps as two nested

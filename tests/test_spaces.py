@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from synthtop.oracle import finite_point, finite_repr, leaf_open, make_space
-from synthtop.spaces import (NAT, SIERP, Point, SpaceMismatch, apply_fun,
-                             check_space, compacts, coproduct, curry,
+from synthtop.spaces import (NAT, SIERP, Point, Space, SpaceMismatch,
+                             apply_fun, check_space, compacts, coproduct, curry,
                              fun_point, function, inj0, inj1,
                              meet, meet_left, meet_point, meet_right,
                              nat_point, opens, overts, pair_point, product,
@@ -97,6 +99,55 @@ def test_curry_preserves_acceptance_step_counts():
     direct = u.chi(x).status(100)
     via = sierp_value(apply_fun(apply_fun(curry(f), x), y))
     assert via.status(100) == direct
+
+
+class _Payload:
+    """A payload that a weak reference can follow."""
+
+
+def test_function_point_applies_its_transformer_once_per_argument():
+    s = sp()
+    calls = []
+
+    def image(p):
+        calls.append(p)
+        return Point(s, _Payload())
+
+    f = fun_point(s, s, image)
+    x = finite_point(s, 1)
+    twin = Point(s, x.payload)
+    fx = apply_fun(f, x)
+    assert apply_fun(f, x) is fx
+    assert apply_fun(f, twin) is not fx  # arguments are told apart by identity
+    assert calls == [x, twin]
+    # curry builds the function point of one argument once, so the
+    # uncurried map meets each pair once
+    pairs = fun_point(product(s, s), s, image)
+    g = curry(pairs)
+    assert apply_fun(g, x) is apply_fun(g, x)
+    assert apply_fun(apply_fun(g, x), twin) is apply_fun(apply_fun(g, x), twin)
+    assert len(calls) == 3
+    # the images die with their function point: there is no shared table
+    kept = weakref.ref(fx.payload)
+    del f, fx
+    gc.collect()
+    assert kept() is None
+
+
+def test_raising_transformer_raises_on_every_application():
+    s = sp()
+    calls = []
+
+    def image(p):
+        calls.append(p)
+        raise LookupError("no image")
+
+    f = fun_point(s, s, image)
+    x = finite_point(s, 0)
+    for _ in range(3):
+        with pytest.raises(LookupError, match="no image"):
+            apply_fun(f, x)
+    assert calls == [x] * 3
 
 
 def test_projections_recover_components():
@@ -222,6 +273,15 @@ def test_opens_is_the_function_space_into_sierpinski():
     assert function(NAT, SIERP) is opens(NAT)
     assert repr(function(NAT, SIERP)) == "O(N)"
     assert repr(function(NAT, NAT)) == "C(N,N)"
+
+
+def test_opens_and_compacts_read_the_interned_shapes():
+    x, y = Space("probe", label="P"), Space("probe", label="Q")
+    o = function(x, SIERP)  # made before opens(x) is asked for
+    assert opens(x) is o and opens(x) is o
+    k = compacts(y)  # made by compacts itself
+    assert compacts(y) is k and y.derived[("compacts", None)] is k
+    assert opens(y) is function(y, SIERP) and compacts(x) is not k
 
 
 def test_points_of_one_shape_pass_the_identity_check():
