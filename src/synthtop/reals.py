@@ -10,17 +10,21 @@ exactly when topology says they must.
 A name built by `decimal_point` keeps its `DecimalSpec`, so membership
 of that name is known at construction: never unless the value lies
 strictly inside the interval, else the step of the emission at which the
-stepper below would accept.  That step is found by a search over the
-name's table of digit prefixes, with integer cross-multiplications and
-no digit stepped, so a million-step pending query reads no digit.  Every
-other name is read by the membership stepper, which compares the growing
-prefix against each endpoint through an integer recurrence whose sign is
-eventually permanent, so one step costs O(1) arithmetic on integers
-bounded by the endpoint's denominator.
+stepper below would accept.  That step is found from the endpoints'
+integer numerators and denominators, read once per interval, by a search
+over the name's tables of digit prefixes and powers of ten, with integer
+cross-multiplications and no digit stepped, so a million-step pending
+query reads no digit.  The search starts at the fewest digits whose
+prefix interval is narrower than the interval.  Every other name is read
+by the membership stepper, which compares the growing prefix against
+each endpoint through an integer recurrence whose sign is eventually
+permanent, so one step costs O(1) arithmetic on integers bounded by the
+endpoint's denominator.
 
 Repair searches level k over windows of width 2^-k centred on multiples
 of 2^-k, and tracks the centre as an integer: each level costs a few
-integer operations and one known-outcome race of seven windows.
+integer operations, its 8 shared window endpoints and one known-outcome
+race of seven windows.
 """
 
 from __future__ import annotations
@@ -116,12 +120,14 @@ def parse_decimal(text: str) -> DecimalSpec:
 class DecimalName(Name):
     """The name of a decimal: sign code, integer part, then one fraction
     digit per emission, each after ``delay`` silent steps.  It keeps its
-    ``spec``, the spec's ``value``, computed once here, and ``prefixes``,
-    the digit-prefix integers P_j = int_part*10^j + (first j digits),
-    grown on demand by `digit_prefix`, so interval membership can be
-    answered without reading the name."""
+    ``spec``, the spec's ``value`` and that value's numerator ``num`` and
+    denominator ``den`` as ints, all computed once here, and two tables
+    grown together on demand by `grow`: ``prefixes``, the digit-prefix
+    integers P_j = int_part*10^j + (first j digits), and ``tens``, the
+    powers 10^j.  So interval membership is answered by integer
+    arithmetic, without reading the name."""
 
-    __slots__ = ("spec", "value", "prefixes")
+    __slots__ = ("spec", "value", "num", "den", "prefixes", "tens")
 
     def __init__(self, spec: DecimalSpec, delay: int = 0):
         if delay < 0:
@@ -143,15 +149,18 @@ class DecimalName(Name):
         super().__init__(gen, cost=lambda i: (i + 1) * (delay + 1))
         self.spec = spec
         self.value = spec.value
+        self.num = self.value.numerator
+        self.den = self.value.denominator
         self.prefixes = [spec.int_part]
+        self.tens = [1]
 
-    def digit_prefix(self, j: int) -> int:
-        """P_j, the magnitude's first j fraction digits as an integer."""
-        ps = self.prefixes
+    def grow(self, j: int) -> None:
+        """Extend ``prefixes`` and ``tens`` through index j."""
+        ps, tens = self.prefixes, self.tens
         digit = self.spec.digit
         while len(ps) <= j:
             ps.append(10 * ps[-1] + digit(len(ps) - 1))
-        return ps[j]
+            tens.append(10 * tens[-1])
 
 
 def decimal_point(spec: DecimalSpec, delay: int = 0) -> Point:
@@ -257,33 +266,51 @@ class _IntervalStepper:
 _OUTSIDE = SValue(None, None, NEVER)
 
 
-def _interval_outcome(name: DecimalName, a: Fraction, b: Fraction) -> SValue:
-    """What `_IntervalStepper` does on a decimal name, as a known value:
-    never unless a < x < b, else acceptance at emission m + 1 (the sign
-    code is emission 0), where m is the fewest fraction digits the
-    endpoint pair needs.
+def _interval_outcome(name: DecimalName, pa: int, qa: int, pb: int,
+                      qb: int) -> SValue:
+    """What `_IntervalStepper` does on a decimal name, as a known value,
+    for the interval (pa/qa, pb/qb) with qa, qb > 0: never unless the
+    value lies strictly inside, else acceptance at emission m + 1 (the
+    sign code is emission 0), where m is the fewest fraction digits the
+    endpoint pair needs.  Every test is a cross-multiplication, so the
+    endpoints need not be in lowest terms.
 
     With the endpoints flipped to magnitudes on the spec's sign (as the
     stepper flips them on the sign code, so ``-0`` flips too) and P_j the
-    name's prefix integers, j digits suffice iff P_j*q_a > p_a*10^j and
-    (P_j + 1)*q_b < p_b*10^j: the stepper's ``lo.above()`` and
+    name's prefix integers, j digits suffice iff P_j*qa > pa*10^j and
+    (P_j + 1)*qb < pb*10^j: the stepper's ``lo.above()`` and
     ``hi.below_plus_one()``.  Both stay true once true (the stepper's
-    lock is exact), so m is found by exponential search and bisection."""
-    p, q = name.value.numerator, name.value.denominator
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    lock is exact).  They put the prefix interval, of width 10^-j,
+    strictly inside an interval of width w, so j0, the fewest j with
+    10^-j < w, is a lower bound on m: the search steps up from j0 in
+    growing strides, then bisects."""
+    p, q = name.num, name.den
     if not (pa * q < p * qa and p * qb < pb * q):
         return _OUTSIDE
     if name.spec.sign < 0:
         pa, qa, pb, qb = -pb, qb, -pa, qa
-    prefix = name.digit_prefix
+    ps, tens = name.prefixes, name.tens
+    # w = wn/wd.  With e the bit-length gap of wd over wn less one,
+    # wd/wn > 2^e, and 3/10 < log10(2), so j = 3e//10 (0 if e < 0) is at
+    # most j0: step up from there to j0 exactly
+    wn, wd = pb * qa - pa * qb, qa * qb
+    j = max(0, 3 * (wd.bit_length() - wn.bit_length() - 1) // 10)
+    while True:
+        if j >= len(tens):
+            name.grow(j)
+        if tens[j] * wn > wd:
+            break
+        j += 1
 
     def enough(j: int) -> bool:
-        pj, tj = prefix(j), 10 ** j
+        if j >= len(ps):
+            name.grow(j)
+        pj, tj = ps[j], tens[j]
         return pj * qa > pa * tj and (pj + 1) * qb < pb * tj
 
-    lo, hi = -1, 0  # enough(lo) is false; -1 stands for "no digits probed"
+    lo, hi, stride = j - 1, j, 1  # enough(lo) is false; -1 probes nothing
     while not enough(hi):
-        lo, hi = hi, 2 * hi + 1
+        lo, hi, stride = hi, hi + stride, 2 * stride
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if enough(mid):
@@ -295,20 +322,23 @@ def _interval_outcome(name: DecimalName, a: Fraction, b: Fraction) -> SValue:
 
 def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
     """The open interval (a, b) as an open subset of the decimal space.
-    Membership of a `DecimalName` is known at once; any other name is
-    stepped, so its encoding errors surface at their step."""
+    The endpoints' numerators and denominators are read once, here:
+    membership of a `DecimalName` is then known at once from them by
+    `_interval_outcome`; any other name is stepped, so its encoding
+    errors surface at their step."""
     if not isinstance(a, Fraction):
         a = Fraction(a)
     if not isinstance(b, Fraction):
         b = Fraction(b)
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     # a < b by cross-multiplication, without Fraction's ABC dispatch
-    if not a.numerator * b.denominator < b.numerator * a.denominator:
+    if not pa * qb < pb * qa:
         raise EncodingError(f"need a < b, got {a} >= {b}")
 
     def chi(d: Point) -> SValue:
         nm = d.payload
         if isinstance(nm, DecimalName):
-            return _interval_outcome(nm, a, b)
+            return _interval_outcome(nm, pa, qa, pb, qb)
         return SValue(lambda: _IntervalStepper(NameReader(nm), a, b))
 
     return OpenSet(DECIMAL, chi)
@@ -318,14 +348,24 @@ def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
 # The countable interval subbase
 
 
-def interval_for_index(n: int) -> tuple[Fraction, Fraction]:
-    """A fixed pairing of every rational open interval: left endpoint code
-    and positive width code."""
+def _interval_ints(n: int) -> tuple[int, int, int, int]:
+    """Interval n of the subbase as (pa, qa, pb, qb), the interval
+    (pa/qa, pb/qb) with positive denominators, not in lowest terms: the
+    left endpoint code and the positive width code, added over the
+    product of their denominators."""
     i, j = unpair(n)
     s, d = unpair(i)
-    a = Fraction(zigzag(s), d + 1)
     u, v = unpair(j)
-    return a, a + Fraction(u + 1, v + 1)
+    pa, qa = zigzag(s), d + 1
+    return pa, qa, pa * (v + 1) + (u + 1) * qa, qa * (v + 1)
+
+
+def interval_for_index(n: int) -> tuple[Fraction, Fraction]:
+    """A fixed pairing of every rational open interval: left endpoint code
+    and positive width code, decoded by `_interval_ints` and put in
+    lowest terms."""
+    pa, qa, pb, qb = _interval_ints(n)
+    return Fraction(pa, qa), Fraction(pb, qb)
 
 
 def rational_interval_subbase() -> Presubbase:
@@ -373,7 +413,10 @@ class _DecimalEnumName(Name):
     max(k, 1))`` if its membership accepts at step k, and never if it
     never does: `_QueueOnAccept` steps its membership at least once before
     queueing.  Slots never coincide, so at most one value is due a step.
-    `run_to` jumps; `advance` is one step of the same schedule."""
+    Each membership is `_interval_outcome` on the integer endpoints of
+    `_interval_ints`: the value `interval_open_decimal`'s ``chi`` gives,
+    without building the open or its `Fraction` endpoints.  `run_to`
+    jumps; `advance` is one step of the same schedule."""
 
     __slots__ = ("point", "tasks", "due")
 
@@ -389,9 +432,9 @@ class _DecimalEnumName(Name):
     def run_to(self, t: int) -> None:
         if t <= self._steps:
             return
-        i, due, d = self.tasks, self.due, self.point
+        i, due, nm = self.tasks, self.due, self.point.payload
         while dovetail_bound(i, 0) <= t:
-            k = interval_open_decimal(*interval_for_index(i)).chi(d).known
+            k = _interval_outcome(nm, *_interval_ints(i)).known
             if k != NEVER:
                 insort(due, (dovetail_bound(i, max(k, 1)), i + 1))
             i += 1
@@ -492,7 +535,10 @@ def repair_decimal(d: Point, precision_bits: int,
     extract a Cauchy prefix: at level k, dovetail filter queries over
     rational intervals of width 2^-k until one accepts, and take its
     midpoint.  Levels refine a window around the previous midpoint, so
-    the whole prefix costs far less than the default fuel.
+    the whole prefix costs far less than the default fuel.  Neighbouring
+    windows share an endpoint, so each later level builds its 8 distinct
+    endpoints once and its 7 windows take them pairwise; a decimal name
+    answers each window from the endpoints' integers.
 
     Returns levels 1..precision_bits; level k is within 2^-(k+1) of the
     denoted real, hence within 2^-(k-1) of the direct truncation oracle.
@@ -513,13 +559,20 @@ def repair_decimal(d: Point, precision_bits: int,
         # around the previous centre, in the same zigzag order
         den = 1 << (k + 1)
         m0 = 2 * m
-        size = 7 if levels else None
+        if levels:
+            # the 8 endpoints (2*m0 - 7 + 2j)/den of the 7 windows: window
+            # c = m0 + z spans ends[z + 3] to ends[z + 4]
+            ends = [Fraction(n, den) for n in range(2 * m0 - 7, 2 * m0 + 9, 2)]
 
-        def candidate(i: int) -> SValue:
-            c = m0 + zigzag(i)
-            return query(Fraction(2 * c - 1, den), Fraction(2 * c + 1, den))
+            def candidate(i: int) -> SValue:
+                j = zigzag(i) + 3
+                return query(ends[j], ends[j + 1])
+        else:
+            def candidate(i: int) -> SValue:
+                c = zigzag(i)
+                return query(Fraction(2 * c - 1, den), Fraction(2 * c + 1, den))
 
-        hit = first_accepting(candidate, size, remaining)
+        hit = first_accepting(candidate, 7 if levels else None, remaining)
         if hit is None:
             raise FuelExhausted(k - 1, levels)
         winner, used = hit

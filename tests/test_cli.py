@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import synthtop
@@ -63,6 +64,21 @@ def test_verify_stdout_matches_golden(capsys):
     code, out, _ = run(capsys, "verify", "--laws", "all", "--max-size", "2")
     assert code == 0
     assert out.encode() == GOLDEN_VERIFY.read_bytes()
+
+
+@pytest.mark.parametrize("literal, bits, golden", [
+    ("0.3(3)", 20, "repair_one_third_bits20.json"),
+    ("0.3(3)", 200, "repair_one_third_bits200.json"),
+    ("-1.(142857)", 200, "repair_minus_8_7_bits200.json"),
+    ("-0.0(5)", 200, "repair_minus_1_18_bits200.json"),
+    ("100", 200, "repair_100_bits200.json"),
+])
+def test_repair_stdout_matches_golden(capsys, literal, bits, golden):
+    # every level, delta and direct-oracle value of `synthtop repair`,
+    # recorded once: a faster repair must print the same bytes
+    code, out, _ = run(capsys, "repair", "--bits", str(bits), "--", literal)
+    assert code == 0
+    assert out.encode() == (GOLDEN_VERIFY.parent / golden).read_bytes()
 
 
 def test_verify_unknown_law_exits_2(capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from synthtop.bases import kolmogorov_completion
-from synthtop.hyper import OpenSet
 from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
                              decode_enum, dovetail_bound, literal_name, pair,
                              zigzag, zigzag_inv)
@@ -162,6 +161,83 @@ def test_folded_interval_membership_matches_the_stepper(case):
     fuels = [10 ** 4] if k == NEVER else [k - 1, k, k + 1, 10 ** 4]
     for fuel in fuels:
         assert _charged(folded, fuel) == _charged(stepped, fuel), fuel
+
+
+def _searched_outcome(spec, delay, a, b):
+    """The known step of a decimal name's membership in (a, b), found as
+    it was first: on `Fraction` endpoints, by an exponential search for
+    the digit count m from no digits, then bisection."""
+    if not a < spec.value < b:
+        return NEVER
+    if spec.sign < 0:
+        a, b = -b, -a
+    prefixes = [spec.int_part]
+
+    def enough(j):
+        while len(prefixes) <= j:
+            prefixes.append(10 * prefixes[-1] + spec.digit(len(prefixes) - 1))
+        lo = Fraction(prefixes[j], 10 ** j)
+        return a < lo and lo + Fraction(1, 10 ** j) < b
+
+    lo, hi = -1, 0
+    while not enough(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (hi + 2) * (delay + 1)  # the cost of emission m + 1
+
+
+@given(_SPECS, st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+@example(parse_decimal("-0"), 0, random.Random(0))
+@example(parse_decimal("-0.0(0)"), 2, random.Random(1))
+@example(parse_decimal("0.3(3)"), 0, random.Random(2))
+@example(parse_decimal("-1.(142857)"), 1, random.Random(3))
+@example(parse_decimal("0.9(9)"), 0, random.Random(4))
+def test_integer_interval_kernel_matches_the_digit_search(spec, delay, rng):
+    """`_interval_outcome` on integer endpoints, scaled out of lowest
+    terms, against `_searched_outcome`, on one name asked in turn: repair
+    windows of levels 1 to 220 near the value and random rational
+    intervals.  Up to level 64 the window is also stepped on the
+    `_stepped_twin`, which reads the digits."""
+    import synthtop.reals as reals
+
+    class Bounded(reals.DecimalName):
+        # m stays below 80 digits for every case drawn here: a search
+        # that runs on past 1000 fails instead of hanging
+        def grow(self, j):
+            assert j < 1000, "runaway digit search"
+            super().grow(j)
+
+    d = Point(DECIMAL, Bounded(spec, delay))
+    x = spec.value
+    cases = []
+    for _ in range(30):
+        k = rng.choice((rng.randint(1, 12), rng.randint(1, 220)))
+        c = round(x * 2 ** k) + rng.randint(-3, 3)
+        cases.append((k, *_window(c, k)))
+    for _ in range(10):
+        a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+        cases.append((None, a, a + Fraction(rng.randint(1, 60),
+                                            rng.randint(1, 400))))
+    for k, a, b in cases:
+        want = _searched_outcome(spec, delay, a, b)
+        s, t = rng.randint(1, 9), rng.randint(1, 9)
+        got = reals._interval_outcome(d.payload, s * a.numerator,
+                                      s * a.denominator, t * b.numerator,
+                                      t * b.denominator)
+        assert got.known == want, (k, a, b, s, t)
+        assert interval_open_decimal(a, b).chi(d).known == want
+        if k is not None and k <= 64:
+            stepped = interval_open_decimal(a, b).chi(_stepped_twin(d))
+            fuels = [10 ** 3] if want == NEVER else [want - 1, want]
+            for fuel in fuels:
+                assert _charged(stepped, fuel) \
+                    == _charged(SValue(None, None, want), fuel), (k, a, b)
 
 
 def _dovetail_race(items, fuel):
@@ -438,20 +514,27 @@ def test_folded_enum_schedule_matches_the_dovetail_for_any_known_outcome(
         monkeypatch):
     """Decimal memberships accept at step 2 or later; with every known
     outcome forced (0 and 1 included) the fold still lands each emission
-    where the `Dovetail` run queues it."""
+    where the `Dovetail` run queues it.  The fold asks the integer kernel
+    and the `Dovetail` steps the membership stepper, so both are forced,
+    by one rule on the interval in lowest terms."""
     import synthtop.reals as reals
 
     outcomes = (0, 1, 2, 5, NEVER, 3)
 
-    def forced(a, b):
-        k = outcomes[(a.numerator * 7 + b.denominator * 3) % len(outcomes)]
-        return OpenSet(DECIMAL, lambda d: SValue(None, None, k))
+    def rule(a, b):
+        return outcomes[(a.numerator * 7 + b.denominator * 3) % len(outcomes)]
 
-    monkeypatch.setattr(reals, "interval_open_decimal", forced)
+    def kernel(name, pa, qa, pb, qb):
+        return SValue(None, None, rule(Fraction(pa, qa), Fraction(pb, qb)))
+
+    monkeypatch.setattr(reals, "_interval_outcome", kernel)
+    monkeypatch.setattr(reals, "_IntervalStepper",
+                        lambda reader, a, b: SValue(None, None,
+                                                    rule(a, b)).make())
     d = decimal_point(parse_decimal("0.3(3)"))
     want = _emissions(enum_subbase_name(_stepped_twin(d)), 3_000)
     assert {k for k in outcomes if k != NEVER} <= {
-        forced(*interval_for_index(v - 1)).chi(d).known for _, v in want}
+        rule(*interval_for_index(v - 1)) for _, v in want}
     assert _emissions(enum_subbase_name(d), 3_000) == want
 
 
@@ -561,6 +644,20 @@ def test_repair_of_dyadic_rationals_with_denominator_at_least_four(text):
     direct = decimal_to_cauchy_direct(spec)
     levels = repair_decimal(decimal_point(spec), 4, fuel=10 ** 5)
     assert len(levels) == 4
+    for k, q in enumerate(levels, start=1):
+        assert abs(q - direct.level(k)) <= Fraction(1, 2 ** (k - 1)), k
+
+
+@pytest.mark.xfail(strict=True, raises=FuelExhausted,
+                   reason="level 1 dovetails every integer centre in zigzag "
+                          "order, a schedule quadratic in the index, so "
+                          "|x| near 500 exhausts the default fuel")
+@pytest.mark.parametrize("text", ["500", "1000", "-1000"])
+def test_repair_of_large_magnitudes(text):
+    spec = parse_decimal(text)
+    direct = decimal_to_cauchy_direct(spec)
+    levels = repair_decimal(decimal_point(spec), 20)
+    assert len(levels) == 20
     for k, q in enumerate(levels, start=1):
         assert abs(q - direct.level(k)) <= Fraction(1, 2 ** (k - 1)), k
 
