@@ -23,8 +23,9 @@ endpoint's denominator.
 
 Repair searches level k over windows of width 2^-k centred on multiples
 of 2^-k, and tracks the centre as an integer: each level costs a few
-integer operations, its 8 shared window endpoints and one known-outcome
-race of seven windows.
+integer operations and one known-outcome race of seven windows, built
+from 8 shared integer numerators over one power of two, with no
+`Fraction` per window.
 """
 
 from __future__ import annotations
@@ -320,28 +321,38 @@ def _interval_outcome(name: DecimalName, pa: int, qa: int, pb: int,
     return SValue(None, None, name.cost(hi + 1))
 
 
-def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
-    """The open interval (a, b) as an open subset of the decimal space.
-    The endpoints' numerators and denominators are read once, here:
-    membership of a `DecimalName` is then known at once from them by
+def _interval_open(pa: int, qa: int, pb: int, qb: int) -> OpenSet:
+    """The open interval (pa/qa, pb/qb) of the decimal space, from integer
+    endpoints with qa, qb > 0, not necessarily in lowest terms.
+    Membership of a `DecimalName` is known at once from them by
     `_interval_outcome`; any other name is stepped, so its encoding
-    errors surface at their step."""
-    if not isinstance(a, Fraction):
-        a = Fraction(a)
-    if not isinstance(b, Fraction):
-        b = Fraction(b)
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    # a < b by cross-multiplication, without Fraction's ABC dispatch
+    errors surface at their step.  Its stepper's `Fraction` endpoints,
+    in lowest terms, are built when the stepper is."""
+    # a < b by cross-multiplication
     if not pa * qb < pb * qa:
-        raise EncodingError(f"need a < b, got {a} >= {b}")
+        raise EncodingError(
+            f"need a < b, got {Fraction(pa, qa)} >= {Fraction(pb, qb)}")
 
     def chi(d: Point) -> SValue:
         nm = d.payload
         if isinstance(nm, DecimalName):
             return _interval_outcome(nm, pa, qa, pb, qb)
-        return SValue(lambda: _IntervalStepper(NameReader(nm), a, b))
+        return SValue(lambda: _IntervalStepper(
+            NameReader(nm), Fraction(pa, qa), Fraction(pb, qb)))
 
     return OpenSet(DECIMAL, chi)
+
+
+def interval_open_decimal(a: Fraction, b: Fraction) -> OpenSet:
+    """The open interval (a, b) as an open subset of the decimal space:
+    `_interval_open` on the endpoints' numerators and denominators, read
+    once, here."""
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
+    return _interval_open(a.numerator, a.denominator, b.numerator,
+                          b.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +381,13 @@ def interval_for_index(n: int) -> tuple[Fraction, Fraction]:
 
 def rational_interval_subbase() -> Presubbase:
     """The countable subbase of rational intervals, indexed by N; the
-    induced representation follows the enumerated-set convention."""
+    induced representation follows the enumerated-set convention.  Member
+    n is `_interval_open` on the integers of `_interval_ints(n)`."""
 
     def family(npt: Point) -> OpenSet:
         def chi(d: Point) -> SValue:
             return on_value(
-                npt,
-                lambda n: interval_open_decimal(*interval_for_index(n)).chi(d))
+                npt, lambda n: _interval_open(*_interval_ints(n)).chi(d))
 
         return OpenSet(DECIMAL, chi)
 
@@ -414,9 +425,9 @@ class _DecimalEnumName(Name):
     never does: `_QueueOnAccept` steps its membership at least once before
     queueing.  Slots never coincide, so at most one value is due a step.
     Each membership is `_interval_outcome` on the integer endpoints of
-    `_interval_ints`: the value `interval_open_decimal`'s ``chi`` gives,
-    without building the open or its `Fraction` endpoints.  `run_to`
-    jumps; `advance` is one step of the same schedule."""
+    `_interval_ints`: the value the stepped task's `_interval_open` gives,
+    without building the open.  `run_to` jumps; `advance` is one step of
+    the same schedule."""
 
     __slots__ = ("point", "tasks", "due")
 
@@ -463,9 +474,8 @@ def enum_subbase_name(d: Point) -> Name:
         ready: deque = deque()
 
         def task(i: int) -> _QueueOnAccept:
-            a, b = interval_for_index(i)
-            return _QueueOnAccept(interval_open_decimal(a, b).chi(d).make(),
-                                  i, ready)
+            return _QueueOnAccept(_interval_open(*_interval_ints(i)).chi(d)
+                                  .make(), i, ready)
 
         engine = Dovetail(task)
         while True:
@@ -487,30 +497,29 @@ class CauchyName:
     level: Callable[[int], Fraction]
 
 
-def _digits_for_bits(n: int) -> int:
-    """Fewest k with 10^-k <= 2^-n."""
-    k, pw, target = 0, 1, 1 << n
-    while pw < target:
-        pw *= 10
-        k += 1
-    return k
-
-
 def decimal_to_cauchy_direct(spec: DecimalSpec) -> CauchyName:
     """The independent repair oracle: level n truncates the decimal to
-    enough digits that the truncation error is at most 2^-n."""
+    the fewest k digits with 10^-k <= 2^-n, so the truncation error is at
+    most 2^-n."""
 
-    # nums[j]: the integer part and the first j digits as one integer,
-    # grown on demand so each digit is read once; a list of its own, not
-    # `DecimalName.prefixes`, so the oracle stays independent of the code
-    # it checks
-    nums = [spec.int_part]
+    # nums[j]: the integer part and the first j digits as one integer, and
+    # tens[j] = 10^j, grown together on demand so each digit is read once;
+    # lists of its own, not `DecimalName`'s tables, so the oracle stays
+    # independent of the code it checks
+    nums, tens = [spec.int_part], [1]
+    k = 0  # the digit count of the last level asked: the search starts there
 
     def level(n: int) -> Fraction:
-        k = _digits_for_bits(n)
-        while len(nums) <= k:
-            nums.append(10 * nums[-1] + spec.digit(len(nums) - 1))
-        return spec.sign * Fraction(nums[k], 10 ** k)
+        nonlocal k
+        target = 1 << n
+        while k and tens[k - 1] >= target:
+            k -= 1
+        while tens[k] < target:
+            k += 1
+            if k == len(tens):
+                tens.append(10 * tens[-1])
+                nums.append(10 * nums[-1] + spec.digit(k - 1))
+        return spec.sign * Fraction(nums[k], tens[k])
 
     return CauchyName(level)
 
@@ -535,10 +544,12 @@ def repair_decimal(d: Point, precision_bits: int,
     extract a Cauchy prefix: at level k, dovetail filter queries over
     rational intervals of width 2^-k until one accepts, and take its
     midpoint.  Levels refine a window around the previous midpoint, so
-    the whole prefix costs far less than the default fuel.  Neighbouring
-    windows share an endpoint, so each later level builds its 8 distinct
-    endpoints once and its 7 windows take them pairwise; a decimal name
-    answers each window from the endpoints' integers.
+    the whole prefix costs far less than the default fuel.  Every window
+    is built by `_interval_open` from odd integer numerators over the
+    level's power-of-two denominator and asked of the filter; neighbouring
+    windows share an endpoint, so each later level's 7 windows take its 8
+    numerators pairwise.  A decimal name answers each window from those
+    integers: the only `Fraction`s built are the returned midpoints.
 
     Returns levels 1..precision_bits; level k is within 2^-(k+1) of the
     denoted real, hence within 2^-(k-1) of the direct truncation oracle.
@@ -547,30 +558,29 @@ def repair_decimal(d: Point, precision_bits: int,
     p = comp.forward(d)
     flt: OpenSet = p.payload  # the neighborhood filter of d
 
-    def query(a: Fraction, b: Fraction) -> SValue:
-        return flt.chi(interval_open_decimal(a, b).as_point())
-
     levels: List[Fraction] = []
     remaining = fuel
     m = 0  # the previous level's centre is m*2^-(k-1)
     for k in range(1, precision_bits + 1):
-        # candidate c is the window (c - 1/2, c + 1/2)*2^-k, in lowest
-        # terms; level 1 searches all of Z, later ones a window of 7
-        # around the previous centre, in the same zigzag order
+        # candidate c is the window (2c - 1, 2c + 1)/den, in lowest terms;
+        # level 1 searches all of Z, later ones a window of 7 around the
+        # previous centre, in the same zigzag order
         den = 1 << (k + 1)
         m0 = 2 * m
         if levels:
-            # the 8 endpoints (2*m0 - 7 + 2j)/den of the 7 windows: window
-            # c = m0 + z spans ends[z + 3] to ends[z + 4]
-            ends = [Fraction(n, den) for n in range(2 * m0 - 7, 2 * m0 + 9, 2)]
+            # the 8 endpoint numerators 2*m0 - 7 + 2j of the 7 windows:
+            # window c = m0 + z spans ends[z + 3] to ends[z + 4]
+            ends = range(2 * m0 - 7, 2 * m0 + 9, 2)
 
             def candidate(i: int) -> SValue:
                 j = zigzag(i) + 3
-                return query(ends[j], ends[j + 1])
+                return flt.chi(
+                    _interval_open(ends[j], den, ends[j + 1], den).as_point())
         else:
             def candidate(i: int) -> SValue:
                 c = zigzag(i)
-                return query(Fraction(2 * c - 1, den), Fraction(2 * c + 1, den))
+                return flt.chi(
+                    _interval_open(2 * c - 1, den, 2 * c + 1, den).as_point())
 
         hit = first_accepting(candidate, 7 if levels else None, remaining)
         if hit is None:

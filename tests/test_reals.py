@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from synthtop.bases import kolmogorov_completion
 from synthtop.kernel import (Dovetail, EncodingError, Name, NameReader,
-                             decode_enum, dovetail_bound, literal_name, pair,
-                             zigzag, zigzag_inv)
+                             decode_enum, delayed_name, dovetail_bound,
+                             literal_name, pair, zigzag, zigzag_inv)
 from synthtop.reals import (DECIMAL, DecimalSpec, FuelExhausted,
-                            decimal_point, decimal_to_cauchy_direct,
+                            _interval_open, decimal_point,
+                            decimal_to_cauchy_direct,
                             enum_subbase_name, interval_for_index,
                             interval_open_decimal,
                             parse_decimal, rational_interval_subbase,
@@ -240,6 +241,62 @@ def test_integer_interval_kernel_matches_the_digit_search(spec, delay, rng):
                     == _charged(SValue(None, None, want), fuel), (k, a, b)
 
 
+def _observe(sv, fuels):
+    """A fresh status call per fuel: the answer, or the exception's type
+    and message, with the ``TALLY`` delta."""
+    out = []
+    for f in fuels:
+        t0 = TALLY.n
+        try:
+            got = ("ok", sv.status(f))
+        except Exception as exc:
+            got = ("raised", type(exc).__name__, str(exc))
+        out.append((got, TALLY.n - t0))
+    return out
+
+
+def _raising_twin(spec, delay, r, bad):
+    """The decimal's name up to its first r fraction digits, each emission
+    after ``delay`` silent steps, then ``bad``, then silence: ``bad`` is a
+    bad sign code at r = -2, and a bad digit at r >= 0 when it is over 9."""
+    lead = [0 if spec.sign >= 0 else 1, spec.int_part]
+    values = (lead + [spec.digit(j) for j in range(max(r, 0))])[:r + 2]
+    return Point(DECIMAL, delayed_name([(delay, v) for v in values + [bad]],
+                                       tail=None))
+
+
+@given(_interval_cases(), st.integers(1, 9), st.integers(1, 9),
+       st.integers(-2, 12), st.sampled_from((2, 10, 12)))
+@settings(max_examples=150, deadline=None)
+@example((parse_decimal("-0"), 2, Fraction(-1), Fraction(1, 10)), 3, 1, -2,
+         2)
+@example((parse_decimal("-1.(142857)"), 1,
+          *_window(round(Fraction(-8, 7) * 2 ** 64), 64)), 1, 1, 5, 12)
+def test_integer_interval_constructor_matches_the_fraction_adapter(
+        case, s, t, r, bad):
+    """`_interval_open` on endpoints scaled out of lowest terms answers as
+    `interval_open_decimal` on their `Fraction`s: the same known value and
+    bound on a decimal name, and the same trace at every fuel on the
+    stepped twin and on a twin that raises at a bad emission."""
+    spec, delay, a, b = case
+    ints = (s * a.numerator, s * a.denominator,
+            t * b.numerator, t * b.denominator)
+    new = _interval_open(*ints)
+    ref = interval_open_decimal(Fraction(*ints[:2]), Fraction(*ints[2:]))
+    d = decimal_point(spec, delay)
+    got, want = new.chi(d), ref.chi(d)
+    assert (got.known, got.bound) == (want.known, want.bound)
+    k = want.known
+    fuels = [0, 1, 2, 3, 5, 8, 13, 10 ** 3]
+    if k != NEVER:
+        fuels += [k - 1, k, k + 1]
+    for pt in (_stepped_twin(d), _raising_twin(spec, delay, r, bad)):
+        assert _observe(new.chi(pt), fuels) == _observe(ref.chi(pt), fuels)
+    with pytest.raises(EncodingError) as err:
+        _interval_open(ints[2], ints[3], ints[0], ints[1])
+    assert str(err.value) == f"need a < b, got {b} >= {a}"
+
+
 def _dovetail_race(items, fuel):
     """`first_accepting` stepped on its `Dovetail`, without the fold."""
     at, race = run(SValue(lambda: Dovetail(lambda i: items[i].make(),
@@ -374,6 +431,33 @@ def test_direct_oracle_examples():
             digits = (fixed + rep * k + "0" * k)[:k]
             want = sign * Fraction(int(whole + digits), 10 ** k)
             assert direct.level(n) == want, (text, n)
+
+
+def _digits_for_bits(n):
+    """Fewest k with 10^-k <= 2^-n, multiplied up from no digits."""
+    k, pw, target = 0, 1, 1 << n
+    while pw < target:
+        pw *= 10
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("text", ["0.(142857)", "-1.(142857)", "2.3(9)"])
+def test_direct_oracle_digit_count_for_levels_in_any_order(text):
+    """The oracle's search from the last level's digit count lands on
+    `_digits_for_bits(n)` for every level 0..400, each asked twice in a
+    random order.  No digit of these decimals is 0, so truncations to
+    different digit counts differ."""
+    spec = parse_decimal(text)
+    direct = decimal_to_cauchy_direct(spec)
+    ns = [*range(401), *range(401)]
+    random.Random(5).shuffle(ns)
+    for n in ns:
+        k = _digits_for_bits(n)
+        prefix = spec.int_part
+        for j in range(k):
+            prefix = 10 * prefix + spec.digit(j)
+        assert direct.level(n) == spec.sign * Fraction(prefix, 10 ** k), n
 
 
 def index_for_interval(a, b):
@@ -629,6 +713,29 @@ def test_repair_matches_the_fraction_window_reference(spec, delay, bits, fuel):
     ref = _repair_outcome(
         lambda: _reference_repair(decimal_point(spec, delay), bits, fuel))
     assert fast == ref
+
+
+@pytest.mark.parametrize("text", ["0.3(3)", "-1.(142857)"])
+def test_repair_builds_no_fraction_per_window(text, monkeypatch):
+    """Repair's windows are integer endpoints: at 200 bits it builds one
+    `Fraction` per level, the midpoint it returns, and a few besides."""
+    import synthtop.reals as reals
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    spec = parse_decimal(text)
+    want = repair_decimal(decimal_point(spec), 200)
+    d = decimal_point(spec)
+    monkeypatch.setattr(reals, "Fraction", Counted)
+    got = repair_decimal(d, 200)
+    monkeypatch.undo()
+    assert got == want
+    assert len(built) <= 200 + 4, len(built)
 
 
 @pytest.mark.xfail(strict=True, raises=FuelExhausted,
