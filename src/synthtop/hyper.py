@@ -59,7 +59,7 @@ class OvertClosed:
         self.exists_fn = exists_fn
 
     def exists_(self, u: Union[OpenSet, Point]) -> SValue:
-        if type(u) is not OpenSet or u.space is not self.space:
+        if not isinstance(u, OpenSet) or u.space is not self.space:
             u = as_open(u, self.space)
         return self.exists_fn(u)
 
@@ -80,7 +80,7 @@ class CompactSat:
         self.forall_fn = forall_fn
 
     def forall_(self, u: Union[OpenSet, Point]) -> SValue:
-        if type(u) is not OpenSet or u.space is not self.space:
+        if not isinstance(u, OpenSet) or u.space is not self.space:
             u = as_open(u, self.space)
         return self.forall_fn(u)
 

@@ -22,8 +22,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bases import Presubbase
-from .kernel import delayed_name, literal_name
-from .sierpinski import NEGATIVE_FUEL, SValue, and_finite, or_countable, read_table
+from .kernel import delayed_name, dovetail_bound, literal_name
+from .sierpinski import (NEGATIVE_FUEL, NEVER, SValue, and_finite,
+                         or_countable, read_table)
 from .spaces import Point, Space, compacts, opens
 from .hyper import CompactSat, OpenSet, OvertClosed, as_open
 
@@ -543,10 +544,14 @@ def finite_repr(f: FiniteSpace) -> Space:
     plus least element) exactly when the topology is T0 -- otherwise the
     filter does not determine the point and the space is genuinely not a
     computable Kolmogorov space.  Built once per (frozen) ``f``; its
-    undelayed points are built with it and kept in ``parts[1]``."""
+    undelayed points are built with it and kept in ``parts[1]``, their
+    names' first values read (`Name.peek`), so `leaf_overt` and
+    `leaf_compact` fold from ``first`` without reading again."""
     sp = Space("finite", (f,), label=f"Fin({f.n})")
-    sp.parts = (f, tuple(Point(sp, literal_name([e], tail=e))
-                         for e in range(f.n)))
+    pts = tuple(Point(sp, literal_name([e], tail=e)) for e in range(f.n))
+    for p in pts:
+        p.payload.peek()
+    sp.parts = (f, pts)
     sp.overt = OvertClosed(sp, lambda u: or_countable(map(u.chi, sp.parts[1])))
     if is_T0(f):
         sp.filter_inverse = lambda flt, fuel=None: _finite_filter_inverse(sp, f, flt, fuel)
@@ -562,12 +567,39 @@ def finite_point(sp: Space, elem: int, delay: int = 0) -> Point:
     return Point(sp, delayed_name([(delay, elem)], tail=elem))
 
 
-def leaf_open(sp: Space, mask: int) -> OpenSet:
+def _points(sp: Space, mask: int) -> list:
+    """The undelayed points of the elements of ``mask``, lowest first."""
+    f, pts = sp.parts
+    if mask >> f.n:
+        raise ValueError(f"mask {mask:#b} outside carrier of size {f.n}")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(pts[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+class LeafOpen(OpenSet):
+    """A `leaf_open`: its membership semidecider plus the ``mask`` it
+    reads, from which `leaf_overt` and `leaf_compact` fold."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, space: Space, chi, mask: int):
+        self.space = space
+        self.chi = chi
+        self.mask = mask
+
+
+def leaf_open(sp: Space, mask: int) -> LeafOpen:
     """Membership semidecider of a subset given as a bitmask (only opens of
     the topology denote opens, but the semidecider is definable for any
     mask; validity is the caller's concern).  A warm point's answer is
     read straight off its name's shared known pair (`Name.leaves`, built
-    by `read_table`), one call less per warm query than asking it."""
+    by `read_table`), one call less per warm query than asking it.  The
+    open keeps its mask, so a finite overt or compact leaf of the same
+    space answers it by mask arithmetic (`leaf_overt`, `leaf_compact`)."""
 
     def member(v: int) -> int:
         return mask >> v & 1
@@ -579,21 +611,62 @@ def leaf_open(sp: Space, mask: int) -> OpenSet:
             return read_table((nm,), member)
         return pair[~mask >> nm.first[0] & 1]  # (accept, never)
 
-    return OpenSet(sp, chi)
+    return LeafOpen(sp, chi, mask)
 
 
 def leaf_overt(sp: Space, mask: int) -> OvertClosed:
     """The overt value generated by the elements of ``mask``; denotes the
-    closure of that set."""
-    pts = [finite_point(sp, e) for e in bits(mask)]
-    return OvertClosed(sp, lambda u: or_countable(map(u.chi, pts)))
+    closure of that set.  Asked about a `leaf_open` (of ``sp``, as
+    `OvertClosed.exists_` checks) it builds no child: member i, whose name
+    emits its first value at step k, meets the open's mask at
+    ``dovetail_bound(i, k, size)``, and the known outcome and bound are
+    the `or_countable` fold of those landings.  Any other open is asked
+    point by point through `or_countable`."""
+    pts = _points(sp, mask)
+
+    def exists(u: OpenSet) -> SValue:
+        if type(u) is not LeafOpen:
+            return or_countable(map(u.chi, pts))
+        m = u.mask
+        size = len(pts)
+        known = NEVER
+        bound = 0
+        for i, p in enumerate(pts):
+            e, k, c = p.payload.first
+            t = dovetail_bound(i, c, size)
+            if t > bound:
+                bound = t
+            if m >> e & 1:
+                if k != c:
+                    t = dovetail_bound(i, k, size)
+                if t < known:
+                    known = t
+        return SValue(None, bound, known)
+
+    return OvertClosed(sp, exists)
 
 
 def leaf_compact(sp: Space, mask: int) -> CompactSat:
     """The compact value generated by the elements of ``mask``; denotes the
-    saturation of that set."""
-    pts = [finite_point(sp, e) for e in bits(mask)]
-    return CompactSat(sp, lambda u: and_finite(map(u.chi, pts)))
+    saturation of that set.  Asked about a `leaf_open` (of ``sp``, as
+    `CompactSat.forall_` checks) it builds no child: it accepts at the sum
+    of its members' first steps if ``mask`` lies inside the open's mask,
+    and never otherwise, with the sum of their ``cost(0)`` as bound, as
+    `and_finite` folds them.  Any other open is asked point by point
+    through `and_finite`."""
+    pts = _points(sp, mask)
+
+    def forall(u: OpenSet) -> SValue:
+        if type(u) is not LeafOpen:
+            return and_finite(map(u.chi, pts))
+        known = bound = 0
+        for p in pts:
+            _, k, c = p.payload.first
+            known += k
+            bound += c
+        return SValue(None, bound, NEVER if mask & ~u.mask else known)
+
+    return CompactSat(sp, forall)
 
 
 def budgeted(sv: SValue, fuel: Optional[int] = None) -> bool:

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.bases import embed_point
-from synthtop.oracle import (MAX_EXHAUSTIVE, SchemaError, bits, closure,
-                             continuous_maps, decode_finite,
+from synthtop.hyper import OpenSet, point_to_closed, point_to_compact
+from synthtop.oracle import (MAX_EXHAUSTIVE, LeafOpen, SchemaError, bits,
+                             closure, continuous_maps, decode_finite,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
                              figure1_check, finite_point, finite_presubbase,
-                             full_mask, generate_topology, is_T0,
+                             finite_repr, full_mask, generate_topology, is_T0,
+                             leaf_compact, leaf_open, leaf_overt,
                              make_space, make_subbase, mask_of,
                              monotone_families,
                              saturate, space_from_json, specialization,
                              subbase_from_json, tau_B, tau_inf, tau_K,
                              topology_from_preorder, up_sets)
+from synthtop.sierpinski import (NEVER, TALLY, and_finite, or_countable,
+                                 read_table)
+from synthtop.spaces import SpaceMismatch
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 
@@ -320,3 +325,94 @@ def test_unknown_law_id_is_an_error():
 def test_interior_and_closure():
     assert closure(SIERP2, 0b10) == 0b11
     assert closure(SIERP2, 0b01) == 0b01
+
+
+# --- finite overt and compact leaves fold from masks ----------------------
+
+
+def _fold_spaces():
+    """Every space with at most 3 points, and a seeded sample of the 355
+    four-point spaces."""
+    small = [f for n in range(4) for f in enumerate_spaces(n)]
+    return small + random.Random(32).sample(enumerate_spaces(4), 16)
+
+
+def _charges(sv, fuels):
+    """A fresh status call per fuel: the answer and its ``TALLY`` charge."""
+    out = []
+    for fuel in fuels:
+        t0 = TALLY.n
+        out.append((sv.status(fuel), TALLY.n - t0))
+    return out
+
+
+def _same_value(new, ref):
+    """The same known outcome and bound, and the same answers and charges
+    one step before the landing, at it and at the bound (below and at the
+    bound when the value never accepts)."""
+    assert (new.known, new.bound) == (ref.known, ref.bound)
+    land = ref.bound if ref.known == NEVER else ref.known
+    fuels = (land - 1, land, ref.bound)
+    assert _charges(new, fuels) == _charges(ref, fuels)
+
+
+def test_finite_leaves_fold_as_the_generic_quantifiers():
+    # every mask pair (a, u), not only opens: leaf_open takes any mask
+    for f in _fold_spaces():
+        sp = finite_repr(f)
+        for a in range(1 << f.n):
+            pts = [finite_point(sp, e) for e in bits(a)]
+            overt, compact = leaf_overt(sp, a), leaf_compact(sp, a)
+            for u in range(1 << f.n):
+                lo = leaf_open(sp, u)
+                _same_value(overt.exists_(lo),
+                            or_countable([lo.chi(p) for p in pts]))
+                _same_value(compact.forall_(lo),
+                            and_finite([lo.chi(p) for p in pts]))
+    # a mask reaching past the carrier is refused when the leaf is built
+    sp = finite_repr(make_space(2, [0, 0b11]))
+    for leaf in (leaf_overt, leaf_compact):
+        for mask in (0b100, 0b101, -1):
+            with pytest.raises(ValueError):
+                leaf(sp, mask)
+
+
+def test_only_a_leaf_open_of_the_same_space_folds():
+    f = make_space(3, [0, 0b010, 0b110, 0b111])
+    sp = finite_repr(f)
+    a, u = 0b110, 0b010
+    lo = leaf_open(sp, u)
+    asked = []
+
+    def chi(p):
+        asked.append(p)
+        return lo.chi(p)
+
+    pts = [finite_point(sp, e) for e in bits(a)]
+    for value in (leaf_overt(sp, a).exists_, leaf_compact(sp, a).forall_):
+        # a leaf open, also given as a point of O(X), folds: chi is not asked
+        folded = value(LeafOpen(sp, chi, u))
+        assert asked == []
+        assert value(LeafOpen(sp, chi, u).as_point()).known == folded.known
+        assert asked == []
+        # a plain open wrapping the same chi is asked once per member
+        _same_value(value(OpenSet(sp, chi)), folded)
+        assert asked == pts
+        del asked[:]
+    # a leaf open of another space is refused, as any other open is
+    other = finite_repr(make_space(3, [0, 0b111]))
+    with pytest.raises(SpaceMismatch):
+        leaf_overt(sp, a).exists_(leaf_open(other, u))
+
+
+def test_delayed_points_are_read_through_the_leaf_open():
+    sp = finite_repr(make_space(3, [0, 0b010, 0b110, 0b111]))
+    for e in range(3):
+        for u in range(8):
+            for ask in (lambda d, lo: point_to_closed(d).exists_(lo),
+                        lambda d, lo: point_to_compact(d).forall_(lo)):
+                sv = ask(finite_point(sp, e, delay=2), leaf_open(sp, u))
+                ref = read_table((finite_point(sp, e, delay=2).payload,),
+                                 lambda v: u >> v & 1)
+                assert sv.known is None and sv.bound == ref.bound == 3
+                assert _charges(sv, range(6)) == _charges(ref, range(6))
