@@ -56,6 +56,13 @@ class Presubbase:
     transpose_inverse: Optional[Callable[[OpenSet, Optional[int]], Point]] = None
     resolver: Optional[Callable[[CompactSat, Optional[int]], OvertClosed]] = None
 
+    def transpose(self, x: Point) -> OpenSet:
+        """The open index set {y : x in B_y}, asking ``family(y)`` about x
+        for each y.  The one place a presubbase may answer it otherwise:
+        `oracle.FinitePresubbase` returns a mask-carrying leaf of the index
+        at a warm point of its carrier, and this open everywhere else."""
+        return OpenSet(self.index, lambda y: self.family(y).chi(x))
+
 
 @dataclass(eq=False)
 class LacombeBase:
@@ -76,8 +83,8 @@ class LacombeBase:
 
 
 def transpose(b: Presubbase, x: Point) -> OpenSet:
-    """The open index set {y : x in B_y}."""
-    return OpenSet(b.index, lambda y: b.family(y).chi(x))
+    """The open index set {y : x in B_y}: `Presubbase.transpose`."""
+    return b.transpose(x)
 
 
 def presubbase_space(b: Presubbase) -> Space:
@@ -103,7 +110,7 @@ def presubbase_space(b: Presubbase) -> Space:
 def embed_point(b: Presubbase, x: Point) -> Point:
     """The canonical name of a carrier point in the induced space."""
     check_space(x, b.carrier)
-    return Point(presubbase_space(b), transpose(b, x))
+    return Point(presubbase_space(b), b.transpose(x))
 
 
 def point_transpose(p: Point) -> OpenSet:
@@ -138,7 +145,7 @@ def prebase_from_presubbase(base: Presubbase) -> Presubbase:
 
     def family(kpt: Point) -> OpenSet:
         k = as_compact(kpt, index)
-        return OpenSet(base.carrier, lambda x: k.forall_(transpose(base, x)))
+        return OpenSet(base.carrier, lambda x: k.forall_(base.transpose(x)))
 
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         # the original transpose is recovered through singleton saturations
@@ -506,7 +513,7 @@ def _swap(w: GaloisWitness, want: str, to: str, index: Space,
     if w.direction != want:
         raise ValueError(f"expected a {want} witness, got {w.direction}")
     b = Presubbase(index, carrier, w.translator)
-    return GaloisWitness(to, w.x_space, w.y_space, lambda a: transpose(b, a))
+    return GaloisWitness(to, w.x_space, w.y_space, b.transpose)
 
 
 def galois_forward(w: GaloisWitness) -> GaloisWitness:

@@ -111,10 +111,11 @@ def _subbase_instances(max_size: int, t0_only: bool):
                     yield FiniteSubbase(nx, fam, order)
 
 
-def _induced_points(sub: FiniteSubbase):
-    """The presubbase of a finite subbase, the space it induces, and each
-    carrier element as a point of that space."""
-    b = finite_presubbase(sub)
+def _induced_points(sub: FiniteSubbase, tk: FiniteSpace):
+    """The presubbase of a finite subbase over its carrier topology ``tk``
+    (tau_K of ``sub``), the space it induces, and each carrier element as
+    a point of that space."""
+    b = finite_presubbase(sub, tk)
     return b, presubbase_space(b), [embed_point(b, finite_point(b.carrier, x))
                                     for x in range(sub.n)]
 
@@ -133,7 +134,7 @@ def law_presubbase_representation(s: _Suite, max_size: int, fuel: int, seed: int
             return
         if not inj:
             continue
-        b, bsp, points = _induced_points(sub)
+        b, bsp, points = _induced_points(sub, tk)
         for k_mask in up_sets(sub.index_space()):
             want = reduce(and_, (sub.sets[y] for y in bits(k_mask)), full_mask(sub.n))
             u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
@@ -625,16 +626,16 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
         if not sub.injective():
             continue
         s.instances += 1
-        got = _base_completion_range(sub, fuel)
-        tk = set(tau_K(sub).opens)
-        if not s.check(got == tk, lambda: {
+        tk = tau_K(sub)
+        got = _base_completion_range(sub, tk, fuel)
+        if not s.check(got == set(tk.opens), lambda: {
                 "case": "base-completion-range", "subbase": sub.to_json(),
                 "got": sorted(sorted(bits(u)) for u in got),
-                "want": sorted(sorted(bits(u)) for u in tk)}):
+                "want": sorted(sorted(bits(u)) for u in tk.opens)}):
             return
         # a second completion of the induced space is extensionally inert:
         # every base open agrees on forwarded points
-        b, bsp, points = _induced_points(sub)
+        b, bsp, points = _induced_points(sub, tk)
         comp = kolmogorov_completion(bsp)
         for k_mask in up_sets(sub.index_space()):
             u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
@@ -668,13 +669,14 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
                 return
 
 
-def _base_completion_range(sub: FiniteSubbase, fuel: int) -> set[int]:
+def _base_completion_range(sub: FiniteSubbase, tk: FiniteSpace,
+                           fuel: int) -> set[int]:
     """Denotations of the members of the completed base: every open of the
     induced space, read back as a carrier subset.  Completing once already
     exhausts the generated topology, so completing twice adds nothing; we
     verify by checking the range equals tau_K exactly (and hence is a
-    fixed point of completion)."""
-    b, bsp, points = _induced_points(sub)
+    fixed point of completion).  ``tk`` is tau_K of ``sub``."""
+    b, bsp, points = _induced_points(sub, tk)
     out = {0, full_mask(sub.n)}
     for k_mask in up_sets(sub.index_space()):
         u = tau_k_open(bsp, leaf_compact(b.index, k_mask))

@@ -592,6 +592,21 @@ class LeafOpen(OpenSet):
         self.mask = mask
 
 
+class ShiftedLeaf(LeafOpen):
+    """A `LeafOpen` whose members are each read with one more warm name,
+    which first emits at ``step`` with ``cost(0)`` ``cost``: the transpose
+    of a warm carrier point (`FinitePresubbase.transpose`)."""
+
+    __slots__ = ("step", "cost")
+
+    def __init__(self, space: Space, chi, mask: int, step: int, cost: int):
+        self.space = space
+        self.chi = chi
+        self.mask = mask
+        self.step = step
+        self.cost = cost
+
+
 def leaf_open(sp: Space, mask: int) -> LeafOpen:
     """Membership semidecider of a subset given as a bitmask (only opens of
     the topology denote opens, but the semidecider is definable for any
@@ -620,8 +635,9 @@ def leaf_overt(sp: Space, mask: int) -> OvertClosed:
     `OvertClosed.exists_` checks) it builds no child: member i, whose name
     emits its first value at step k, meets the open's mask at
     ``dovetail_bound(i, k, size)``, and the known outcome and bound are
-    the `or_countable` fold of those landings.  Any other open is asked
-    point by point through `or_countable`."""
+    the `or_countable` fold of those landings.  Any other open, a
+    `ShiftedLeaf` included (no program asks an overt leaf about one), is
+    asked point by point through `or_countable`."""
     pts = _points(sp, mask)
 
     def exists(u: OpenSet) -> SValue:
@@ -652,14 +668,18 @@ def leaf_compact(sp: Space, mask: int) -> CompactSat:
     `CompactSat.forall_` checks) it builds no child: it accepts at the sum
     of its members' first steps if ``mask`` lies inside the open's mask,
     and never otherwise, with the sum of their ``cost(0)`` as bound, as
-    `and_finite` folds them.  Any other open is asked point by point
+    `and_finite` folds them; a `ShiftedLeaf` adds its ``step`` and
+    ``cost`` once per member.  Any other open is asked point by point
     through `and_finite`."""
     pts = _points(sp, mask)
 
     def forall(u: OpenSet) -> SValue:
-        if type(u) is not LeafOpen:
+        if type(u) is LeafOpen:
+            known = bound = 0
+        elif type(u) is ShiftedLeaf:
+            known, bound = len(pts) * u.step, len(pts) * u.cost
+        else:
             return and_finite(map(u.chi, pts))
-        known = bound = 0
         for p in pts:
             _, k, c = p.payload.first
             known += k
@@ -751,12 +771,53 @@ def monotone_families(order: Sequence[int], n_carrier: int) -> Iterator[tuple[in
                                   for s in subsets])
 
 
+@dataclass(eq=False)
+class FinitePresubbase(Presubbase):
+    """A `finite_presubbase`; ``masks[x]`` is carrier element x's
+    transpose {y : x in sets[y]}."""
+
+    masks: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self._leaves = {}  # warm carrier name -> its transpose
+
+    def transpose(self, x: Point) -> OpenSet:
+        """At a carrier point whose first value xv (an element) and its
+        ``cost(0)`` are cached, a `ShiftedLeaf` with mask ``masks[xv]``,
+        built once per name; its ``chi`` answers a warm y as the family's
+        two-name `read_table` would and asks the family otherwise.  Any
+        other point gets `Presubbase.transpose`."""
+        first = x.payload.first if x.space is self.carrier else None
+        if first is None or first[0] >= len(self.masks) or first[2] is None:
+            return Presubbase.transpose(self, x)
+        leaf = self._leaves.get(x.payload)
+        if leaf is None:
+            _, dk, dc = first
+            mask = self.masks[first[0]]
+            m = self.index.parts[0].n
+            family = self.family
+
+            def chi(y: Point) -> SValue:
+                f = y.payload.first
+                if f is None or f[0] >= m or f[2] is None:
+                    return family(y).chi(x)
+                return SValue(None, f[2] + dc,
+                              f[1] + dk if mask >> f[0] & 1 else NEVER)
+
+            leaf = self._leaves[x.payload] = ShiftedLeaf(self.index, chi,
+                                                         mask, dk, dc)
+        return leaf
+
+
 def finite_presubbase(sub: FiniteSubbase,
-                      carrier_topology: Optional[FiniteSpace] = None):
+                      carrier_topology: Optional[FiniteSpace] = None
+                      ) -> FinitePresubbase:
     """The subbase as a kernel presubbase: index and carrier become
     name-backed finite spaces, the family reads the index element and then
     semidecides membership, and the transpose inverse narrows candidates
-    from positive information, returning the least one."""
+    from positive information, returning the least one.  The carrier's
+    topology is ``carrier_topology``, else `tau_K` of ``sub``.  A warm
+    carrier point's transpose is a mask (`FinitePresubbase.transpose`)."""
     isp = finite_repr(sub.index_space())
     ctop = carrier_topology if carrier_topology is not None else tau_K(sub)
     csp = finite_repr(ctop)
@@ -768,19 +829,20 @@ def finite_presubbase(sub: FiniteSubbase,
         return OpenSet(csp, lambda x: read_table((ypt.payload, x.payload),
                                                  member))
 
+    masks = tuple(map(sub.transpose, range(sub.n)))
+
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
         accepted = mask_of(
             y for y in range(sub.m)
             if budgeted(w.chi(finite_point(isp, y)), fuel))
-        cands = [x for x in range(sub.n)
-                 if accepted & ~sub.transpose(x) == 0]
+        cands = [x for x in range(sub.n) if accepted & ~masks[x] == 0]
         for x in cands:
-            if all(sub.transpose(x) & ~sub.transpose(x2) == 0 for x2 in cands):
+            if all(masks[x] & ~masks[x2] == 0 for x2 in cands):
                 return finite_point(csp, x)
         raise ValueError("no least candidate; not in range or underfueled")
 
-    return Presubbase(index=isp, carrier=csp, family=family,
-                      transpose_inverse=transpose_inverse)
+    return FinitePresubbase(index=isp, carrier=csp, family=family,
+                            transpose_inverse=transpose_inverse, masks=masks)
 
 
 def decode_finite(point: Point, sub: FiniteSubbase, fuel: int) -> int:

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthtop.bases import embed_point
+from synthtop.bases import Presubbase, embed_point, transpose
 from synthtop.hyper import OpenSet, point_to_closed, point_to_compact
-from synthtop.oracle import (MAX_EXHAUSTIVE, LeafOpen, SchemaError, bits,
+from synthtop.kernel import delayed_name, literal_name
+from synthtop.oracle import (MAX_EXHAUSTIVE, FiniteSubbase, LeafOpen,
+                             SchemaError, ShiftedLeaf, bits,
                              closure, continuous_maps, decode_finite,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
@@ -20,7 +22,7 @@ from synthtop.oracle import (MAX_EXHAUSTIVE, LeafOpen, SchemaError, bits,
                              topology_from_preorder, up_sets)
 from synthtop.sierpinski import (NEVER, TALLY, and_finite, or_countable,
                                  read_table)
-from synthtop.spaces import SpaceMismatch
+from synthtop.spaces import Point, SpaceMismatch
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 
@@ -416,3 +418,127 @@ def test_delayed_points_are_read_through_the_leaf_open():
                                  lambda v: u >> v & 1)
                 assert sv.known is None and sv.bound == ref.bound == 3
                 assert _charges(sv, range(6)) == _charges(ref, range(6))
+
+
+# --- tau_K membership of a finite presubbase folds from masks -------------
+
+
+def _subbases(ny, nx):
+    """Every well-defined subbase over every index space with ``ny``
+    points and a carrier with ``nx``."""
+    for ysp in enumerate_spaces(ny):
+        order = specialization(ysp)
+        for fam in monotone_families(order, nx):
+            yield FiniteSubbase(nx, fam, order)
+
+
+def _presubbase_fold_cases():
+    """Every subbase with at most 2 index and 2 carrier points, and a
+    seeded sample of those with 3 of each."""
+    small = [s for ny in range(3) for nx in range(3) for s in _subbases(ny, nx)]
+    return small + random.Random(33).sample(list(_subbases(3, 3)), 24)
+
+
+def _carrier_points(csp, x):
+    """Carrier element x: its undelayed point, then per delay 0-3 a cold
+    name (first value not yet read) and one run to its first value."""
+    out = [(finite_point(csp, x), 1)]
+    for d in range(4):
+        out.append((Point(csp, delayed_name([(d, x)], tail=x)), None))
+        warm = delayed_name([(d, x)], tail=x)
+        warm.run_to(d + 1)
+        out.append((Point(csp, warm), d + 1))
+    return out
+
+
+def _same_run(new, ref):
+    """The same known outcome and bound, and the same answer and charge at
+    every fuel up to one past the bound."""
+    assert (new.known, new.bound) == (ref.known, ref.bound)
+    fuels = range(-1, ref.bound + 2)
+    assert _charges(new, fuels) == _charges(ref, fuels)
+
+
+def test_presubbase_transposes_fold_as_the_generic_quantifiers():
+    # today's open is `Presubbase.transpose`: each member y asks family(y)
+    for sub in _presubbase_fold_cases():
+        b = finite_presubbase(sub)
+        isp, csp = b.index, b.carrier
+        for x in range(sub.n):
+            for xp, shift in _carrier_points(csp, x):
+                t = b.transpose(xp)
+                g = Presubbase.transpose(b, xp)
+                if shift is None:
+                    # a cold point's transpose is the generic open
+                    assert type(t) is OpenSet
+                else:
+                    assert type(t) is ShiftedLeaf
+                    assert (t.mask, t.step, t.cost) == (
+                        sub.transpose(x), shift, shift)
+                for a in range(1 << sub.m):
+                    pts = [finite_point(isp, y) for y in bits(a)]
+                    got = leaf_compact(isp, a).forall_(t)
+                    ref = and_finite([g.chi(p) for p in pts])
+                    if ref.known is None:
+                        _same_run(got, ref)
+                    else:
+                        _same_value(got, ref)
+                    got = leaf_overt(isp, a).exists_(t)
+                    ref = or_countable([g.chi(p) for p in pts])
+                    if ref.known is None:
+                        _same_run(got, ref)
+                    else:
+                        _same_value(got, ref)
+                # chi itself, at every index point undelayed and at fresh
+                # cold names of delay 0-3 (both opens read the same name)
+                for y in range(sub.m):
+                    for yp in [finite_point(isp, y)] + [
+                            Point(isp, delayed_name([(d, y)], tail=y))
+                            for d in range(4)]:
+                        _same_run(t.chi(yp), g.chi(yp))
+
+
+def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
+    sub = make_subbase(2, [0b01, 0b11], [(0, 1)])
+    b = finite_presubbase(sub)
+    isp, csp = b.index, b.carrier
+    warm = finite_point(csp, 1)
+    t = transpose(b, warm)
+    assert type(t) is ShiftedLeaf and t.mask == sub.transpose(1) == 0b10
+    assert b.transpose(warm) is t  # built once per name
+    assert type(embed_point(b, warm).payload) is ShiftedLeaf
+    # a delayed point, a point of another space, and the same family as a
+    # plain presubbase get the generic open
+    assert type(b.transpose(finite_point(csp, 1, delay=2))) is OpenSet
+    assert type(b.transpose(finite_point(isp, 1))) is OpenSet
+    plain = Presubbase(isp, csp, b.family)
+    assert type(plain.transpose(warm)) is OpenSet
+    # a warm index name emitting past the index is read by the family,
+    # which raises at the arrival step, as the generic open's read does
+    bad = Point(isp, literal_name([5], tail=5))
+    bad.payload.peek()
+    for o in (t, plain.transpose(warm)):
+        sv = o.chi(bad)
+        assert sv.known is None and sv.bound == 2 and sv.status(1) is None
+        with pytest.raises(IndexError):
+            sv.status(2)
+    # a leaf open, and a shifted leaf of a compact value, fold without
+    # asking chi; an overt value asks a shifted leaf's chi once per member,
+    # as it asks a plain open wrapping the same chi
+    asked = []
+
+    def chi(p):
+        asked.append(p)
+        return t.chi(p)
+
+    members = [finite_point(isp, y) for y in range(2)]
+    compact, overt = leaf_compact(isp, 0b11).forall_, leaf_overt(isp, 0b11).exists_
+    compact(LeafOpen(isp, chi, 0b10))
+    overt(LeafOpen(isp, chi, 0b10))
+    folded = compact(ShiftedLeaf(isp, chi, 0b10, 1, 1))
+    assert asked == [] and folded.known == NEVER and folded.bound == 4
+    _same_value(compact(OpenSet(isp, chi)), folded)
+    assert asked == members
+    del asked[:]
+    _same_value(overt(ShiftedLeaf(isp, chi, 0b10, 1, 1)), overt(OpenSet(isp, chi)))
+    assert asked == members + members
