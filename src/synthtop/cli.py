@@ -162,7 +162,7 @@ def cmd_spaces(args) -> int:
             print("decode-demo needs a FiniteSubbase file (with 'sets')",
                   file=sys.stderr)
             return 2
-        b = finite_presubbase(sub)
+        b = finite_presubbase(sub, space)
         traj = {}
         for x in range(sub.n):
             pt = embed_point(b, finite_point(b.carrier, x))

@@ -162,10 +162,22 @@ class Name:
             self.advance()
 
     def prefix(self, k: int, max_steps: int) -> list[int]:
-        """First k values, driving the canonical run to at most max_steps."""
-        while len(self._vals) < k and self._steps < max_steps:
-            self.advance()
-        return self._vals[:k]
+        """The values a fresh `NameReader`, stepped one step at a time,
+        collects until it holds k of them or has taken ``max_steps`` steps;
+        or the earliest error recorded at a step it takes, raised on every
+        call.  So the answer never depends on how far other readers have
+        driven the name.  The one bulk read of a name: `run_to` (which may
+        jump) drives the run, never past the k-th value's step (a name emits
+        at most one value a step) or ``max_steps``, nor once it has raised."""
+        vals, costs, k = self._vals, self._costs, max(k, 0)
+        while len(vals) < k and self._steps < max_steps and not self._errs:
+            self.run_to(min(max_steps, self._steps + k - len(vals)))
+        n = min(bisect_right(costs, max_steps), k)
+        if n == k:  # the reader stops at the step of its k-th value
+            max_steps = costs[n - 1] if n else 0
+        if self._errs and (s := min(self._errs)) <= max_steps:
+            raise self._errs[s]
+        return vals[:n]
 
 
 class NameReader:
@@ -264,24 +276,12 @@ def map_name(src: Name, table) -> Name:
 def decode_enum(p: Name, fuel: int) -> set[int]:
     """The set {n : n+1 emitted within ``fuel`` steps} -- a monotone
     under-approximation of the set the name enumerates.  The all-zero name
-    decodes to the empty set at every fuel.
-
-    Fuel counts steps of the name's canonical run, the uniform budget used
-    everywhere in this package; for names that emit one value per step
-    this is the same as counting emitted values.  The run is driven to
-    ``fuel`` in one `Name.run_to` call and the values of cost at most
-    ``fuel`` are read off its cache, so the answer, and the exception at
-    the earliest error step within ``fuel``, are those of a `NameReader`
-    stepped ``fuel`` times, however far other readers have driven ``p``.
-    """
-    errs = p._errs
-    if errs is not None:
-        s = min(errs)
-        if s <= fuel:
-            raise errs[s]
-    p.run_to(fuel)  # none recorded within fuel: the first it meets is earliest
-    n = bisect_right(p._costs, fuel)
-    return {v - 1 for v in p._vals[:n] if v >= 1}
+    decodes to the empty set at every fuel.  Fuel counts steps of the
+    name's canonical run, the uniform budget used everywhere in this
+    package.  The read is `Name.prefix` of ``fuel`` values (a name emits at
+    most one a step): what a `NameReader` stepped ``fuel`` times sees, or
+    the error it meets first, however far others have driven ``p``."""
+    return {v - 1 for v in p.prefix(fuel, fuel) if v >= 1}
 
 
 # ---------------------------------------------------------------------------

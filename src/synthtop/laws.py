@@ -627,7 +627,8 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
             continue
         s.instances += 1
         tk = tau_K(sub)
-        got = _base_completion_range(sub, tk, fuel)
+        b, bsp, points = _induced_points(sub, tk)
+        got = _base_completion_range(sub, b, bsp, points, fuel)
         if not s.check(got == set(tk.opens), lambda: {
                 "case": "base-completion-range", "subbase": sub.to_json(),
                 "got": sorted(sorted(bits(u)) for u in got),
@@ -635,7 +636,6 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
             return
         # a second completion of the induced space is extensionally inert:
         # every base open agrees on forwarded points
-        b, bsp, points = _induced_points(sub, tk)
         comp = kolmogorov_completion(bsp)
         for k_mask in up_sets(sub.index_space()):
             u = tau_k_open(bsp, leaf_compact(b.index, k_mask))
@@ -669,14 +669,14 @@ def law_completion(s: _Suite, max_size: int, fuel: int, seed: int) -> None:
                 return
 
 
-def _base_completion_range(sub: FiniteSubbase, tk: FiniteSpace,
+def _base_completion_range(sub: FiniteSubbase, b, bsp, points,
                            fuel: int) -> set[int]:
     """Denotations of the members of the completed base: every open of the
     induced space, read back as a carrier subset.  Completing once already
     exhausts the generated topology, so completing twice adds nothing; we
     verify by checking the range equals tau_K exactly (and hence is a
-    fixed point of completion).  ``tk`` is tau_K of ``sub``."""
-    b, bsp, points = _induced_points(sub, tk)
+    fixed point of completion).  ``b``, ``bsp`` and ``points`` are
+    `_induced_points` of ``sub`` over its tau_K."""
     out = {0, full_mask(sub.n)}
     for k_mask in up_sets(sub.index_space()):
         u = tau_k_open(bsp, leaf_compact(b.index, k_mask))

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bases import Presubbase
+from .bases import Presubbase, point_transpose
 from .kernel import delayed_name, dovetail_bound, literal_name
 from .sierpinski import (NEGATIVE_FUEL, NEVER, SValue, and_finite,
                          or_countable, read_table)
 from .spaces import Point, Space, compacts, opens
-from .hyper import CompactSat, OpenSet, OvertClosed, as_open
+from .hyper import CompactSat, OpenSet, OvertClosed
 
 
 class SchemaError(ValueError):
@@ -320,7 +320,8 @@ def enumeration_crosscheck(n: int) -> dict:
 class FiniteSubbase:
     """A family of subsets of the carrier {0..n-1}, indexed by a finite
     preordered index set: ``sets[y]`` is the member at index y and
-    ``order[y]`` the mask {y' : y <= y'}."""
+    ``order[y]`` the mask {y' : y <= y'}.  ``transposes[x]``, built once,
+    is carrier element x's transpose {y : x in sets[y]}."""
 
     n: int
     sets: tuple[int, ...]
@@ -333,8 +334,16 @@ class FiniteSubbase:
     def index_space(self) -> FiniteSpace:
         return topology_from_preorder(self.order)
 
-    def transpose(self, x: int) -> int:
-        return mask_of(y for y, b in enumerate(self.sets) if b >> x & 1)
+    @cached_property
+    def transposes(self) -> tuple[int, ...]:
+        return tuple(mask_of(y for y, b in enumerate(self.sets) if b >> x & 1)
+                     for x in range(self.n))
+
+    def candidates(self, accepted: int) -> int:
+        """The carrier elements whose transpose holds every index in
+        ``accepted``: the one narrowing of both decoders."""
+        return mask_of(x for x, t in enumerate(self.transposes)
+                       if accepted & ~t == 0)
 
     def well_defined(self) -> bool:
         """Transposes must be up-sets of the index order, i.e. the family
@@ -346,13 +355,7 @@ class FiniteSubbase:
         return True
 
     def injective(self) -> bool:
-        seen = set()
-        for x in range(self.n):
-            t = self.transpose(x)
-            if t in seen:
-                return False
-            seen.add(t)
-        return True
+        return len(set(self.transposes)) == self.n
 
     def to_json(self) -> dict:
         return {
@@ -773,8 +776,8 @@ def monotone_families(order: Sequence[int], n_carrier: int) -> Iterator[tuple[in
 
 @dataclass(eq=False)
 class FinitePresubbase(Presubbase):
-    """A `finite_presubbase`; ``masks[x]`` is carrier element x's
-    transpose {y : x in sets[y]}."""
+    """A `finite_presubbase`; ``masks`` is its subbase's transpose table
+    (`FiniteSubbase.transposes`)."""
 
     masks: tuple[int, ...] = ()
 
@@ -815,9 +818,10 @@ def finite_presubbase(sub: FiniteSubbase,
     """The subbase as a kernel presubbase: index and carrier become
     name-backed finite spaces, the family reads the index element and then
     semidecides membership, and the transpose inverse narrows candidates
-    from positive information, returning the least one.  The carrier's
-    topology is ``carrier_topology``, else `tau_K` of ``sub``.  A warm
-    carrier point's transpose is a mask (`FinitePresubbase.transpose`)."""
+    from positive information (`FiniteSubbase.candidates`), returning the
+    least one.  The carrier's topology is ``carrier_topology``, else
+    `tau_K` of ``sub``.  A warm carrier point's transpose is its mask in
+    ``sub.transposes`` (`FinitePresubbase.transpose`)."""
     isp = finite_repr(sub.index_space())
     ctop = carrier_topology if carrier_topology is not None else tau_K(sub)
     csp = finite_repr(ctop)
@@ -829,35 +833,30 @@ def finite_presubbase(sub: FiniteSubbase,
         return OpenSet(csp, lambda x: read_table((ypt.payload, x.payload),
                                                  member))
 
-    masks = tuple(map(sub.transpose, range(sub.n)))
-
     def transpose_inverse(w: OpenSet, fuel: Optional[int] = None) -> Point:
-        accepted = mask_of(
+        cands = sub.candidates(mask_of(
             y for y in range(sub.m)
-            if budgeted(w.chi(finite_point(isp, y)), fuel))
-        cands = [x for x in range(sub.n) if accepted & ~masks[x] == 0]
-        for x in cands:
-            if all(masks[x] & ~masks[x2] == 0 for x2 in cands):
+            if budgeted(w.chi(finite_point(isp, y)), fuel)))
+        for x in bits(cands):  # least: every candidate's transpose holds x's
+            if cands & ~sub.candidates(sub.transposes[x]) == 0:
                 return finite_point(csp, x)
         raise ValueError("no least candidate; not in range or underfueled")
 
     return FinitePresubbase(index=isp, carrier=csp, family=family,
-                            transpose_inverse=transpose_inverse, masks=masks)
+                            transpose_inverse=transpose_inverse,
+                            masks=sub.transposes)
 
 
 def decode_finite(point: Point, sub: FiniteSubbase, fuel: int) -> int:
-    """Candidate set of a presubbase-represented point: every carrier
-    element consistent with the indices accepted so far.  Always contains
-    the denoted point; antitone in fuel; its limit is the specialization
-    up-set of the point in the generated topology."""
-    q = as_open(point.payload)
-    isp = finite_repr(sub.index_space())
+    """Candidate set of a presubbase-represented point: the carrier elements
+    consistent with the indices its transpose has accepted so far
+    (`FiniteSubbase.candidates`).  Always contains the denoted point; antitone
+    in fuel; its limit is the point's specialization up-set in tau_K."""
+    q = point_transpose(point)
 
     def seen(y: int) -> bool:
-        sv = q.chi(finite_point(isp, y))
+        sv = q.chi(finite_point(q.space, y))
         budget = fuel if sv.bound is None else min(sv.bound, fuel)
         return sv.status(budget) is not None
 
-    accepted = mask_of(y for y in range(sub.m) if seen(y))
-    return mask_of(x for x in range(sub.n)
-                   if accepted & ~sub.transpose(x) == 0)
+    return sub.candidates(mask_of(y for y in range(sub.m) if seen(y)))

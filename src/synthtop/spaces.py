@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
-from .kernel import Name, delayed_name
+from .kernel import delayed_name
 from .sierpinski import SValue, read_names
 
 
@@ -150,9 +150,8 @@ def nat_point(k: int, delay: int = 0) -> Point:
 
 
 def read_first(p: Point, fuel: int) -> Optional[int]:
-    """First emitted value of a name-backed point, within fuel steps."""
-    name: Name = p.payload
-    vals = name.prefix(1, fuel)
+    """First value of a name-backed point within fuel steps (`Name.prefix`)."""
+    vals = p.payload.prefix(1, fuel)
     return vals[0] if vals else None
 
 

@@ -54,7 +54,7 @@ def test_transpose_against_oracle():
         t = transpose(b, finite_point(b.carrier, x))
         got = mask_of(y for y in range(sub.m)
                       if budgeted(t.chi(finite_point(b.index, y))))
-        assert got == sub.transpose(x)
+        assert got == sub.transposes[x]
 
 
 def test_transpose_constant_families():
@@ -99,7 +99,7 @@ def test_induced_space_filter_inverse_roundtrip():
         # extensionally the same transpose set
         got = mask_of(y for y in range(sub.m)
                       if budgeted(point_transpose(q).chi(finite_point(b.index, y))))
-        assert got == sub.transpose(x)
+        assert got == sub.transposes[x]
 
 
 def carrier_members(b, sub, u, fuel=10 ** 4):

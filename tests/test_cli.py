@@ -81,6 +81,22 @@ def test_repair_stdout_matches_golden(capsys, literal, bits, golden):
     assert out.encode() == (GOLDEN_VERIFY.parent / golden).read_bytes()
 
 
+@pytest.mark.parametrize("example, query", [
+    ("space", "t0"), ("space", "order"), ("space", "tauk"),
+    ("subbase", "t0"), ("subbase", "order"), ("subbase", "tauk"),
+    ("subbase", "decode-demo"),
+])
+def test_spaces_stdout_matches_golden(capsys, example, query):
+    # the README's two `spaces` inputs under every query they take,
+    # recorded once: the decode-demo trajectories must keep their bytes
+    golden = GOLDEN_VERIFY.parent
+    code, out, _ = run(capsys, "spaces",
+                       str(golden / f"spaces_example_{example}.json"),
+                       "--query", query)
+    assert code == 0
+    assert out.encode() == (golden / f"spaces_{example}_{query}.json").read_bytes()
+
+
 def test_verify_unknown_law_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--laws", "bogus")
     assert code == 2

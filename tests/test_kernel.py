@@ -10,6 +10,7 @@ from synthtop.kernel import (EncodingError, Dovetail, Name, NameReader,
 from synthtop import sierpinski
 from synthtop.sierpinski import (TALLY, SValue, accept_at, bot,
                                  or_countable, top)
+from synthtop.spaces import NAT, Point, read_first
 
 
 def test_pair_base_case():
@@ -191,6 +192,90 @@ def test_bulk_decode_enum_raises_the_earliest_error_within_fuel():
             _reader_decode(nm, fuel)
         with pytest.raises(KeyError):
             decode_enum(nm, fuel)
+
+
+def _fresh_read(nm, k, fuel):
+    """What a fresh `NameReader` on ``nm``, stepped one step at a time,
+    collects before it holds k values or has taken ``fuel`` steps."""
+    r = NameReader(nm)
+    out = []
+    while len(out) < k and r.steps < fuel:
+        v = r.step()
+        if v is not None:
+            out.append(v)
+    return out
+
+
+def _same_read(got, want):
+    """The same values, or the same recorded exception object (so the
+    same step: each step records its own)."""
+    assert got[0] == want[0]
+    assert got[1] == want[1] if got[0] == "set" else got[1] is want[1]
+
+
+def test_a_bulk_read_ignores_how_far_others_drove_the_name():
+    # a reader 30 steps in has cached a 7 that a fresh one meets at step 21
+    nm = delayed_name([(20, 7)], tail=7)
+    r = NameReader(nm)
+    for _ in range(30):
+        r.step()
+    p = Point(NAT, nm)
+    assert [read_first(p, 5), read_first(p, 5)] == [None, None]
+    assert [nm.prefix(2, 21), nm.prefix(2, 21)] == [[7], [7]]
+    assert read_first(p, 21) == 7
+
+
+def test_a_bulk_read_that_raised_raises_again():
+    # the error at step 1 comes before the first value, on every call
+    p = Point(NAT, literal_name([-1, 3], tail=3))
+    for _ in range(2):
+        with pytest.raises(EncodingError):
+            read_first(p, 10)
+    # the second of two values lies past the error at step 2
+    nm = literal_name([5, -1, 3], tail=3)
+    errs = []
+    for _ in range(2):
+        with pytest.raises(EncodingError) as exc:
+            nm.prefix(2, 10)
+        errs.append(exc.value)
+    assert errs[0] is errs[1]
+    assert nm.prefix(1, 10) == [5] and nm.prefix(2, 1) == [5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=6),
+       st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, 3),
+                                      st.integers(-3, -1))),
+       st.one_of(st.none(), st.integers(0, 5)),
+       st.integers(0, 40))
+def test_bulk_reads_are_what_a_fresh_reader_sees(entries, bad, tail, drive):
+    # at most one negative value, planted at a random position
+    if bad is not None:
+        at, d, v = bad
+        entries = entries[:at] + [(d, v)] + entries[at:]
+    nm = delayed_name(entries, tail=tail)
+    r = NameReader(nm)
+    for _ in range(drive):  # another reader drives the shared run first
+        try:
+            r.step()
+        except EncodingError:
+            pass
+    p = Point(NAT, nm)
+    for fuel in range(41):
+        for k in (1, 2, 3):
+            want = _outcome(_fresh_read, nm, k, fuel)
+            for _ in range(2):
+                _same_read(_outcome(nm.prefix, k, fuel), want)
+        want = _outcome(_fresh_read, nm, 1, fuel)
+        if want[0] == "set":
+            want = "set", (want[1] or [None])[0]
+        for _ in range(2):
+            _same_read(_outcome(read_first, p, fuel), want)
+        want = _outcome(_fresh_read, nm, fuel + 1, fuel)
+        if want[0] == "set":
+            want = "set", {v - 1 for v in want[1] if v >= 1}
+        for _ in range(2):
+            _same_read(_outcome(decode_enum, nm, fuel), want)
 
 
 def test_run_to_drives_the_canonical_run():

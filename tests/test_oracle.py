@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthtop.bases import Presubbase, embed_point, transpose
-from synthtop.hyper import OpenSet, point_to_closed, point_to_compact
+from synthtop.hyper import OpenSet, as_open, point_to_closed, point_to_compact
 from synthtop.kernel import delayed_name, literal_name
 from synthtop.oracle import (MAX_EXHAUSTIVE, FiniteSubbase, LeafOpen,
-                             SchemaError, ShiftedLeaf, bits,
+                             SchemaError, ShiftedLeaf, bits, budgeted,
                              closure, continuous_maps, decode_finite,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
@@ -474,7 +474,7 @@ def test_presubbase_transposes_fold_as_the_generic_quantifiers():
                 else:
                     assert type(t) is ShiftedLeaf
                     assert (t.mask, t.step, t.cost) == (
-                        sub.transpose(x), shift, shift)
+                        sub.transposes[x], shift, shift)
                 for a in range(1 << sub.m):
                     pts = [finite_point(isp, y) for y in bits(a)]
                     got = leaf_compact(isp, a).forall_(t)
@@ -504,7 +504,7 @@ def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
     isp, csp = b.index, b.carrier
     warm = finite_point(csp, 1)
     t = transpose(b, warm)
-    assert type(t) is ShiftedLeaf and t.mask == sub.transpose(1) == 0b10
+    assert type(t) is ShiftedLeaf and t.mask == sub.transposes[1] == 0b10
     assert b.transpose(warm) is t  # built once per name
     assert type(embed_point(b, warm).payload) is ShiftedLeaf
     # a delayed point, a point of another space, and the same family as a
@@ -542,3 +542,81 @@ def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
     del asked[:]
     _same_value(overt(ShiftedLeaf(isp, chi, 0b10, 1, 1)), overt(OpenSet(isp, chi)))
     assert asked == members + members
+
+
+# --- one transpose table per finite subbase ----------------------------------
+
+
+def _brute_transposes(sub):
+    return [mask_of(y for y in range(sub.m) if x in bits(sub.sets[y]))
+            for x in range(sub.n)]
+
+
+def _decode_reference(point, sub, fuel):
+    """`decode_finite` the long way, the reference: the index space from
+    the subbase, and each element's transpose rebuilt from the sets."""
+    q = as_open(point.payload)
+    isp = finite_repr(sub.index_space())
+
+    def seen(y):
+        sv = q.chi(finite_point(isp, y))
+        budget = fuel if sv.bound is None else min(sv.bound, fuel)
+        return sv.status(budget) is not None
+
+    accepted = mask_of(y for y in range(sub.m) if seen(y))
+    return mask_of(x for x in range(sub.n) if accepted & ~mask_of(
+        y for y, b in enumerate(sub.sets) if b >> x & 1) == 0)
+
+
+def _inverse_reference(b, sub, w, fuel):
+    """The transpose inverse of `finite_presubbase` the long way, the
+    reference: a list of candidates, then the one below all the others."""
+    masks = _brute_transposes(sub)
+    accepted = mask_of(y for y in range(sub.m)
+                       if budgeted(w.chi(finite_point(b.index, y)), fuel))
+    cands = [x for x in range(sub.n) if accepted & ~masks[x] == 0]
+    for x in cands:
+        if all(masks[x] & ~masks[x2] == 0 for x2 in cands):
+            return finite_point(b.carrier, x)
+    raise ValueError("no least candidate; not in range or underfueled")
+
+
+def _answer(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_transpose_table_is_the_brute_force_transpose():
+    for sub in _presubbase_fold_cases():
+        brute = _brute_transposes(sub)
+        assert list(sub.transposes) == brute
+        assert sub.transposes is sub.transposes  # built once
+        assert sub.injective() == all(brute[x] != brute[x2]
+                                      for x in range(sub.n)
+                                      for x2 in range(x))
+
+
+def test_decoders_read_the_table_as_they_read_the_sets():
+    fuels = [1 << i for i in range(9)]
+    for sub in _presubbase_fold_cases():
+        b = finite_presubbase(sub)
+        for x in range(sub.n):
+            # the same carrier points twice over: the cold ones are fresh
+            # names on each side
+            for (xp, _), (xr, _) in zip(_carrier_points(b.carrier, x),
+                                        _carrier_points(b.carrier, x)):
+                p, pr = embed_point(b, xp), embed_point(b, xr)
+                for fuel in fuels:
+                    assert decode_finite(p, sub, fuel) == \
+                        _decode_reference(pr, sub, fuel)
+                    # the same point object, or the same refusal
+                    assert _answer(b.transpose_inverse, p.payload, fuel) == \
+                        _answer(_inverse_reference, b, sub, pr.payload, fuel)
+        # index sets outside the range of the transpose too
+        for a in range(1 << sub.m):
+            w = leaf_open(b.index, a)
+            for fuel in (None, 1):
+                assert _answer(b.transpose_inverse, w, fuel) == \
+                    _answer(_inverse_reference, b, sub, w, fuel)
