@@ -21,7 +21,7 @@ from .hyper import (CompactSat, OpenSet, OvertClosed, compact_image,
 from .bases import (Completion, GaloisWitness, LacombeBase,
                     Presubbase, base_completion, galois_backward,
                     galois_forward, identity_base, kolmogorov_completion,
-                    presubbase_space, transpose)
+                    presubbase_space)
 from .oracle import (FiniteSpace, FiniteSubbase, enumerate_spaces,
                      figure1_check, generate_topology, is_T0, saturate,
                      specialization, tau_K)

@@ -59,8 +59,9 @@ class Presubbase:
     def transpose(self, x: Point) -> OpenSet:
         """The open index set {y : x in B_y}, asking ``family(y)`` about x
         for each y.  The one place a presubbase may answer it otherwise:
-        `oracle.FinitePresubbase` returns a mask-carrying leaf of the index
-        at a warm point of its carrier, and this open everywhere else."""
+        `oracle.FinitePresubbase` returns a finite leaf of the index
+        (`oracle.LeafOpen`, with the point's name as ``via``) at a warm
+        point of its carrier, and this open everywhere else."""
         return OpenSet(self.index, lambda y: self.family(y).chi(x))
 
 
@@ -80,11 +81,6 @@ class LacombeBase:
 
 # ---------------------------------------------------------------------------
 # The transpose and the induced space
-
-
-def transpose(b: Presubbase, x: Point) -> OpenSet:
-    """The open index set {y : x in B_y}: `Presubbase.transpose`."""
-    return b.transpose(x)
 
 
 def presubbase_space(b: Presubbase) -> Space:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from . import oracle as orc
 from .bases import (GaloisWitness, galois_backward, galois_forward,
                     kolmogorov_completion, presubbase_space, embed_point,
-                    tau_k_open, transpose)
+                    tau_k_open)
 from .hyper import (OpenSet, box_embed, box_invert, compact_image,
                     compact_intersection, compact_open_embed,
                     compact_open_invert, compact_union, closed_image,
@@ -512,13 +512,12 @@ def _galois_instances(max_carrier: int):
 
 
 def _rep_to_base_witness(f: FiniteSpace, fam: tuple) -> GaloisWitness:
-    """The canonical point-side witness: a point's transpose (`transpose`)
-    in the finite presubbase of ``fam`` over a discrete index, with
-    carrier topology ``f``."""
+    """The canonical point-side witness: a point's transpose
+    (`Presubbase.transpose`) in the finite presubbase of ``fam`` over a
+    discrete index, with carrier topology ``f``."""
     iorder = tuple(1 << y for y in range(len(fam)))
     b = finite_presubbase(FiniteSubbase(f.n, fam, iorder), f)
-    return GaloisWitness("rep_to_base", b.carrier, b.index,
-                         lambda x: transpose(b, x))
+    return GaloisWitness("rep_to_base", b.carrier, b.index, b.transpose)
 
 
 def _validate_rep_to_base(w: GaloisWitness, f: FiniteSpace, fam: tuple,

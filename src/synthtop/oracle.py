@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bases import Presubbase, point_transpose
-from .kernel import delayed_name, dovetail_bound, literal_name
+from .kernel import EncodingError, delayed_name, dovetail_bound, literal_name
 from .sierpinski import (NEGATIVE_FUEL, NEVER, SValue, and_finite,
                          or_countable, read_table)
 from .spaces import Point, Space, compacts, opens
@@ -339,6 +339,13 @@ class FiniteSubbase:
         return tuple(mask_of(y for y, b in enumerate(self.sets) if b >> x & 1)
                      for x in range(self.n))
 
+    def member(self, y: int, x: int) -> int:
+        """Whether x lies in ``sets[y]`` (1 or 0): the table of
+        `finite_presubbase`'s family.  Outside it raises `EncodingError`."""
+        if y >= len(self.sets) or x >= self.n:
+            raise EncodingError(f"({y}, {x}) outside a {self.m}x{self.n} table")
+        return self.sets[y] >> x & 1
+
     def candidates(self, accepted: int) -> int:
         """The carrier elements whose transpose holds every index in
         ``accepted``: the one narrowing of both decoders."""
@@ -584,74 +591,73 @@ def _points(sp: Space, mask: int) -> list:
 
 
 class LeafOpen(OpenSet):
-    """A `leaf_open`: its membership semidecider plus the ``mask`` it
-    reads, from which `leaf_overt` and `leaf_compact` fold."""
+    """A finite leaf: its semidecider, the ``mask`` it accepts and ``via``,
+    from which `leaf_overt` and `leaf_compact` fold.  ``via`` is None for a
+    `leaf_open`, else the warm carrier name each member is read with (the
+    transpose of a warm point, `FinitePresubbase.transpose`).  One slot,
+    not two, keeps a leaf in the 64-byte allocator class."""
 
-    __slots__ = ("mask",)
+    __slots__ = ("mask", "via")
 
-    def __init__(self, space: Space, chi, mask: int):
+    def __init__(self, space: Space, chi, mask: int, via=None):
         self.space = space
         self.chi = chi
         self.mask = mask
-
-
-class ShiftedLeaf(LeafOpen):
-    """A `LeafOpen` whose members are each read with one more warm name,
-    which first emits at ``step`` with ``cost(0)`` ``cost``: the transpose
-    of a warm carrier point (`FinitePresubbase.transpose`)."""
-
-    __slots__ = ("step", "cost")
-
-    def __init__(self, space: Space, chi, mask: int, step: int, cost: int):
-        self.space = space
-        self.chi = chi
-        self.mask = mask
-        self.step = step
-        self.cost = cost
+        self.via = via
 
 
 def leaf_open(sp: Space, mask: int) -> LeafOpen:
     """Membership semidecider of a subset given as a bitmask (only opens of
     the topology denote opens, but the semidecider is definable for any
-    mask; validity is the caller's concern).  A warm point's answer is
-    read straight off its name's shared known pair (`Name.leaves`, built
-    by `read_table`), one call less per warm query than asking it.  The
+    mask; validity is the caller's concern).  A first value outside the
+    carrier is malformed and raises `EncodingError` at its arrival step.
+    A warm point in the carrier is answered off its name's shared pair
+    (`Name.leaves`; a `map_name` image shares its source's), the one warm
+    read outside `read_table`: that extra call per query took the bench's
+    `hyper-carriers` from 0.70-0.71 s to 0.75-0.79 s (2-CPU host).  The
     open keeps its mask, so a finite overt or compact leaf of the same
     space answers it by mask arithmetic (`leaf_overt`, `leaf_compact`)."""
+    n = sp.parts[0].n
 
     def member(v: int) -> int:
+        if v >= n:
+            raise EncodingError(f"element {v} outside carrier of size {n}")
         return mask >> v & 1
 
     def chi(p: Point) -> SValue:
         nm = p.payload
         pair = nm.leaves
-        if pair is None:
-            return read_table((nm,), member)
-        return pair[~mask >> nm.first[0] & 1]  # (accept, never)
+        if pair is not None and (v := nm.first[0]) < n:
+            return pair[~mask >> v & 1]  # (accept, never)
+        return read_table((nm,), member)
 
     return LeafOpen(sp, chi, mask)
 
 
 def leaf_overt(sp: Space, mask: int) -> OvertClosed:
     """The overt value generated by the elements of ``mask``; denotes the
-    closure of that set.  Asked about a `leaf_open` (of ``sp``, as
-    `OvertClosed.exists_` checks) it builds no child: member i, whose name
-    emits its first value at step k, meets the open's mask at
-    ``dovetail_bound(i, k, size)``, and the known outcome and bound are
-    the `or_countable` fold of those landings.  Any other open, a
-    `ShiftedLeaf` included (no program asks an overt leaf about one), is
-    asked point by point through `or_countable`."""
+    closure of that set.  Asked about a `LeafOpen` (of ``sp``, as
+    `OvertClosed.exists_` checks) it builds no child: member i, whose read
+    takes its name's first step k (plus ``via``'s, if set), meets the
+    open's mask at ``dovetail_bound(i, k, size)``, and the known outcome
+    and bound are the `or_countable` fold of those landings.  Any other
+    open is asked point by point through `or_countable`."""
     pts = _points(sp, mask)
 
     def exists(u: OpenSet) -> SValue:
-        if type(u) is not LeafOpen:
+        if not isinstance(u, LeafOpen):
             return or_countable(map(u.chi, pts))
         m = u.mask
+        dk = dc = 0
+        if u.via is not None:
+            _, dk, dc = u.via.first
         size = len(pts)
         known = NEVER
         bound = 0
         for i, p in enumerate(pts):
             e, k, c = p.payload.first
+            k += dk
+            c += dc
             t = dovetail_bound(i, c, size)
             if t > bound:
                 bound = t
@@ -667,22 +673,22 @@ def leaf_overt(sp: Space, mask: int) -> OvertClosed:
 
 def leaf_compact(sp: Space, mask: int) -> CompactSat:
     """The compact value generated by the elements of ``mask``; denotes the
-    saturation of that set.  Asked about a `leaf_open` (of ``sp``, as
+    saturation of that set.  Asked about a `LeafOpen` (of ``sp``, as
     `CompactSat.forall_` checks) it builds no child: it accepts at the sum
     of its members' first steps if ``mask`` lies inside the open's mask,
     and never otherwise, with the sum of their ``cost(0)`` as bound, as
-    `and_finite` folds them; a `ShiftedLeaf` adds its ``step`` and
-    ``cost`` once per member.  Any other open is asked point by point
+    `and_finite` folds them; a set ``via`` adds its first step and
+    ``cost(0)`` once per member.  Any other open is asked point by point
     through `and_finite`."""
     pts = _points(sp, mask)
 
     def forall(u: OpenSet) -> SValue:
-        if type(u) is LeafOpen:
-            known = bound = 0
-        elif type(u) is ShiftedLeaf:
-            known, bound = len(pts) * u.step, len(pts) * u.cost
-        else:
+        if not isinstance(u, LeafOpen):
             return and_finite(map(u.chi, pts))
+        known = bound = 0
+        if u.via is not None:
+            _, k, c = u.via.first
+            known, bound = len(pts) * k, len(pts) * c
         for p in pts:
             _, k, c = p.payload.first
             known += k
@@ -776,39 +782,30 @@ def monotone_families(order: Sequence[int], n_carrier: int) -> Iterator[tuple[in
 
 @dataclass(eq=False)
 class FinitePresubbase(Presubbase):
-    """A `finite_presubbase`; ``masks`` is its subbase's transpose table
-    (`FiniteSubbase.transposes`)."""
+    """A `finite_presubbase` of ``sub``, whose family reads
+    `FiniteSubbase.member` and whose transposes are ``sub.transposes``."""
 
-    masks: tuple[int, ...] = ()
+    sub: Optional[FiniteSubbase] = None
 
     def __post_init__(self):
         self._leaves = {}  # warm carrier name -> its transpose
 
     def transpose(self, x: Point) -> OpenSet:
         """At a carrier point whose first value xv (an element) and its
-        ``cost(0)`` are cached, a `ShiftedLeaf` with mask ``masks[xv]``,
-        built once per name; its ``chi`` answers a warm y as the family's
-        two-name `read_table` would and asks the family otherwise.  Any
+        ``cost(0)`` are cached, a `LeafOpen` of the index with mask
+        ``sub.transposes[xv]`` and ``via`` the point's name, built once
+        per name; its ``chi`` is the family's own read of (y, x).  Any
         other point gets `Presubbase.transpose`."""
-        first = x.payload.first if x.space is self.carrier else None
-        if first is None or first[0] >= len(self.masks) or first[2] is None:
+        nm = x.payload
+        first = nm.first if x.space is self.carrier else None
+        if first is None or first[0] >= self.sub.n or first[2] is None:
             return Presubbase.transpose(self, x)
-        leaf = self._leaves.get(x.payload)
+        leaf = self._leaves.get(nm)
         if leaf is None:
-            _, dk, dc = first
-            mask = self.masks[first[0]]
-            m = self.index.parts[0].n
-            family = self.family
-
-            def chi(y: Point) -> SValue:
-                f = y.payload.first
-                if f is None or f[0] >= m or f[2] is None:
-                    return family(y).chi(x)
-                return SValue(None, f[2] + dc,
-                              f[1] + dk if mask >> f[0] & 1 else NEVER)
-
-            leaf = self._leaves[x.payload] = ShiftedLeaf(self.index, chi,
-                                                         mask, dk, dc)
+            member = self.sub.member
+            leaf = self._leaves[nm] = LeafOpen(
+                self.index, lambda y: read_table((y.payload, nm), member),
+                self.sub.transposes[first[0]], nm)
         return leaf
 
 
@@ -825,9 +822,7 @@ def finite_presubbase(sub: FiniteSubbase,
     isp = finite_repr(sub.index_space())
     ctop = carrier_topology if carrier_topology is not None else tau_K(sub)
     csp = finite_repr(ctop)
-
-    def member(yv: int, xv: int) -> int:
-        return sub.sets[yv] >> xv & 1
+    member = sub.member
 
     def family(ypt: Point) -> OpenSet:
         return OpenSet(csp, lambda x: read_table((ypt.payload, x.payload),
@@ -843,8 +838,7 @@ def finite_presubbase(sub: FiniteSubbase,
         raise ValueError("no least candidate; not in range or underfueled")
 
     return FinitePresubbase(index=isp, carrier=csp, family=family,
-                            transpose_inverse=transpose_inverse,
-                            masks=sub.transposes)
+                            transpose_inverse=transpose_inverse, sub=sub)
 
 
 def decode_finite(point: Point, sub: FiniteSubbase, fuel: int) -> int:

@@ -121,14 +121,14 @@ def parse_decimal(text: str) -> DecimalSpec:
 class DecimalName(Name):
     """The name of a decimal: sign code, integer part, then one fraction
     digit per emission, each after ``delay`` silent steps.  It keeps its
-    ``spec``, the spec's ``value`` and that value's numerator ``num`` and
-    denominator ``den`` as ints, all computed once here, and two tables
+    ``spec`` and the numerator ``num`` and denominator ``den`` of the
+    spec's value as ints, computed once here, and two tables
     grown together on demand by `grow`: ``prefixes``, the digit-prefix
     integers P_j = int_part*10^j + (first j digits), and ``tens``, the
     powers 10^j.  So interval membership is answered by integer
     arithmetic, without reading the name."""
 
-    __slots__ = ("spec", "value", "num", "den", "prefixes", "tens")
+    __slots__ = ("spec", "num", "den", "prefixes", "tens")
 
     def __init__(self, spec: DecimalSpec, delay: int = 0):
         if delay < 0:
@@ -149,9 +149,9 @@ class DecimalName(Name):
 
         super().__init__(gen, cost=lambda i: (i + 1) * (delay + 1))
         self.spec = spec
-        self.value = spec.value
-        self.num = self.value.numerator
-        self.den = self.value.denominator
+        value = spec.value
+        self.num = value.numerator
+        self.den = value.denominator
         self.prefixes = [spec.int_part]
         self.tens = [1]
 
@@ -548,8 +548,10 @@ def repair_decimal(d: Point, precision_bits: int,
     is built by `_interval_open` from odd integer numerators over the
     level's power-of-two denominator and asked of the filter; neighbouring
     windows share an endpoint, so each later level's 7 windows take its 8
-    numerators pairwise.  A decimal name answers each window from those
-    integers: the only `Fraction`s built are the returned midpoints.
+    numerators pairwise.  The filter takes each window as an `OpenSet`
+    (`hyper.as_open`), with no `Point` of O(X) around it.  A decimal name
+    answers each window from those integers: the only `Fraction`s built
+    are the returned midpoints.
 
     Returns levels 1..precision_bits; level k is within 2^-(k+1) of the
     denoted real, hence within 2^-(k-1) of the direct truncation oracle.
@@ -574,13 +576,11 @@ def repair_decimal(d: Point, precision_bits: int,
 
             def candidate(i: int) -> SValue:
                 j = zigzag(i) + 3
-                return flt.chi(
-                    _interval_open(ends[j], den, ends[j + 1], den).as_point())
+                return flt.chi(_interval_open(ends[j], den, ends[j + 1], den))
         else:
             def candidate(i: int) -> SValue:
                 c = zigzag(i)
-                return flt.chi(
-                    _interval_open(2 * c - 1, den, 2 * c + 1, den).as_point())
+                return flt.chi(_interval_open(2 * c - 1, den, 2 * c + 1, den))
 
         hit = first_accepting(candidate, 7 if levels else None, remaining)
         if hit is None:

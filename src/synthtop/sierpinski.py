@@ -325,8 +325,8 @@ def or_countable(family: Union[Iterable[SValue], Callable[[int], SValue]]
 def read_names(names: Sequence[Name], then: Callable[..., SValue],
                inner_bound: Optional[int] = None) -> SValue:
     """Read the first value of each name in turn, then continue with
-    ``then(*values)``: the one name read, under `read_table` and
-    `spaces.on_value`.  ``names`` is kept as it is, not copied.
+    ``then(*values)``: the one name read, under `spaces.on_value` and a
+    `read_table` with a name that is not warm.  ``names`` is kept as it is.
 
     The last arrival lands at the sum of the names' first-emission step
     counts; a born-accepted continuation accepts on it, a ``never`` one
@@ -374,29 +374,38 @@ def read_table(names: Sequence[Name], decide: Callable[..., bool]) -> SValue:
     ``decide(*values)``: the leaf of every finite-table open, and
     `read_names` continuing with `top` or `bot` by the table, so ``bound``
     is the sum of the names' ``cost(0)`` and a rejected read goes
-    ``never``.  One warm name, or one whose first value is due at its
-    first step (`Name.peek`), answers with one of its two shared known
-    values (`Name.leaves`: accept at its first step, or never), built once
-    per name, so a warm leaf is a lookup; several such names fold in
-    `read_names` to one known value at the sum of their first steps.  An
-    exception from ``decide`` is left to the stepping run, so it surfaces
-    at the arrival step and nothing is cached for it."""
-    if len(names) == 1:
-        nm = names[0]
-        first = nm.first
+    ``never``.  The one warm table read: if every name's first value is
+    cached or due at its first step (`Name.peek`), one loop sums their
+    first steps and ``cost(0)`` and ``decide`` is asked once, so the read
+    is known, accept at the sum or never; on one name it is one of the
+    name's shared pair (`Name.leaves`), built once, so a warm leaf is a
+    lookup.  Any other read goes to `read_names`.  An exception from
+    ``decide`` is left to the stepping run, so it surfaces at the arrival
+    step and nothing is cached for it."""
+    vals = []
+    at = bound = 0
+    for nm in names:
+        first = nm.first or nm.peek()
         if first is None:
-            first = nm.peek()
-        if first is not None:
-            try:
-                ok = decide(first[0])
-            except Exception:  # raised again, in order, by the stepping run
-                pass
-            else:
-                pair = nm.leaves
-                if pair is None:
-                    pair = nm.leaves = (SValue(None, first[2], first[1]),
-                                        SValue(None, first[2], NEVER))
-                return pair[0] if ok else pair[1]
+            break
+        v, k, c = first
+        vals.append(v)
+        at += k
+        if bound is not None:
+            bound = None if c is None else bound + c
+    else:
+        try:
+            ok = decide(*vals)
+        except Exception:  # raised again, in order, by the stepping run
+            pass
+        else:
+            if len(vals) != 1:
+                return SValue(None, bound, at if ok else NEVER)
+            pair = nm.leaves
+            if pair is None:
+                pair = nm.leaves = (SValue(None, bound, at),
+                                    SValue(None, bound, NEVER))
+            return pair[0] if ok else pair[1]
     return read_names(names, lambda *vs: _TOP if decide(*vs) else _BOT, 0)
 
 

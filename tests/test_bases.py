@@ -13,8 +13,7 @@ from synthtop.bases import (GaloisWitness, Presubbase, base_completion,
                             presubbase_space, product_prebase,
                             coproduct_prebase, sequence_prebase, star,
                             star_point,
-                            subbase_open, subspace_prebase, tau_k_open,
-                            transpose)
+                            subbase_open, subspace_prebase, tau_k_open)
 from synthtop.hyper import (CompactSat, OpenSet, OvertClosed, as_compact,
                             as_open, box_embed, compact_intersection,
                             compact_union, filter_embed, point_to_closed,
@@ -51,7 +50,7 @@ def members_over(b, sub, u, fuel=None):
 def test_transpose_against_oracle():
     sub, b, bsp = chain_instance()
     for x in range(2):
-        t = transpose(b, finite_point(b.carrier, x))
+        t = b.transpose(finite_point(b.carrier, x))
         got = mask_of(y for y in range(sub.m)
                       if budgeted(t.chi(finite_point(b.index, y))))
         assert got == sub.transposes[x]
@@ -61,11 +60,11 @@ def test_transpose_constant_families():
     sp = finite_repr(SIERP2)
     whole = Presubbase(index=sp, carrier=sp,
                        family=lambda y: whole_open(sp))
-    t = transpose(whole, finite_point(sp, 0))
+    t = whole.transpose(finite_point(sp, 0))
     assert all(budgeted(t.chi(finite_point(sp, y))) for y in range(2))
     empty = Presubbase(index=sp, carrier=sp,
                        family=lambda y: leaf_open(sp, 0))
-    t = transpose(empty, finite_point(sp, 0))
+    t = empty.transpose(finite_point(sp, 0))
     assert not any(budgeted(t.chi(finite_point(sp, y)), NEGATIVE_FUEL)
                    for y in range(2))
 
@@ -150,7 +149,7 @@ def test_filter_family_is_a_prebase_via_point_closure():
     a = pre.resolver(kk, None)
     union_members = mask_of(
         i for i, u in enumerate(SIERP2.opens)
-        if budgeted(a.exists_(transpose(base, leaf_open(sp, u).as_point())),
+        if budgeted(a.exists_(base.transpose(leaf_open(sp, u).as_point())),
                     10 ** 4))
     want = mask_of(i for i, u in enumerate(SIERP2.opens)
                    if 0b11 & ~u == 0)  # filters of sat(K1 u K2) = sat{0,1}
@@ -169,7 +168,7 @@ def test_box_family_is_a_prebase_via_point_closure():
     # union over the resolved set of Box(U) families, evaluated at up-sets
     for k_mask in up_sets(SIERP2):
         kpt = leaf_compact(sp, k_mask).as_point()
-        got = budgeted(a.exists_(transpose(base, kpt)), 10 ** 4)
+        got = budgeted(a.exists_(base.transpose(kpt)), 10 ** 4)
         want = k_mask & ~0b10 == 0  # Box(U1) & Box(U2) = Box(U1 & U2)
         assert got == want
 
@@ -196,7 +195,7 @@ def test_lacombe_to_prebase_resolves_compact_intersections():
     fam = family_compact(sp, [leaf_open(sp, 0b10), leaf_open(sp, 0b11)])
     a = pre.resolver(fam, None)
     got = open_members(
-        sp, OpenSet(sp, lambda x: a.exists_(transpose(pre, x))), 10 ** 4)
+        sp, OpenSet(sp, lambda x: a.exists_(pre.transpose(x))), 10 ** 4)
     assert got == 0b10
 
 
@@ -233,7 +232,7 @@ def test_product_prebase_generates_product_topology():
                     assert budgeted(u.chi(z), 10 ** 4) == want
     # transpose inverse recovers both components
     xy = pair_point(finite_point(spx, 1), finite_point(spx, 1))
-    w = transpose(pre, xy)
+    w = pre.transpose(xy)
     back = pre.transpose_inverse(w, 10 ** 4)
     assert read_first(proj1(back), 100) == 1
     assert read_first(proj2(back), 100) == 1
@@ -364,7 +363,7 @@ def test_coproduct_prebase_generates_disjoint_union_topology():
         for x in range(2):
             zp = (inj0(finite_point(bx.carrier, x), by.carrier) if tag == 0
                   else inj1(bx.carrier, finite_point(by.carrier, x)))
-            back = pre.transpose_inverse(transpose(pre, zp), 10 ** 4)
+            back = pre.transpose_inverse(pre.transpose(zp), 10 ** 4)
             assert back.payload[0] == tag
             assert read_first(back.payload[1], 100) == x
 
@@ -384,7 +383,7 @@ def _resolver_mismatches(pre, index_points, carrier_points):
     for k in _compacts_over(pre.index, index_points):
         a = pre.resolver(k, None)
         for z in carrier_points:
-            members = transpose(pre, z)
+            members = pre.transpose(z)
             bad += budgeted(k.forall_(members), 10 ** 4) != \
                 budgeted(a.exists_(members), 10 ** 4)
     return bad
@@ -406,7 +405,7 @@ def test_coproduct_prebase_resolver_keeps_each_summand_apart():
         [inj1(b.carrier, finite_point(b.carrier, x)) for x in range(sub.n)])
     # K = sat{inj0(1)}: inj1(0) lies outside B_inj0(1), so outside the union
     k = CompactSat(cp.index, lambda u: u.chi(index_points[1]))
-    members = transpose(cp, carrier_points[2])
+    members = cp.transpose(carrier_points[2])
     assert not budgeted(cp.resolver(k, None).exists_(members), 10 ** 4)
     assert _resolver_mismatches(cp, index_points, carrier_points) == 0
 
@@ -434,15 +433,15 @@ def test_transpose_inverses_recover_the_point():
     restricted = subspace_prebase(b, zsp)
     for x in range(sub.n):
         xp = finite_point(b.carrier, x)
-        back = pre.transpose_inverse(transpose(pre, xp), 10 ** 4)
+        back = pre.transpose_inverse(pre.transpose(xp), 10 ** 4)
         assert read_first(back, 100) == x
         back = restricted.transpose_inverse(
-            transpose(restricted, Point(zsp, xp.payload)), 10 ** 4)
+            restricted.transpose(Point(zsp, xp.payload)), 10 ** 4)
         assert back.space is zsp and read_first(back, 100) == x
     sp = finite_repr(SIERP2)
     pre = lacombe_to_prebase(identity_base(sp))
     for x in range(2):
-        back = pre.transpose_inverse(transpose(pre, finite_point(sp, x)),
+        back = pre.transpose_inverse(pre.transpose(finite_point(sp, x)),
                                      10 ** 4)
         assert read_first(back, 100) == x
 
@@ -505,7 +504,7 @@ def test_sequence_prebase_cylinders_and_components():
     want = bool(sub.sets[0] >> vals[0] & 1) and bool(sub.sets[1] >> vals[1] & 1)
     assert budgeted(u.chi(q), 10 ** 4) == want
     # component recovery through overt projections
-    w = transpose(pre, q)
+    w = pre.transpose(q)
     back = pre.transpose_inverse(w, 10 ** 4)
     for n in range(3):
         assert read_first(seq_at(back, n), 10 ** 4) == vals[n]
@@ -521,9 +520,9 @@ def test_sequence_prebase_resolver_defining_equation():
     k = point_to_compact(tup)
     a = pre.resolver(k, None)
     inter = OpenSet(pre.carrier,
-                    lambda z: k.forall_(transpose(pre, z)))
+                    lambda z: k.forall_(pre.transpose(z)))
     union = OpenSet(pre.carrier,
-                    lambda z: a.exists_(transpose(pre, z)))
+                    lambda z: a.exists_(pre.transpose(z)))
     for v in (0, 1):
         q = seq_point(b.carrier, lambda n, _v=v: finite_point(b.carrier, _v))
         assert budgeted(inter.chi(q), 10 ** 5) == budgeted(union.chi(q), 10 ** 5)

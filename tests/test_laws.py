@@ -11,7 +11,7 @@ the check count at which the suite stopped and the fuel it had spent.
 
 import pytest
 
-from synthtop import laws
+from synthtop import laws, oracle
 from synthtop.hyper import CompactSat, OpenSet, OvertClosed
 from synthtop.sierpinski import bot, top
 
@@ -173,10 +173,10 @@ def test_planted_fault_report_is_exact(monkeypatch, op):
 
 
 def test_planted_transpose_fault_fails_the_galois_law(monkeypatch):
-    # the law's point-side witness is `bases.transpose` as the suite calls
-    # it: a transpose putting each point of a two-point carrier in every
-    # member is caught on the first such carrier
-    real = laws.transpose
+    # the law's point-side witness is `FinitePresubbase.transpose` as the
+    # suite calls it: a transpose putting each point of a two-point carrier
+    # in every member is caught on the first such carrier
+    real = oracle.FinitePresubbase.transpose
 
     def transpose(b, x):
         t = real(b, x)
@@ -184,7 +184,7 @@ def test_planted_transpose_fault_fails_the_galois_law(monkeypatch):
             return t
         return OpenSet(t.space, lambda y: top())
 
-    monkeypatch.setattr(laws, "transpose", transpose)
+    monkeypatch.setattr(oracle.FinitePresubbase, "transpose", transpose)
     rep = laws.run_law_suite("galois-roundtrip", 2)
     assert not rep.passed
     assert rep.counterexample["case"] == "forward-input"

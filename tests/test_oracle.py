@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthtop.bases import Presubbase, embed_point, transpose
+from synthtop.bases import Presubbase, embed_point
 from synthtop.hyper import OpenSet, as_open, point_to_closed, point_to_compact
-from synthtop.kernel import delayed_name, literal_name
+from synthtop.kernel import (EncodingError, delayed_name, literal_name,
+                             map_name)
 from synthtop.oracle import (MAX_EXHAUSTIVE, FiniteSubbase, LeafOpen,
-                             SchemaError, ShiftedLeaf, bits, budgeted,
+                             SchemaError, bits, budgeted,
                              closure, continuous_maps, decode_finite,
                              enumerate_preorders, enumerate_spaces,
                              enumeration_crosscheck,
@@ -20,9 +21,9 @@ from synthtop.oracle import (MAX_EXHAUSTIVE, FiniteSubbase, LeafOpen,
                              saturate, space_from_json, specialization,
                              subbase_from_json, tau_B, tau_inf, tau_K,
                              topology_from_preorder, up_sets)
-from synthtop.sierpinski import (NEVER, TALLY, and_finite, or_countable,
-                                 read_table)
+from synthtop.sierpinski import NEVER, and_finite, or_countable, read_table
 from synthtop.spaces import Point, SpaceMismatch
+from tally_probes import charged
 
 SIERP2 = make_space(2, [0, 0b10, 0b11])
 
@@ -339,15 +340,6 @@ def _fold_spaces():
     return small + random.Random(32).sample(enumerate_spaces(4), 16)
 
 
-def _charges(sv, fuels):
-    """A fresh status call per fuel: the answer and its ``TALLY`` charge."""
-    out = []
-    for fuel in fuels:
-        t0 = TALLY.n
-        out.append((sv.status(fuel), TALLY.n - t0))
-    return out
-
-
 def _same_value(new, ref):
     """The same known outcome and bound, and the same answers and charges
     one step before the landing, at it and at the bound (below and at the
@@ -355,7 +347,7 @@ def _same_value(new, ref):
     assert (new.known, new.bound) == (ref.known, ref.bound)
     land = ref.bound if ref.known == NEVER else ref.known
     fuels = (land - 1, land, ref.bound)
-    assert _charges(new, fuels) == _charges(ref, fuels)
+    assert [charged(new, f) for f in fuels] == [charged(ref, f) for f in fuels]
 
 
 def test_finite_leaves_fold_as_the_generic_quantifiers():
@@ -417,7 +409,8 @@ def test_delayed_points_are_read_through_the_leaf_open():
                 ref = read_table((finite_point(sp, e, delay=2).payload,),
                                  lambda v: u >> v & 1)
                 assert sv.known is None and sv.bound == ref.bound == 3
-                assert _charges(sv, range(6)) == _charges(ref, range(6))
+                assert [charged(sv, f) for f in range(6)] \
+                    == [charged(ref, f) for f in range(6)]
 
 
 # --- tau_K membership of a finite presubbase folds from masks -------------
@@ -456,7 +449,7 @@ def _same_run(new, ref):
     every fuel up to one past the bound."""
     assert (new.known, new.bound) == (ref.known, ref.bound)
     fuels = range(-1, ref.bound + 2)
-    assert _charges(new, fuels) == _charges(ref, fuels)
+    assert [charged(new, f) for f in fuels] == [charged(ref, f) for f in fuels]
 
 
 def test_presubbase_transposes_fold_as_the_generic_quantifiers():
@@ -472,8 +465,8 @@ def test_presubbase_transposes_fold_as_the_generic_quantifiers():
                     # a cold point's transpose is the generic open
                     assert type(t) is OpenSet
                 else:
-                    assert type(t) is ShiftedLeaf
-                    assert (t.mask, t.step, t.cost) == (
+                    assert type(t) is LeafOpen and t.via is xp.payload
+                    assert (t.mask, *t.via.first[1:]) == (
                         sub.transposes[x], shift, shift)
                 for a in range(1 << sub.m):
                     pts = [finite_point(isp, y) for y in bits(a)]
@@ -503,10 +496,11 @@ def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
     b = finite_presubbase(sub)
     isp, csp = b.index, b.carrier
     warm = finite_point(csp, 1)
-    t = transpose(b, warm)
-    assert type(t) is ShiftedLeaf and t.mask == sub.transposes[1] == 0b10
+    t = b.transpose(warm)
+    assert type(t) is LeafOpen and t.via is warm.payload
+    assert t.mask == sub.transposes[1] == 0b10
     assert b.transpose(warm) is t  # built once per name
-    assert type(embed_point(b, warm).payload) is ShiftedLeaf
+    assert embed_point(b, warm).payload is t
     # a delayed point, a point of another space, and the same family as a
     # plain presubbase get the generic open
     assert type(b.transpose(finite_point(csp, 1, delay=2))) is OpenSet
@@ -520,11 +514,11 @@ def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
     for o in (t, plain.transpose(warm)):
         sv = o.chi(bad)
         assert sv.known is None and sv.bound == 2 and sv.status(1) is None
-        with pytest.raises(IndexError):
+        with pytest.raises(EncodingError):
             sv.status(2)
-    # a leaf open, and a shifted leaf of a compact value, fold without
-    # asking chi; an overt value asks a shifted leaf's chi once per member,
-    # as it asks a plain open wrapping the same chi
+    # a leaf open, with or without a via name, folds in a compact and an
+    # overt value without asking chi; a plain open wrapping the same chi
+    # is asked once per member
     asked = []
 
     def chi(p):
@@ -535,13 +529,54 @@ def test_only_a_warm_carrier_point_gets_a_shifted_leaf():
     compact, overt = leaf_compact(isp, 0b11).forall_, leaf_overt(isp, 0b11).exists_
     compact(LeafOpen(isp, chi, 0b10))
     overt(LeafOpen(isp, chi, 0b10))
-    folded = compact(ShiftedLeaf(isp, chi, 0b10, 1, 1))
+    folded = compact(LeafOpen(isp, chi, 0b10, warm.payload))
     assert asked == [] and folded.known == NEVER and folded.bound == 4
     _same_value(compact(OpenSet(isp, chi)), folded)
     assert asked == members
     del asked[:]
-    _same_value(overt(ShiftedLeaf(isp, chi, 0b10, 1, 1)), overt(OpenSet(isp, chi)))
-    assert asked == members + members
+    _same_value(overt(LeafOpen(isp, chi, 0b10, warm.payload)),
+                overt(OpenSet(isp, chi)))
+    assert asked == members
+
+
+def test_out_of_carrier_values_raise_at_arrival_in_every_finite_leaf():
+    # a name whose first value lies outside its finite space is malformed:
+    # every finite leaf reading it is pending until the value arrives and
+    # raises `EncodingError` there, on every call
+    sub = make_subbase(2, [0b01, 0b11])
+    b = finite_presubbase(sub)
+    isp, csp = b.index, b.carrier
+    y0, x1 = finite_point(isp, 0), finite_point(csp, 1)
+    y5 = Point(isp, literal_name([5], tail=5))
+    x7 = Point(csp, literal_name([7], tail=7))
+    for p in (y5, x7):
+        p.payload.peek()
+    # an image of a warm name shares its source's leaf pair
+    read_table((y0.payload,), lambda v: True)
+    img = Point(isp, map_name(y0.payload, [5, 5]))
+    assert img.payload.leaves is y0.payload.leaves
+    reads = [
+        (leaf_open(isp, 0b11).chi(y5), 1),
+        (leaf_open(isp, 0b11).chi(img), 1),
+        (b.family(y5).chi(x1), 2),
+        (b.family(y0).chi(x7), 2),
+        (b.transpose(x1).chi(y5), 2),  # a warm carrier point's leaf
+        (Presubbase.transpose(b, x1).chi(y5), 2),
+        (b.transpose(x7).chi(y0), 2),  # out of carrier: the generic open
+    ]
+    for sv, at in reads:
+        assert sv.known is None and sv.bound == at
+        for _ in range(2):
+            assert sv.status(at - 1) is None
+            with pytest.raises(EncodingError):
+                sv.status(at)
+    assert type(b.transpose(x1)) is LeafOpen
+    assert type(b.transpose(x7)) is OpenSet
+    p = embed_point(b, x7)
+    for _ in range(2):
+        assert decode_finite(p, sub, 1) == 0b11
+        with pytest.raises(EncodingError):
+            decode_finite(p, sub, 2)
 
 
 # --- one transpose table per finite subbase ----------------------------------

@@ -19,6 +19,7 @@ from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue,
                                  accept_at, bot, first_accepting,
                                  or_countable, run)
 from synthtop.spaces import Point, nat_point, read_first
+from tally_probes import charged, observe
 
 
 def val(text):
@@ -135,11 +136,6 @@ def _stepped_twin(d):
     return Point(DECIMAL, Name(d.payload._factory, cost=d.payload.cost))
 
 
-def _charged(sv, fuel):
-    before = TALLY.n
-    return sv.status(fuel), TALLY.n - before
-
-
 @given(_interval_cases())
 @settings(max_examples=200, deadline=None)
 @example((parse_decimal("0.3(3)"), 0, Fraction(1, 3), Fraction(1)))
@@ -161,7 +157,7 @@ def test_folded_interval_membership_matches_the_stepper(case):
     assert (k != NEVER) == (a < spec.value < b)
     fuels = [10 ** 4] if k == NEVER else [k - 1, k, k + 1, 10 ** 4]
     for fuel in fuels:
-        assert _charged(folded, fuel) == _charged(stepped, fuel), fuel
+        assert charged(folded, fuel) == charged(stepped, fuel), fuel
 
 
 def _searched_outcome(spec, delay, a, b):
@@ -237,22 +233,8 @@ def test_integer_interval_kernel_matches_the_digit_search(spec, delay, rng):
             stepped = interval_open_decimal(a, b).chi(_stepped_twin(d))
             fuels = [10 ** 3] if want == NEVER else [want - 1, want]
             for fuel in fuels:
-                assert _charged(stepped, fuel) \
-                    == _charged(SValue(None, None, want), fuel), (k, a, b)
-
-
-def _observe(sv, fuels):
-    """A fresh status call per fuel: the answer, or the exception's type
-    and message, with the ``TALLY`` delta."""
-    out = []
-    for f in fuels:
-        t0 = TALLY.n
-        try:
-            got = ("ok", sv.status(f))
-        except Exception as exc:
-            got = ("raised", type(exc).__name__, str(exc))
-        out.append((got, TALLY.n - t0))
-    return out
+                assert charged(stepped, fuel) \
+                    == charged(SValue(None, None, want), fuel), (k, a, b)
 
 
 def _raising_twin(spec, delay, r, bad):
@@ -291,7 +273,7 @@ def test_integer_interval_constructor_matches_the_fraction_adapter(
     if k != NEVER:
         fuels += [k - 1, k, k + 1]
     for pt in (_stepped_twin(d), _raising_twin(spec, delay, r, bad)):
-        assert _observe(new.chi(pt), fuels) == _observe(ref.chi(pt), fuels)
+        assert observe(new.chi(pt), fuels) == observe(ref.chi(pt), fuels)
     with pytest.raises(EncodingError) as err:
         _interval_open(ints[2], ints[3], ints[0], ints[1])
     assert str(err.value) == f"need a < b, got {b} >= {a}"
@@ -492,13 +474,12 @@ def test_subbase_name_accepts_the_right_indices():
 
 
 def test_subbase_transposes_separate_points():
-    from synthtop.bases import transpose
     sub = rational_interval_subbase()
     d1 = decimal_point(parse_decimal("0.25"))
     d2 = decimal_point(parse_decimal("0.75"))
     n = index_for_interval(Fraction(0), Fraction(1, 2))
-    t1 = transpose(sub, d1)
-    t2 = transpose(sub, d2)
+    t1 = sub.transpose(d1)
+    t2 = sub.transpose(d2)
     assert t1.chi(nat_point(n)).status(200) is not None
     assert t2.chi(nat_point(n)).status(NEGATIVE_FUEL) is None
 

@@ -15,6 +15,7 @@ from synthtop.sierpinski import (NEGATIVE_FUEL, NEVER, TALLY, SValue, _Read,
                                  or_countable, read_names, read_table, run,
                                  top)
 from synthtop.spaces import NAT, Point, apply_fun, fun_point, function
+from tally_probes import charged, observe
 
 
 def test_top_accepts_at_zero():
@@ -246,8 +247,8 @@ def test_run_stops_stepping_a_read_gone_never(delay, then, goes_never):
             (delayed_name([(delay, 1)]),), then)))
 
     fuels = list(range(-1, 12)) + [100, 1000]
-    assert _observe(value(lambda r: r), fuels) \
-        == _observe(value(_Opaque), fuels)
+    assert observe(value(lambda r: r), fuels) \
+        == observe(value(_Opaque), fuels)
     if goes_never:
         t0 = TALLY.n
         at, r = run(value(lambda r: r), 1000)
@@ -362,20 +363,6 @@ def _warm(nm, steps):
             pass
 
 
-def _observe(sv, fuels):
-    """A fresh status call per fuel: the answer, or the exception's type
-    and message, with the ``TALLY`` delta."""
-    out = []
-    for f in fuels:
-        t0 = TALLY.n
-        try:
-            got = ("ok", sv.status(f))
-        except Exception as exc:
-            got = ("raised", type(exc).__name__, str(exc))
-        out.append((got, TALLY.n - t0))
-    return out
-
-
 @given(st.lists(_NAME_SPECS, min_size=1, max_size=3),
        st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                st.integers(0, 3))),
@@ -406,11 +393,11 @@ def test_read_table_matches_nested_reads(specs, table, raises, warm, ctx,
     assert new_leaf.bound == ref_leaf.bound
     assert new.bound == ref.bound
     fuels = list(itertools.accumulate(cuts)) + [60]
-    assert _observe(new, fuels) == _observe(ref, fuels)
+    assert observe(new, fuels) == observe(ref, fuels)
     # the step where acceptance or an error first shows, fuel by fuel
     _, new = build(read_table)
     _, ref = build(_nested_reads)
-    assert _observe(new, range(61)) == _observe(ref, range(61))
+    assert observe(new, range(61)) == observe(ref, range(61))
 
 
 # --- derived names and warm multi-name reads against stepped reads -------
@@ -487,11 +474,11 @@ def test_mapped_names_fold_as_stepped_reads(table, spec, warm, leaves, other,
     _, cold_leaf, ref = build("cold")
     assert cold_leaf.bound == leaf.bound and new.bound == ref.bound
     fuels = list(itertools.accumulate(cuts)) + [60]
-    assert _observe(new, fuels) == _observe(ref, fuels)
+    assert observe(new, fuels) == observe(ref, fuels)
     # the step where acceptance or an error first shows, fuel by fuel
     _, _, new = build("folded")
     _, _, ref = build("cold")
-    assert _observe(new, range(61)) == _observe(ref, range(61))
+    assert observe(new, range(61)) == observe(ref, range(61))
 
 
 # A function point applies its map once per argument, so later queries
@@ -545,7 +532,7 @@ def test_memoized_images_observe_as_fresh_ones(args, table, queries, cuts):
         trace = []
         for kind, i in queries:
             try:
-                trace.append(_observe(query(kind, i), fuels))
+                trace.append(observe(query(kind, i), fuels))
             except Exception as exc:
                 trace.append(("built", type(exc).__name__, str(exc)))
         return trace, calls
@@ -581,7 +568,7 @@ def test_warm_multi_name_read_steps_as_its_reader(specs, table, raises):
     assert folded.bound == sum(d + 1 for d, _ in specs)
     if not raises:
         assert folded.known is not None
-    assert _observe(folded, range(20)) == _observe(stepped, range(20))
+    assert observe(folded, range(20)) == observe(stepped, range(20))
 
 
 @given(_NAME_SPECS, st.integers(0, 6), st.integers(0, 15), st.booleans())
@@ -601,7 +588,7 @@ def test_leaf_open_reads_as_its_table(spec, warm, mask, leaves):
     ref = read_table((build(),), lambda v: mask >> v & 1)
     assert (new.known, new.bound) == (ref.known, ref.bound)
     stepped = _stepped_table((build(),), lambda v: mask >> v & 1)
-    assert _observe(new, range(31)) == _observe(stepped, range(31))
+    assert observe(new, range(31)) == observe(stepped, range(31))
 
 
 # --- cold first reads: a name whose first value is due at step 1 ---------
@@ -663,10 +650,10 @@ def test_cold_first_read_folds_as_its_stepped_read(kind, v, mask, via, ctx):
     else:
         assert leaf.known is None
     fuels = range(61)
-    assert _observe(wrap(leaf), fuels) == _observe(wrap(stepped), fuels)
+    assert observe(wrap(leaf), fuels) == observe(wrap(stepped), fuels)
     if kind == "raises":
         # raised again at every fuel from its step on, and never accepted
-        obs = _observe(_cold_read(via, _cold_name(kind, v), decide), fuels)
+        obs = observe(_cold_read(via, _cold_name(kind, v), decide), fuels)
         assert obs[0] == (("ok", None), 0)
         assert all(got[0] == "raised" for got, _ in obs[1:])
 
@@ -736,8 +723,8 @@ def test_known_value_answers_without_a_stepper(monkeypatch):
         raise AssertionError("a known value built a stepper")
 
     monkeypatch.setattr(SValue, "make", boom)
-    charged = [_charged(v, fuel) for fuel in (2, 1, 4, 9, 3, -1)]
-    assert charged == [(None, 2), (None, 1), (None, 4), (5, 5), (None, 3),
+    answers = [charged(v, fuel) for fuel in (2, 1, 4, 9, 3, -1)]
+    assert answers == [(None, 2), (None, 1), (None, 4), (5, 5), (None, 3),
                        (None, 0)]
     assert bot().known == NEVER and or_countable([]).known == NEVER
 
@@ -800,7 +787,7 @@ def test_flattened_delays_step_as_nested_ones(outer, inner, leaf):
                         second.bound)
     assert flat.bound == nested.bound == leaf.bound + outer + inner + 2
     for fuel in range(-1, 12):
-        assert _charged(flat, fuel) == _charged(nested, fuel)
+        assert charged(flat, fuel) == charged(nested, fuel)
     assert flat.status(20) == (None if leaf.known == NEVER
                                else outer + inner + 2 + leaf.known)
 
@@ -822,33 +809,27 @@ def test_deep_unknown_conjunction_answers_without_recursion():
 # --- descriptions and queries ---------------------------------------------
 
 
-def _charged(v, fuel):
-    t0 = TALLY.n
-    got = v.status(fuel)
-    return got, TALLY.n - t0
-
-
 def test_one_value_shared_by_two_queries_charges_each_a_fresh_run():
     v = or_countable(lambda i: accept_at(3) if i == 2 else bot())
     at = dovetail_bound(2, 3)
-    assert [_charged(v, at - 1), _charged(v, at - 1)] == [(None, at - 1)] * 2
-    assert [_charged(v, at), _charged(v, at + 5)] == [(at, at)] * 2
+    assert [charged(v, at - 1), charged(v, at - 1)] == [(None, at - 1)] * 2
+    assert [charged(v, at), charged(v, at + 5)] == [(at, at)] * 2
     (first, engine), (second, other) = run(v, at), run(v, at + 5)
     assert first == second == at and engine is not other
     # a known value shared the same way
     k = accept_at(4)
-    assert [_charged(k, 2), _charged(k, 3), _charged(k, 9),
-            _charged(k, 9)] == [(None, 2), (None, 3), (4, 4), (4, 4)]
+    assert [charged(k, 2), charged(k, 3), charged(k, 9),
+            charged(k, 9)] == [(None, 2), (None, 3), (4, 4), (4, 4)]
 
 
 def test_status_on_a_value_is_one_fresh_run_per_call():
     unknown = SValue(accept_at(6).make, 6)
     known = accept_at(6)
     for v in (unknown, known):
-        assert [_charged(v, 10), _charged(v, 10)] == [(6, 6), (6, 6)]
-        assert [_charged(v, 4), _charged(v, 4)] == [(None, 4), (None, 4)]
-        assert _charged(v, -3) == (None, 0)
-    assert [_charged(bot(), 5), _charged(bot(), 5)] == [(None, 5), (None, 5)]
+        assert [charged(v, 10), charged(v, 10)] == [(6, 6), (6, 6)]
+        assert [charged(v, 4), charged(v, 4)] == [(None, 4), (None, 4)]
+        assert charged(v, -3) == (None, 0)
+    assert [charged(bot(), 5), charged(bot(), 5)] == [(None, 5), (None, 5)]
 
 
 def test_constants_are_shared():
@@ -888,10 +869,10 @@ def test_warm_leaves_agreeing_on_the_point_share_one_value():
 def test_two_queries_on_a_shared_leaf_are_each_charged_a_fresh_run():
     sp, p, _ = _warm_leaf_point()
     leaf = leaf_open(sp, 0b010).chi(p)
-    assert [_charged(leaf, 2), _charged(leaf, 1), _charged(leaf, 5),
-            _charged(leaf, 3)] == [(None, 2), (None, 1), (3, 3), (3, 3)]
+    assert [charged(leaf, 2), charged(leaf, 1), charged(leaf, 5),
+            charged(leaf, 3)] == [(None, 2), (None, 1), (3, 3), (3, 3)]
     never = leaf_open(sp, 0b100).chi(p)
-    assert [_charged(never, 7), _charged(never, 7)] == [(None, 7)] * 2
+    assert [charged(never, 7), charged(never, 7)] == [(None, 7)] * 2
 
 
 def test_warm_leaf_with_a_raising_table_raises_at_the_arrival():
@@ -1034,7 +1015,7 @@ def test_or_fold_over_children_known_before_their_bound(kids):
     assert folded.bound == stepped.bound == max(
         (dovetail_bound(i, (k or 0) + e, n) for i, (k, e) in enumerate(kids)),
         default=0)
-    assert _observe(folded, range(61)) == _observe(stepped, range(61))
+    assert observe(folded, range(61)) == observe(stepped, range(61))
 
 
 @given(fold_trees(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
@@ -1043,10 +1024,10 @@ def test_folded_values_match_stepped_ones(tree, cuts):
     folded, stepped = _fold_build(tree, True), _fold_build(tree, False)
     assert folded.bound == stepped.bound
     fuels = list(itertools.accumulate(cuts)) + [60]
-    assert _observe(folded, fuels) == _observe(stepped, fuels)
+    assert observe(folded, fuels) == observe(stepped, fuels)
     # the step where acceptance or an error first shows, fuel by fuel
     folded, stepped = _fold_build(tree, True), _fold_build(tree, False)
-    assert _observe(folded, range(61)) == _observe(stepped, range(61))
+    assert observe(folded, range(61)) == observe(stepped, range(61))
 
 
 def _fresh_run_contract(v, fuels):
@@ -1054,7 +1035,7 @@ def _fresh_run_contract(v, fuels):
     below the step s where the run accepts or raises, from s on the same
     answer (s itself) or an exception of the same type and message, and
     ``min(s, f)`` steps charged at fuel f."""
-    obs = _observe(v, fuels)
+    obs = observe(v, fuels)
     s, first = next(((f, got) for f, (got, _) in zip(fuels, obs)
                      if got != ("ok", None)), (None, None))
     assert first is None or first[0] == "raised" or first == ("ok", s)
@@ -1063,7 +1044,7 @@ def _fresh_run_contract(v, fuels):
             assert (got, charged) == (("ok", None), f)
         else:
             assert (got, charged) == (first, s)
-    assert _observe(v, [-1]) == [(("ok", None), 0)]
+    assert observe(v, [-1]) == [(("ok", None), 0)]
 
 
 @given(fold_trees(), st.booleans(), trees())
@@ -1091,8 +1072,8 @@ def test_streamed_children_fold_as_a_list(trees, fold, cuts):
         listed = combine(kids())
         streamed = combine(iter(kids()))
         assert (streamed.bound, streamed.known) == (listed.bound, listed.known)
-        assert _observe(streamed, fuels) == _observe(listed, fuels)
-        assert _observe(combine(v for v in kids()), range(61)) == _observe(
+        assert observe(streamed, fuels) == observe(listed, fuels)
+        assert observe(combine(v for v in kids()), range(61)) == observe(
             combine(kids()), range(61))
     # the race's winner and its step, from the list and from a stream
     def outcome(run):
